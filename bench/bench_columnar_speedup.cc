@@ -13,10 +13,10 @@
 // replication decomposes joins into cross-server fragments, so the
 // integrator's zero-copy columnar merge is on the measured path.
 //
-// JSON scalars use the `/wall_s` and `/ratio_x` label classes that
+// JSON scalars end in the `/wall_s` and `/ratio_x` label classes that
 // tools/check_bench_regression.py treats as wall-clock (loose bound) and
-// positivity-only respectively; the >= 10x acceptance gate lives in this
-// harness's own shape checks.
+// positivity-only respectively; the speedup floors (QT3 >= 10x, QT2 >= 3x,
+// corpus >= 4x) live in this harness's own shape checks.
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -121,32 +121,35 @@ int main() {
   bench::PrintRule();
   std::printf("%-6s %14s %14s %10s\n", "query", "row wall (s)",
               "col wall (s)", "speedup");
+  double qt2_ratio = 0;
   double qt3_ratio = 0;
   for (size_t q = 0; q < names.size(); ++q) {
     const double ratio = col.wall_s[q] > 0 ? row.wall_s[q] / col.wall_s[q] : 0;
     std::printf("%-6s %14.4f %14.4f %9.2fx\n", names[q].c_str(),
                 row.wall_s[q], col.wall_s[q], ratio);
-    reporter.AddScalar(names[q] + "/row_wall_s", row.wall_s[q]);
-    reporter.AddScalar(names[q] + "/columnar_wall_s", col.wall_s[q]);
-    reporter.AddScalar(names[q] + "/speedup_ratio_x", ratio);
+    reporter.AddScalar(names[q] + "/row/wall_s", row.wall_s[q]);
+    reporter.AddScalar(names[q] + "/columnar/wall_s", col.wall_s[q]);
+    reporter.AddScalar(names[q] + "/speedup/ratio_x", ratio);
     check.Expect(row.result_rows[q] == col.result_rows[q],
                  names[q] + " row/columnar result cardinality match");
+    if (names[q] == "QT2") qt2_ratio = ratio;
     if (names[q] == "QT3") qt3_ratio = ratio;
   }
   const double total_ratio =
       col.total_s > 0 ? row.total_s / col.total_s : 0;
   std::printf("%-6s %14.4f %14.4f %9.2fx\n", "corpus", row.total_s,
               col.total_s, total_ratio);
-  reporter.AddScalar("corpus/row_wall_s", row.total_s);
-  reporter.AddScalar("corpus/columnar_wall_s", col.total_s);
-  reporter.AddScalar("corpus/speedup_ratio_x", total_ratio);
+  reporter.AddScalar("corpus/row/wall_s", row.total_s);
+  reporter.AddScalar("corpus/columnar/wall_s", col.total_s);
+  reporter.AddScalar("corpus/speedup/ratio_x", total_ratio);
 
   // The acceptance gate: the federated QT3 query (the BM_FederatedExecute
-  // workload) must clear 10x at this scale. The corpus total is bounded by
-  // QT2, whose ~13M-row join output is string-materialization-bound in
-  // both engines — it gets a sanity floor, not a 10x bar.
+  // workload) must clear 10x at this scale. QT2, whose ~13M-row join
+  // output copies a string column, bounds the corpus total; its typed
+  // gather and string-key aggregation get their own floor.
   check.Expect(qt3_ratio >= 10.0, "QT3 columnar speedup >= 10x");
-  check.Expect(total_ratio >= 2.0, "corpus columnar speedup >= 2x");
+  check.Expect(qt2_ratio >= 3.0, "QT2 columnar speedup >= 3x");
+  check.Expect(total_ratio >= 4.0, "corpus columnar speedup >= 4x");
 
   return reporter.Finish(check);
 }

@@ -1,6 +1,7 @@
 #include "engine/columnar_executor.h"
 
 #include <algorithm>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -13,32 +14,9 @@ namespace fedcal {
 
 namespace {
 
-/// Maps a global row index of a ColumnarTable to (chunk, local offset).
-class RowLocator {
- public:
-  explicit RowLocator(const ColumnarTable& t) {
-    starts_.reserve(t.chunks().size());
-    size_t s = 0;
-    for (const ColumnChunk& c : t.chunks()) {
-      starts_.push_back(s);
-      s += c.length;
-    }
-  }
-
-  std::pair<uint32_t, uint32_t> Locate(size_t r) const {
-    const size_t c = static_cast<size_t>(
-        std::upper_bound(starts_.begin(), starts_.end(), r) -
-        starts_.begin() - 1);
-    return {static_cast<uint32_t>(c), static_cast<uint32_t>(r - starts_[c])};
-  }
-
- private:
-  std::vector<size_t> starts_;
-};
-
 /// Compacts the selected rows of `src` into a fresh chunk. Output columns
 /// start in the source representation, so same-kind cells copy through the
-/// typed fast path (and demoted sources stay variant-exact).
+/// typed gather (and demoted sources stay variant-exact).
 ColumnChunk GatherChunk(const ColumnChunk& src, const uint32_t* sel,
                         size_t k) {
   ColumnChunk out;
@@ -46,40 +24,39 @@ ColumnChunk GatherChunk(const ColumnChunk& src, const uint32_t* sel,
   out.columns.reserve(src.columns.size());
   for (const ColumnSlice& s : src.columns) {
     auto col = std::make_shared<ColumnData>(s.col->kind());
-    col->Reserve(k);
-    for (size_t i = 0; i < k; ++i) {
-      col->AppendFrom(*s.col, s.offset + sel[i]);
-    }
+    col->AppendGather(s, sel, k);
     out.columns.push_back(ColumnSlice{std::move(col), 0});
   }
   return out;
 }
 
-/// Appends `rows` (global indices into `src`) to `out` in chunks of
+/// Column c of every chunk of `t`, in chunk order, for every c: the
+/// gather sources that RowRefs into `t` index.
+std::vector<std::vector<ColumnSlice>> GatherSources(const ColumnarTable& t) {
+  std::vector<std::vector<ColumnSlice>> sources(t.schema().num_columns());
+  for (const ColumnChunk& chunk : t.chunks()) {
+    for (size_t c = 0; c < sources.size(); ++c) {
+      sources[c].push_back(chunk.columns[c]);
+    }
+  }
+  return sources;
+}
+
+/// Appends the rows `refs[0..n)` of `src` to `out` in chunks of
 /// `batch_rows`. Used by Sort and Distinct, whose outputs are arbitrary
 /// permutations/subsets of their input.
-void AppendGatheredRows(const ColumnarTable& src,
-                        const std::vector<size_t>& rows, size_t batch_rows,
-                        ColumnarTable* out) {
+void AppendGatheredRows(const ColumnarTable& src, const RowRef* refs,
+                        size_t n, size_t batch_rows, ColumnarTable* out) {
   if (batch_rows == 0) batch_rows = 1;
-  const RowLocator loc(src);
-  const size_t ncols = src.schema().num_columns();
-  std::vector<std::pair<uint32_t, uint32_t>> locs;
-  for (size_t start = 0; start < rows.size(); start += batch_rows) {
-    const size_t len = std::min(batch_rows, rows.size() - start);
-    locs.clear();
-    locs.reserve(len);
-    for (size_t i = 0; i < len; ++i) locs.push_back(loc.Locate(rows[start + i]));
+  const std::vector<std::vector<ColumnSlice>> sources = GatherSources(src);
+  for (size_t start = 0; start < n; start += batch_rows) {
+    const size_t len = std::min(batch_rows, n - start);
     ColumnChunk chunk;
     chunk.length = len;
-    chunk.columns.reserve(ncols);
-    for (size_t c = 0; c < ncols; ++c) {
+    chunk.columns.reserve(sources.size());
+    for (size_t c = 0; c < sources.size(); ++c) {
       auto col = std::make_shared<ColumnData>(src.schema().column(c).type);
-      col->Reserve(len);
-      for (size_t i = 0; i < len; ++i) {
-        const ColumnSlice& s = src.chunks()[locs[i].first].columns[c];
-        col->AppendFrom(*s.col, s.offset + locs[i].second);
-      }
+      col->AppendGather(sources[c].data(), refs + start, len);
       chunk.columns.push_back(ColumnSlice{std::move(col), 0});
     }
     out->AppendChunk(std::move(chunk));
@@ -98,6 +75,47 @@ bool AllChunksInt64(const ColumnarTable& t, size_t slot) {
     }
   }
   return true;
+}
+
+/// Feeds rows [0, n) of one aggregate's argument into the accumulators
+/// `states[gids[i] * stride]`. COUNT, SUM and AVG over a pure int64 or
+/// double column read the typed array; COUNT(*), MIN, MAX, constants and
+/// kMixed columns go through AggState::Update with per-row Values.
+void UpdateAggregate(const AggItem& item, const VectorResult& arg,
+                     const size_t* gids, size_t n, AggState* states,
+                     size_t stride) {
+  if (item.count_star) {
+    const Value none;
+    for (size_t i = 0; i < n; ++i) states[gids[i] * stride].Update(item, none);
+    return;
+  }
+  const bool typed_func = item.func == AggFunc::kCount ||
+                          item.func == AggFunc::kSum ||
+                          item.func == AggFunc::kAvg;
+  if (typed_func && !arg.constant) {
+    const ColumnData& col = *arg.col;
+    const uint8_t* nulls =
+        col.has_nulls() ? col.nulls() + arg.offset : nullptr;
+    if (col.kind() == ColumnData::Kind::kInt64) {
+      const int64_t* v = col.ints() + arg.offset;
+      for (size_t i = 0; i < n; ++i) {
+        if (nulls != nullptr && nulls[i] != 0) continue;
+        states[gids[i] * stride].UpdateInt64(item, v[i]);
+      }
+      return;
+    }
+    if (col.kind() == ColumnData::Kind::kDouble) {
+      const double* v = col.doubles() + arg.offset;
+      for (size_t i = 0; i < n; ++i) {
+        if (nulls != nullptr && nulls[i] != 0) continue;
+        states[gids[i] * stride].UpdateDouble(item, v[i]);
+      }
+      return;
+    }
+  }
+  for (size_t i = 0; i < n; ++i) {
+    states[gids[i] * stride].Update(item, arg.At(i));
+  }
 }
 
 /// Materializes a broadcast constant as a column of `n` cells.
@@ -344,10 +362,62 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecHashJoin(
                           ExecNode(*node.left, stats, prof));
   FEDCAL_ASSIGN_OR_RETURN(ColumnarTablePtr probe,
                           ExecNode(*node.right, stats, prof));
+  stats->work_units +=
+      config_.costs.hash_build_row * static_cast<double>(build->num_rows());
+  stats->work_units +=
+      config_.costs.hash_probe_row * static_cast<double>(probe->num_rows());
 
-  // Candidate (build, probe) pairs in probe order, matches ascending —
-  // exactly the row engine's deterministic emission order.
-  std::vector<std::pair<uint32_t, uint32_t>> pairs;
+  // Candidate (build, probe) pairs stream out in probe order, matches
+  // ascending — exactly the row engine's deterministic emission order — in
+  // batches of `batch` pairs. Each batch is gathered into a concatenated
+  // [build, probe] chunk, filtered by the residual predicate, charged and
+  // appended.
+  auto out = std::make_shared<ColumnarTable>(node.output_schema);
+  const std::vector<std::vector<ColumnSlice>> bsrc = GatherSources(*build);
+  const std::vector<std::vector<ColumnSlice>> psrc = GatherSources(*probe);
+  const size_t batch = config_.batch_rows == 0 ? 1 : config_.batch_rows;
+  std::vector<RowRef> bsel;
+  std::vector<RowRef> psel;
+  bsel.reserve(batch);
+  psel.reserve(batch);
+  size_t emitted = 0;
+  auto flush = [&]() -> Status {
+    const size_t len = bsel.size();
+    if (len == 0) return Status::OK();
+    ColumnChunk cand;
+    cand.length = len;
+    cand.columns.reserve(bsrc.size() + psrc.size());
+    for (size_t c = 0; c < bsrc.size(); ++c) {
+      auto col = std::make_shared<ColumnData>(build->schema().column(c).type);
+      col->AppendGather(bsrc[c].data(), bsel.data(), len);
+      cand.columns.push_back(ColumnSlice{std::move(col), 0});
+    }
+    for (size_t c = 0; c < psrc.size(); ++c) {
+      auto col = std::make_shared<ColumnData>(probe->schema().column(c).type);
+      col->AppendGather(psrc[c].data(), psel.data(), len);
+      cand.columns.push_back(ColumnSlice{std::move(col), 0});
+    }
+    bsel.clear();
+    psel.clear();
+    const uint32_t* sel = nullptr;
+    size_t k = len;
+    if (node.residual) {
+      FEDCAL_ASSIGN_OR_RETURN(sel,
+                              eval_.EvalSelection(*node.residual, cand, &k));
+    }
+    for (size_t j = 0; j < k; ++j) {
+      stats->work_units += config_.costs.join_output_row;
+      ++emitted;
+      FEDCAL_RETURN_NOT_OK(CheckSize(emitted));
+    }
+    if (k == len) {
+      out->AppendChunk(std::move(cand));
+    } else if (k > 0) {
+      out->AppendChunk(GatherChunk(cand, sel, k));
+    }
+    return Status::OK();
+  };
+
   if (node.left_keys.size() == 1 && node.right_keys.size() == 1 &&
       AllChunksInt64(*build, node.left_keys[0]) &&
       AllChunksInt64(*probe, node.right_keys[0])) {
@@ -412,7 +482,10 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecHashJoin(
         range < std::max<uint64_t>(4 * static_cast<uint64_t>(bn) + 1024,
                                    uint64_t{1} << 22);
 
+    // Chains link build rows by their table-wide index; `bref` maps that
+    // index back to the row's chunk for the gather.
     std::vector<uint32_t> next(bn, kNone);
+    std::vector<RowRef> bref(bn);
     std::vector<uint32_t> head;
     std::unordered_map<int64_t, uint32_t> head_map;
     if (dense) {
@@ -425,6 +498,7 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecHashJoin(
       for (size_t i = kc.len; i-- > 0;) {
         if (kc.nulls != nullptr && kc.nulls[i] != 0) continue;
         const uint32_t row = kc.base + static_cast<uint32_t>(i);
+        bref[row] = RowRef{static_cast<uint32_t>(c), static_cast<uint32_t>(i)};
         if (dense) {
           uint32_t& h = head[static_cast<size_t>(
               static_cast<uint64_t>(kc.vals[i]) -
@@ -438,7 +512,8 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecHashJoin(
         }
       }
     }
-    for (const KeyCol& kc : pcols) {
+    for (size_t c = 0; c < pcols.size(); ++c) {
+      const KeyCol& kc = pcols[c];
       for (size_t i = 0; i < kc.len; ++i) {
         if (kc.nulls != nullptr && kc.nulls[i] != 0) continue;
         const int64_t k = kc.vals[i];
@@ -453,16 +528,19 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecHashJoin(
           if (it != head_map.end()) h = it->second;
         }
         for (uint32_t b = h; b != kNone; b = next[b]) {
-          pairs.emplace_back(b, kc.base + static_cast<uint32_t>(i));
+          bsel.push_back(bref[b]);
+          psel.push_back(
+              RowRef{static_cast<uint32_t>(c), static_cast<uint32_t>(i)});
+          if (bsel.size() == batch) FEDCAL_RETURN_NOT_OK(flush());
         }
       }
     }
   } else {
     // Generic path: composite or non-int64 keys hash as row-engine Rows.
-    std::unordered_map<RowKey, std::vector<uint32_t>, RowKeyHash> table;
+    std::unordered_map<RowKey, std::vector<RowRef>, RowKeyHash> table;
     table.reserve(build->num_rows());
-    size_t base = 0;
-    for (const ColumnChunk& chunk : build->chunks()) {
+    for (size_t c = 0; c < build->chunks().size(); ++c) {
+      const ColumnChunk& chunk = build->chunks()[c];
       for (size_t i = 0; i < chunk.length; ++i) {
         Row key;
         key.reserve(node.left_keys.size());
@@ -475,12 +553,11 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecHashJoin(
         // NULL join keys never match; skip them at build time.
         if (has_null) continue;
         table[RowKey(std::move(key))].push_back(
-            static_cast<uint32_t>(base + i));
+            RowRef{static_cast<uint32_t>(c), static_cast<uint32_t>(i)});
       }
-      base += chunk.length;
     }
-    base = 0;
-    for (const ColumnChunk& chunk : probe->chunks()) {
+    for (size_t c = 0; c < probe->chunks().size(); ++c) {
+      const ColumnChunk& chunk = probe->chunks()[c];
       for (size_t i = 0; i < chunk.length; ++i) {
         Row key;
         key.reserve(node.right_keys.size());
@@ -493,74 +570,16 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecHashJoin(
         if (has_null) continue;
         auto it = table.find(RowKey(std::move(key)));
         if (it == table.end()) continue;
-        for (uint32_t b : it->second) {
-          pairs.emplace_back(b, static_cast<uint32_t>(base + i));
+        for (const RowRef& b : it->second) {
+          bsel.push_back(b);
+          psel.push_back(
+              RowRef{static_cast<uint32_t>(c), static_cast<uint32_t>(i)});
+          if (bsel.size() == batch) FEDCAL_RETURN_NOT_OK(flush());
         }
       }
-      base += chunk.length;
     }
   }
-  stats->work_units +=
-      config_.costs.hash_build_row * static_cast<double>(build->num_rows());
-  stats->work_units +=
-      config_.costs.hash_probe_row * static_cast<double>(probe->num_rows());
-
-  auto out = std::make_shared<ColumnarTable>(node.output_schema);
-  const RowLocator bloc(*build);
-  const RowLocator ploc(*probe);
-  const size_t bw = build->schema().num_columns();
-  const size_t pw = probe->schema().num_columns();
-  const size_t batch = config_.batch_rows == 0 ? 1 : config_.batch_rows;
-  size_t emitted = 0;
-  std::vector<std::pair<uint32_t, uint32_t>> blocs;
-  std::vector<std::pair<uint32_t, uint32_t>> plocs;
-  for (size_t start = 0; start < pairs.size(); start += batch) {
-    const size_t len = std::min(batch, pairs.size() - start);
-    blocs.clear();
-    plocs.clear();
-    blocs.reserve(len);
-    plocs.reserve(len);
-    for (size_t i = 0; i < len; ++i) {
-      blocs.push_back(bloc.Locate(pairs[start + i].first));
-      plocs.push_back(ploc.Locate(pairs[start + i].second));
-    }
-    // Gather the candidate pairs into a concatenated [build, probe] chunk.
-    ColumnChunk cand;
-    cand.length = len;
-    cand.columns.reserve(bw + pw);
-    for (size_t c = 0; c < bw + pw; ++c) {
-      const bool from_build = c < bw;
-      const ColumnarTable& side = from_build ? *build : *probe;
-      const size_t side_col = from_build ? c : c - bw;
-      const auto& locs = from_build ? blocs : plocs;
-      auto col = std::make_shared<ColumnData>(
-          side.schema().column(side_col).type);
-      col->Reserve(len);
-      for (size_t i = 0; i < len; ++i) {
-        const ColumnSlice& s =
-            side.chunks()[locs[i].first].columns[side_col];
-        col->AppendFrom(*s.col, s.offset + locs[i].second);
-      }
-      cand.columns.push_back(ColumnSlice{std::move(col), 0});
-    }
-    const uint32_t* sel = nullptr;
-    size_t k = len;
-    if (node.residual) {
-      FEDCAL_ASSIGN_OR_RETURN(sel,
-                              eval_.EvalSelection(*node.residual, cand, &k));
-    }
-    if (k == 0) continue;
-    for (size_t j = 0; j < k; ++j) {
-      stats->work_units += config_.costs.join_output_row;
-      ++emitted;
-      FEDCAL_RETURN_NOT_OK(CheckSize(emitted));
-    }
-    if (k == len) {
-      out->AppendChunk(std::move(cand));
-    } else {
-      out->AppendChunk(GatherChunk(cand, sel, k));
-    }
-  }
+  FEDCAL_RETURN_NOT_OK(flush());
   return ColumnarTablePtr(std::move(out));
 }
 
@@ -599,34 +618,28 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecAggregate(
   FEDCAL_ASSIGN_OR_RETURN(ColumnarTablePtr in,
                           ExecNode(*node.left, stats, prof));
 
-  struct Group {
-    Row key;
-    std::vector<AggState> states;
-  };
-  // First-seen order, matching the row engine.
-  std::vector<Group> groups;
-
   stats->work_units +=
       config_.costs.agg_update_row * static_cast<double>(in->num_rows());
 
   // Evaluate group keys and aggregate arguments for every chunk up front
   // (same expression order as the per-chunk loop, so the first evaluation
-  // error is unchanged). The pre-pass also decides whether the typed
-  // single-int64 group-key fast path applies: every chunk's key must be a
-  // pure int64 column, so Value identity reduces to int64 identity and the
-  // per-row Row/RowKey materialization disappears.
+  // error is unchanged). The pre-pass also decides whether a typed
+  // single-key path applies: every chunk's key must be a pure int64 (or
+  // pure string) column, so Value identity reduces to int64 (string)
+  // identity and the per-row Row/RowKey materialization disappears.
   struct ChunkVals {
-    const ColumnChunk* chunk = nullptr;
+    size_t length = 0;
     std::vector<VectorResult> group_vals;
     std::vector<VectorResult> agg_vals;
   };
   std::vector<ChunkVals> evaluated;
   evaluated.reserve(in->chunks().size());
   bool int64_keys = node.group_by.size() == 1;
+  bool string_keys = node.group_by.size() == 1;
   for (const ColumnChunk& chunk : in->chunks()) {
     if (chunk.length == 0) continue;
     ChunkVals cv;
-    cv.chunk = &chunk;
+    cv.length = chunk.length;
     cv.group_vals.reserve(node.group_by.size());
     for (const BoundExprPtr& g : node.group_by) {
       FEDCAL_ASSIGN_OR_RETURN(VectorResult v, eval_.Eval(*g, chunk));
@@ -638,77 +651,76 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecAggregate(
       FEDCAL_ASSIGN_OR_RETURN(cv.agg_vals[a],
                               eval_.Eval(*node.aggs[a].arg, chunk));
     }
-    if (int64_keys) {
+    if (node.group_by.size() == 1) {
       const VectorResult& gv = cv.group_vals[0];
-      int64_keys =
-          !gv.constant && gv.col->kind() == ColumnData::Kind::kInt64;
+      int64_keys = int64_keys && !gv.constant &&
+                   gv.col->kind() == ColumnData::Kind::kInt64;
+      string_keys = string_keys && !gv.constant &&
+                    gv.col->kind() == ColumnData::Kind::kString;
     }
     evaluated.push_back(std::move(cv));
   }
 
+  // Groups in first-seen order, matching the row engine: their keys, and
+  // node.aggs.size() accumulators per group, group-major.
+  const size_t naggs = node.aggs.size();
+  std::vector<Row> keys;
+  std::vector<AggState> states;
+  auto add_group = [&](Row key) {
+    keys.push_back(std::move(key));
+    states.resize(states.size() + naggs);
+    return keys.size() - 1;
+  };
   std::unordered_map<RowKey, size_t, RowKeyHash> group_index;
   std::unordered_map<int64_t, size_t> int_index;
+  // Views into the key columns, which `evaluated` keeps alive.
+  std::unordered_map<std::string_view, size_t> str_index;
   // NULL group keys form a regular group in the row engine (Compare treats
-  // null == null); the typed map can't hold them, so they get a dedicated
+  // null == null); the typed maps can't hold them, so they get a dedicated
   // slot that still respects first-seen ordering.
   size_t null_group = SIZE_MAX;
+  std::vector<size_t> gids;
   for (const ChunkVals& cv : evaluated) {
-    const ColumnChunk& chunk = *cv.chunk;
-    const int64_t* key_ints = nullptr;
-    const uint8_t* key_nulls = nullptr;
-    if (int64_keys) {
+    const size_t n = cv.length;
+    gids.resize(n);
+    if (int64_keys || string_keys) {
       const VectorResult& gv = cv.group_vals[0];
-      key_ints = gv.col->ints() + gv.offset;
-      key_nulls =
+      const uint8_t* key_nulls =
           gv.col->has_nulls() ? gv.col->nulls() + gv.offset : nullptr;
-    }
-    for (size_t i = 0; i < chunk.length; ++i) {
-      size_t gi;
-      if (int64_keys) {
+      for (size_t i = 0; i < n; ++i) {
         if (key_nulls != nullptr && key_nulls[i] != 0) {
-          if (null_group == SIZE_MAX) {
-            null_group = groups.size();
-            Group grp;
-            grp.key.push_back(Value());
-            grp.states.resize(node.aggs.size());
-            groups.push_back(std::move(grp));
-          }
-          gi = null_group;
+          if (null_group == SIZE_MAX) null_group = add_group(Row{Value()});
+          gids[i] = null_group;
+        } else if (int64_keys) {
+          const int64_t k = gv.col->ints()[gv.offset + i];
+          auto [it, inserted] = int_index.try_emplace(k, keys.size());
+          if (inserted) add_group(Row{Value(k)});
+          gids[i] = it->second;
         } else {
+          const std::string& k = gv.col->strings()[gv.offset + i];
           auto [it, inserted] =
-              int_index.emplace(key_ints[i], groups.size());
-          if (inserted) {
-            Group grp;
-            grp.key.push_back(Value(key_ints[i]));
-            grp.states.resize(node.aggs.size());
-            groups.push_back(std::move(grp));
-          }
-          gi = it->second;
+              str_index.try_emplace(std::string_view(k), keys.size());
+          if (inserted) add_group(Row{Value(k)});
+          gids[i] = it->second;
         }
-      } else {
+      }
+    } else {
+      for (size_t i = 0; i < n; ++i) {
         Row key;
         key.reserve(cv.group_vals.size());
         for (const VectorResult& gv : cv.group_vals) key.push_back(gv.At(i));
         RowKey rk(key);
-        auto [it, inserted] =
-            group_index.emplace(std::move(rk), groups.size());
-        if (inserted) {
-          Group grp;
-          grp.key = std::move(key);
-          grp.states.resize(node.aggs.size());
-          groups.push_back(std::move(grp));
-        }
-        gi = it->second;
+        auto [it, inserted] = group_index.emplace(std::move(rk), keys.size());
+        if (inserted) add_group(std::move(key));
+        gids[i] = it->second;
       }
-      Group& grp = groups[gi];
-      for (size_t a = 0; a < node.aggs.size(); ++a) {
-        const AggItem& item = node.aggs[a];
-        if (item.count_star) {
-          grp.states[a].Update(item, Value());
-        } else {
-          grp.states[a].Update(item, cv.agg_vals[a].At(i));
-        }
-      }
+    }
+    // Each (group, aggregate) accumulator sees its rows in input order,
+    // so updating one aggregate at a time matches the row engine's
+    // row-at-a-time sequence exactly.
+    for (size_t a = 0; a < naggs; ++a) {
+      UpdateAggregate(node.aggs[a], cv.agg_vals[a], gids.data(), n,
+                      states.data() + a, naggs);
     }
   }
 
@@ -716,18 +728,16 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecAggregate(
   const size_t ncols = node.output_schema.num_columns();
   const size_t nkeys = node.group_by.size();
   // Global aggregation over empty input still yields one row.
-  if (groups.empty() && node.group_by.empty()) {
-    Group empty_grp;
-    empty_grp.states.resize(node.aggs.size());
-    groups.push_back(std::move(empty_grp));
+  if (keys.empty() && node.group_by.empty()) {
+    add_group(Row{});
     stats->work_units += config_.costs.agg_group;
   } else {
     stats->work_units +=
-        config_.costs.agg_group * static_cast<double>(groups.size());
+        config_.costs.agg_group * static_cast<double>(keys.size());
   }
   const size_t batch = config_.batch_rows == 0 ? 1 : config_.batch_rows;
-  for (size_t start = 0; start < groups.size(); start += batch) {
-    const size_t len = std::min(batch, groups.size() - start);
+  for (size_t start = 0; start < keys.size(); start += batch) {
+    const size_t len = std::min(batch, keys.size() - start);
     ColumnChunk chunk;
     chunk.length = len;
     chunk.columns.reserve(ncols);
@@ -735,12 +745,11 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecAggregate(
       auto col =
           std::make_shared<ColumnData>(node.output_schema.column(c).type);
       col->Reserve(len);
-      for (size_t i = 0; i < len; ++i) {
-        const Group& grp = groups[start + i];
+      for (size_t g = start; g < start + len; ++g) {
         if (c < nkeys) {
-          col->AppendValue(grp.key[c]);
+          col->AppendValue(keys[g][c]);
         } else {
-          col->AppendValue(grp.states[c - nkeys].Finalize(
+          col->AppendValue(states[g * naggs + (c - nkeys)].Finalize(
               node.aggs[c - nkeys]));
         }
       }
@@ -763,8 +772,11 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecSort(
   // indices with the row engine's comparator: identical permutation.
   std::vector<Row> keys;
   keys.reserve(n);
+  std::vector<RowRef> refs;
+  refs.reserve(n);
   std::vector<VectorResult> key_vals;
-  for (const ColumnChunk& chunk : in->chunks()) {
+  for (size_t c = 0; c < in->chunks().size(); ++c) {
+    const ColumnChunk& chunk = in->chunks()[c];
     if (chunk.length == 0) continue;
     key_vals.clear();
     for (const auto& [e, desc] : node.sort_keys) {
@@ -777,6 +789,8 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecSort(
       key.reserve(key_vals.size());
       for (const VectorResult& kv : key_vals) key.push_back(kv.At(i));
       keys.push_back(std::move(key));
+      refs.push_back(
+          RowRef{static_cast<uint32_t>(c), static_cast<uint32_t>(i)});
     }
   }
   std::vector<size_t> order(n);
@@ -789,8 +803,12 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecSort(
     return false;
   });
 
+  std::vector<RowRef> sorted;
+  sorted.reserve(n);
+  for (size_t i : order) sorted.push_back(refs[i]);
+
   auto out = std::make_shared<ColumnarTable>(node.output_schema);
-  AppendGatheredRows(*in, order, config_.batch_rows, out.get());
+  AppendGatheredRows(*in, sorted.data(), n, config_.batch_rows, out.get());
   return ColumnarTablePtr(std::move(out));
 }
 
@@ -801,23 +819,24 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecDistinct(
   stats->work_units +=
       config_.costs.distinct_row * static_cast<double>(in->num_rows());
   std::unordered_map<RowKey, bool, RowKeyHash> seen;
-  std::vector<size_t> picked;
-  size_t base = 0;
-  for (const ColumnChunk& chunk : in->chunks()) {
+  std::vector<RowRef> picked;
+  for (size_t c = 0; c < in->chunks().size(); ++c) {
+    const ColumnChunk& chunk = in->chunks()[c];
     for (size_t i = 0; i < chunk.length; ++i) {
       Row row;
       row.reserve(chunk.columns.size());
-      for (size_t c = 0; c < chunk.columns.size(); ++c) {
-        row.push_back(chunk.ValueAt(c, i));
+      for (size_t col = 0; col < chunk.columns.size(); ++col) {
+        row.push_back(chunk.ValueAt(col, i));
       }
       if (seen.emplace(RowKey(std::move(row)), true).second) {
-        picked.push_back(base + i);
+        picked.push_back(
+            RowRef{static_cast<uint32_t>(c), static_cast<uint32_t>(i)});
       }
     }
-    base += chunk.length;
   }
   auto out = std::make_shared<ColumnarTable>(node.output_schema);
-  AppendGatheredRows(*in, picked, config_.batch_rows, out.get());
+  AppendGatheredRows(*in, picked.data(), picked.size(), config_.batch_rows,
+                     out.get());
   return ColumnarTablePtr(std::move(out));
 }
 

@@ -125,8 +125,9 @@ struct RowKeyHash {
 /// \brief Accumulator for one aggregate function instance in one group.
 ///
 /// The int_mode/isum/dsum transition sequence depends on the exact variant
-/// of every input cell, so both engines feed it the same Values in the
-/// same order and finalize to bit-identical results.
+/// of every input cell, so both engines feed it the same cells in the
+/// same order — as Values, or through UpdateInt64/UpdateDouble from typed
+/// columns — and finalize to bit-identical results.
 struct AggState {
   size_t count = 0;        // non-null inputs (or all rows for COUNT(*))
   bool int_mode = true;    // SUM stays integral until a double arrives
@@ -147,14 +148,10 @@ struct AggState {
         break;
       case AggFunc::kSum:
       case AggFunc::kAvg:
-        if (v.is_int64() && int_mode) {
-          isum += v.AsInt64();
+        if (v.is_int64()) {
+          AddInt64(v.AsInt64());
         } else {
-          if (int_mode) {
-            dsum = static_cast<double>(isum);
-            int_mode = false;
-          }
-          dsum += v.AsDouble();
+          AddDouble(v.AsDouble());
         }
         break;
       case AggFunc::kMin:
@@ -164,6 +161,18 @@ struct AggState {
         if (max_v.is_null() || max_v < v) max_v = v;
         break;
     }
+  }
+
+  /// Update for a non-null int64 / double argument of COUNT, SUM or AVG,
+  /// read straight from a typed column: the same transitions as
+  /// Update(item, Value(v)). MIN and MAX go through Update.
+  void UpdateInt64(const AggItem& item, int64_t v) {
+    ++count;
+    if (item.func != AggFunc::kCount) AddInt64(v);
+  }
+  void UpdateDouble(const AggItem& item, double v) {
+    ++count;
+    if (item.func != AggFunc::kCount) AddDouble(v);
   }
 
   Value Finalize(const AggItem& item) const {
@@ -187,6 +196,24 @@ struct AggState {
         return max_v;
     }
     return Value::Null_();
+  }
+
+ private:
+  // SUM/AVG accumulation: integral until the first double arrives, then
+  // double from the integral total on.
+  void AddInt64(int64_t v) {
+    if (int_mode) {
+      isum += v;
+    } else {
+      dsum += static_cast<double>(v);
+    }
+  }
+  void AddDouble(double v) {
+    if (int_mode) {
+      dsum = static_cast<double>(isum);
+      int_mode = false;
+    }
+    dsum += v;
   }
 };
 

@@ -111,16 +111,39 @@ Result<FragmentResult> RemoteServer::ExecuteNow(const PlanNodePtr& plan) {
   return result;
 }
 
-void RemoteServer::Count(const std::string& what) {
-  if (telemetry_ != nullptr) {
-    telemetry_->metrics.counter("server." + what + "." + config_.id).Add();
+void RemoteServer::Count(Fate fate) {
+  if (telemetry_ == nullptr) return;
+  static constexpr const char* kNames[kNumFates] = {
+      "submitted", "rejected", "cancelled", "completed", "failed"};
+  const size_t i = static_cast<size_t>(fate);
+  if (counters_[i] == nullptr) {
+    counters_[i] = &telemetry_->metrics.counter(
+        std::string("server.") + kNames[i] + "." + config_.id);
   }
+  counters_[i]->Add();
+}
+
+void RemoteServer::SetQueueDepth(double depth) {
+  if (telemetry_ == nullptr) return;
+  if (queue_depth_ == nullptr) {
+    queue_depth_ =
+        &telemetry_->metrics.gauge("server.queue_depth." + config_.id);
+  }
+  queue_depth_->Set(depth);
+}
+
+void RemoteServer::RecordExecSeconds(double seconds) {
+  if (telemetry_ == nullptr) return;
+  if (exec_s_ == nullptr) {
+    exec_s_ = &telemetry_->metrics.histogram("server.exec_s." + config_.id);
+  }
+  exec_s_->Record(seconds);
 }
 
 uint64_t RemoteServer::SubmitFragment(PlanNodePtr plan,
                                       CompletionCallback done) {
   if (!available_) {
-    Count("rejected");
+    Count(Fate::kRejected);
     // Rejection still takes one scheduler tick so callers never reenter.
     sim_->ScheduleAfter(0.0, [this, done = std::move(done)] {
       done(Status::Unavailable("server " + config_.id + " is down"));
@@ -129,12 +152,9 @@ uint64_t RemoteServer::SubmitFragment(PlanNodePtr plan,
   }
   const uint64_t id = next_job_id_++;
   queue_.push_back(Job{id, std::move(plan), std::move(done), sim_->Now()});
-  Count("submitted");
+  Count(Fate::kSubmitted);
   TryDispatch();
-  if (telemetry_ != nullptr) {
-    telemetry_->metrics.gauge("server.queue_depth." + config_.id)
-        .Set(double(queue_.size()));
-  }
+  SetQueueDepth(double(queue_.size()));
   return id;
 }
 
@@ -144,7 +164,7 @@ bool RemoteServer::CancelFragment(uint64_t job_id) {
     if (it->id == job_id) {
       queue_.erase(it);
       ++cancelled_;
-      Count("cancelled");
+      Count(Fate::kCancelled);
       return true;
     }
   }
@@ -157,7 +177,7 @@ bool RemoteServer::CancelFragment(uint64_t job_id) {
   running_.erase(it);
   --busy_workers_;
   ++cancelled_;
-  Count("cancelled");
+  Count(Fate::kCancelled);
   TryDispatch();
   return true;
 }
@@ -175,7 +195,7 @@ void RemoteServer::RunJob(Job job) {
   // The server may have gone down while the job sat in the queue.
   if (!available_) {
     --busy_workers_;
-    Count("rejected");
+    Count(Fate::kRejected);
     sim_->ScheduleAfter(0.0, [this, done = std::move(job.done)] {
       done(Status::Unavailable("server " + config_.id + " went down"));
     });
@@ -227,11 +247,11 @@ void RemoteServer::RunJob(Job job) {
         --busy_workers_;
         if (!failure.ok()) {
           ++failed_;
-          Count("failed");
+          Count(Fate::kFailed);
           done(failure);
         } else {
           ++completed_;
-          Count("completed");
+          Count(Fate::kCompleted);
           FragmentResult r;
           r.table = std::move(table);
           r.exec_stats = stats;
@@ -239,10 +259,7 @@ void RemoteServer::RunJob(Job job) {
           r.started_at = started;
           r.finished_at = sim_->Now();
           r.server_seconds = sim_->Now() - submitted;
-          if (telemetry_ != nullptr) {
-            telemetry_->metrics.histogram("server.exec_s." + config_.id)
-                .Record(r.server_seconds);
-          }
+          RecordExecSeconds(r.server_seconds);
           done(std::move(r));
         }
         TryDispatch();
@@ -261,7 +278,7 @@ size_t RemoteServer::AbortInFlight(const std::string& why) {
   queued.swap(queue_);
   for (Job& job : queued) {
     ++failed_;
-    Count("failed");
+    Count(Fate::kFailed);
     sim_->ScheduleAfter(0.0, [done = std::move(job.done), failure] {
       done(failure);
     });
@@ -274,15 +291,13 @@ size_t RemoteServer::AbortInFlight(const std::string& why) {
     total_busy_seconds_ -= std::max(0.0, job.scheduled_end - sim_->Now());
     --busy_workers_;
     ++failed_;
-    Count("failed");
+    Count(Fate::kFailed);
     sim_->ScheduleAfter(0.0, [done = std::move(job.done), failure] {
       done(failure);
     });
     ++aborted;
   }
-  if (telemetry_ != nullptr) {
-    telemetry_->metrics.gauge("server.queue_depth." + config_.id).Set(0.0);
-  }
+  SetQueueDepth(0.0);
   if (aborted > 0) {
     FEDCAL_LOG_INFO << "server " << config_.id << ": outage aborted "
                     << aborted << " in-flight fragment(s)";

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <deque>
 #include <functional>
 #include <map>
@@ -100,7 +101,12 @@ class RemoteServer {
 
   /// Emits per-server execution metrics to `telemetry` (nullable; nullptr
   /// disables emission — the introspection counters below always work).
-  void SetTelemetry(obs::Telemetry* telemetry) { telemetry_ = telemetry; }
+  void SetTelemetry(obs::Telemetry* telemetry) {
+    telemetry_ = telemetry;
+    counters_.fill(nullptr);
+    queue_depth_ = nullptr;
+    exec_s_ = nullptr;
+  }
 
   /// Probability that a fragment fails with a transient execution error.
   void set_error_rate(double rate) { error_rate_ = rate; }
@@ -163,14 +169,27 @@ class RemoteServer {
     CompletionCallback done;
   };
 
+  /// Fragment fates counted as `server.<fate>.<id>`.
+  enum class Fate { kSubmitted, kRejected, kCancelled, kCompleted, kFailed };
+  static constexpr size_t kNumFates = static_cast<size_t>(Fate::kFailed) + 1;
+
   void TryDispatch();
   void RunJob(Job job);
-  /// Bumps counter `server.<what>.<id>` when telemetry is attached.
-  void Count(const std::string& what);
+  /// Bumps counter `server.<fate>.<id>` when telemetry is attached.
+  void Count(Fate fate);
+  /// Sets gauge `server.queue_depth.<id>` when telemetry is attached.
+  void SetQueueDepth(double depth);
+  /// Records into histogram `server.exec_s.<id>` when telemetry is attached.
+  void RecordExecSeconds(double seconds);
 
   ServerConfig config_;
   ExecutionContext* sim_;
   obs::Telemetry* telemetry_ = nullptr;
+  // Metric references, each looked up (and so registered) on first use so
+  // a snapshot holds only the metrics that were actually touched.
+  std::array<obs::Counter*, kNumFates> counters_{};
+  obs::Gauge* queue_depth_ = nullptr;
+  obs::LatencyHistogram* exec_s_ = nullptr;
   Rng rng_;
   std::map<std::string, TablePtr> tables_;
   StatsCatalog stats_;

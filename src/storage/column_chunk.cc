@@ -120,6 +120,92 @@ void ColumnData::AppendFrom(const ColumnData& src, size_t i) {
   AppendValue(src.GetValue(i));
 }
 
+namespace {
+
+/// Appends base[rows[i]] for i < n to `dst`.
+template <typename T>
+void GatherValues(const T* base, const uint32_t* rows, size_t n,
+                  std::vector<T>* dst) {
+  const size_t old = dst->size();
+  dst->resize(old + n);
+  T* out = dst->data() + old;
+  for (size_t i = 0; i < n; ++i) out[i] = base[rows[i]];
+}
+
+}  // namespace
+
+void ColumnData::AppendGather(const ColumnSlice& src, const uint32_t* rows,
+                              size_t n) {
+  const ColumnData& s = *src.col;
+  if (s.kind_ != kind_ || kind_ == Kind::kMixed || s.has_nulls()) {
+    for (size_t i = 0; i < n; ++i) AppendFrom(s, src.offset + rows[i]);
+    return;
+  }
+  switch (kind_) {
+    case Kind::kInt64:
+      GatherValues(s.ints_.data() + src.offset, rows, n, &ints_);
+      break;
+    case Kind::kDouble:
+      GatherValues(s.dbls_.data() + src.offset, rows, n, &dbls_);
+      break;
+    case Kind::kString:
+      GatherValues(s.strs_.data() + src.offset, rows, n, &strs_);
+      break;
+    case Kind::kMixed:
+      break;
+  }
+  size_ += n;
+  if (!nulls_.empty()) nulls_.resize(size_, 0);
+}
+
+template <typename T>
+size_t ColumnData::GatherTypedPrefix(std::vector<T> ColumnData::*store,
+                                     const ColumnSlice* srcs,
+                                     const RowRef* refs, size_t n) {
+  std::vector<T>& dst = this->*store;
+  const size_t old = dst.size();
+  dst.resize(old + n);
+  // Consecutive cells mostly share a chunk: check each source once per run.
+  uint32_t chunk = UINT32_MAX;
+  const T* base = nullptr;
+  size_t i = 0;
+  for (; i < n; ++i) {
+    if (refs[i].chunk != chunk) {
+      const ColumnSlice& s = srcs[refs[i].chunk];
+      if (s.col->kind_ != kind_ || s.col->has_nulls()) break;
+      chunk = refs[i].chunk;
+      base = (s.col.get()->*store).data() + s.offset;
+    }
+    dst[old + i] = base[refs[i].row];
+  }
+  dst.resize(old + i);
+  size_ += i;
+  if (!nulls_.empty()) nulls_.resize(size_, 0);
+  return i;
+}
+
+void ColumnData::AppendGather(const ColumnSlice* srcs, const RowRef* refs,
+                              size_t n) {
+  size_t i = 0;
+  switch (kind_) {
+    case Kind::kInt64:
+      i = GatherTypedPrefix(&ColumnData::ints_, srcs, refs, n);
+      break;
+    case Kind::kDouble:
+      i = GatherTypedPrefix(&ColumnData::dbls_, srcs, refs, n);
+      break;
+    case Kind::kString:
+      i = GatherTypedPrefix(&ColumnData::strs_, srcs, refs, n);
+      break;
+    case Kind::kMixed:
+      break;
+  }
+  for (; i < n; ++i) {
+    const ColumnSlice& s = srcs[refs[i].chunk];
+    AppendFrom(*s.col, s.offset + refs[i].row);
+  }
+}
+
 Value ColumnData::GetValue(size_t i) const {
   if (kind_ == Kind::kMixed) return vals_[i];
   if (IsNull(i)) return Value::Null_();
@@ -149,14 +235,31 @@ size_t ColumnData::CellBytes(size_t i) const {
   return 0;
 }
 
+size_t ColumnData::RangeBytes(size_t from, size_t n) const {
+  if (kind_ == Kind::kMixed) {
+    size_t bytes = 0;
+    for (size_t i = from; i < from + n; ++i) bytes += vals_[i].ByteSize();
+    return bytes;
+  }
+  // A null cell is 1 byte, a non-null one 8 plus its string length.
+  size_t nulls = 0;
+  if (!nulls_.empty()) {
+    for (size_t i = from; i < from + n; ++i) nulls += nulls_[i];
+  }
+  size_t bytes = 8 * (n - nulls) + nulls;
+  if (kind_ == Kind::kString) {
+    // Null cells hold empty strings, so they add no length.
+    for (size_t i = from; i < from + n; ++i) bytes += strs_[i].size();
+  }
+  return bytes;
+}
+
 void ColumnarTable::AppendChunk(ColumnChunk chunk, size_t bytes) {
   if (chunk.length == 0) return;
   if (bytes == SIZE_MAX) {
     bytes = 0;
     for (const ColumnSlice& c : chunk.columns) {
-      for (size_t i = 0; i < chunk.length; ++i) {
-        bytes += c.col->CellBytes(c.offset + i);
-      }
+      bytes += c.col->RangeBytes(c.offset, chunk.length);
     }
   }
   num_rows_ += chunk.length;

@@ -10,6 +10,16 @@
 
 namespace fedcal {
 
+struct ColumnSlice;
+
+/// \brief Where one row of a chunked table lives: the chunk's index and
+/// the row within that chunk (relative to each column slice's offset).
+/// Gathers over several chunks name their cells with it.
+struct RowRef {
+  uint32_t chunk;
+  uint32_t row;
+};
+
 /// \brief One column of values in columnar layout.
 ///
 /// Values live in a typed vector (int64/double/string) with an optional
@@ -82,15 +92,35 @@ class ColumnData {
   /// Appends cell `i` of `src` (any kinds; preserves exact variant).
   void AppendFrom(const ColumnData& src, size_t i);
 
+  /// Appends the cells of `src` at rows `rows[0..n)` (relative to
+  /// `src.offset`); `src` must not be this column. The result equals n
+  /// AppendFrom calls. A null-free source of this column's typed kind
+  /// copies through one typed loop; kMixed, null-bearing or other-kind
+  /// sources fall back to per-cell AppendFrom.
+  void AppendGather(const ColumnSlice& src, const uint32_t* rows, size_t n);
+  /// Multi-chunk form: cell i is row `refs[i].row` of `srcs[refs[i].chunk]`.
+  /// Typed cells copy in one loop up to the first cell whose source is
+  /// not a null-free column of this kind; the rest go through AppendFrom.
+  void AppendGather(const ColumnSlice* srcs, const RowRef* refs, size_t n);
+
   /// Cell `i` as a row-engine Value (exact variant round-trip).
   Value GetValue(size_t i) const;
 
   /// Byte accounting identical to Value::ByteSize so columnar tables
   /// report the same byte_size (and thus shipping costs) as row tables.
   size_t CellBytes(size_t i) const;
+  /// CellBytes summed over cells [from, from + n), without a per-cell
+  /// kind switch (null-free numeric columns cost O(1)).
+  size_t RangeBytes(size_t from, size_t n) const;
 
  private:
   void Demote();
+  /// Typed prefix of the multi-chunk AppendGather over `store` (the
+  /// vector of this column's kind); returns the number of cells copied.
+  template <typename T>
+  size_t GatherTypedPrefix(std::vector<T> ColumnData::*store,
+                           const ColumnSlice* srcs, const RowRef* refs,
+                           size_t n);
 
   Kind kind_;
   size_t size_ = 0;
@@ -151,7 +181,7 @@ class ColumnarTable {
 
   /// Appends a chunk, taking ownership of its (possibly shared) columns.
   /// `bytes` is the chunk's payload per the row-engine accounting; pass
-  /// SIZE_MAX to have it recomputed cell by cell.
+  /// SIZE_MAX to have it recomputed from each column's RangeBytes.
   void AppendChunk(ColumnChunk chunk, size_t bytes = SIZE_MAX);
 
   /// Appends every chunk of `other` without copying column data — the

@@ -107,14 +107,54 @@ class ColumnarDifferentialTest : public ::testing::Test {
     // and an indexed column, so IndexScan and kMixed paths get exercised.
     TablePtr odd = MakeTable("odd",
                              {{"k", DataType::kInt64},
-                              {"v", DataType::kDouble}},
-                             {{I(1), D(1.5)},
-                              {I(2), I(7)},
-                              {I(2), N()},
-                              {N(), D(-3.0)},
-                              {I(4), I(0)}});
+                              {"v", DataType::kDouble},
+                              {"g", DataType::kString}},
+                             {{I(1), D(1.5), S("x")},
+                              {I(2), I(7), S("y")},
+                              {I(2), N(), S("x")},
+                              {N(), D(-3.0), N()},
+                              {I(4), I(0), S("y")}});
     ASSERT_TRUE(odd->CreateIndex("k").ok());
     db_.AddTable(odd);
+
+    // Nullable string keys whose later groups first appear past row 200
+    // (chunk 3 at batch 64) and nullable int64/double columns. At batch 64
+    // the first chunk of `m` (DOUBLE, int64 cells in rows 0-63) and of `q`
+    // (INT, a double in row 3) is kMixed and the rest typed, so SUM/AVG
+    // switch between the Value and typed-array paths within one group,
+    // from integral to double mode (`m`) and after it (`q`).
+    std::vector<Row> ev_rows;
+    for (int64_t i = 0; i < 300; ++i) {
+      Value key = i % 7 == 3 ? N()
+                  : i < 200  ? S(i % 2 == 0 ? "a" : "b")
+                             : S(i % 3 == 0 ? "late" : "later");
+      ev_rows.push_back({I(i), std::move(key), i % 5 == 0 ? N() : I(i),
+                         i % 4 == 1 ? N() : D(0.25 * static_cast<double>(i)),
+                         i < 64 ? I(i) : D(0.5 * static_cast<double>(i)),
+                         i == 3 ? D(2.5) : I(i)});
+    }
+    db_.AddTable(MakeTable("ev",
+                           {{"id", DataType::kInt64},
+                            {"key", DataType::kString},
+                            {"n", DataType::kInt64},
+                            {"x", DataType::kDouble},
+                            {"m", DataType::kDouble},
+                            {"q", DataType::kInt64}},
+                           ev_rows));
+
+    // A join partner with duplicate int64 keys and nullable string and
+    // double columns.
+    std::vector<Row> evd_rows;
+    for (int64_t i = 0; i < 40; ++i) {
+      evd_rows.push_back(
+          {I(i % 30), i % 6 == 0 ? N() : Value("l" + std::to_string(i % 4)),
+           i % 5 == 2 ? N() : D(1.5 * static_cast<double>(i))});
+    }
+    db_.AddTable(MakeTable("evd",
+                           {{"did", DataType::kInt64},
+                            {"label", DataType::kString},
+                            {"w", DataType::kDouble}},
+                           evd_rows));
   }
 
   /// Runs `sql` under both engines (columnar at several batch sizes) and
@@ -202,6 +242,58 @@ TEST_F(ColumnarDifferentialTest, MixedVariantTable) {
   RunBoth("SELECT DISTINCT k FROM odd");
   // IndexScan path (equality on the indexed column).
   RunBoth("SELECT * FROM odd WHERE k = 2");
+}
+
+TEST_F(ColumnarDifferentialTest, StringGroupKeys) {
+  // NULL keys form their own group; "late"/"later" are first seen in a
+  // later chunk at batch 64.
+  RunBoth("SELECT key, COUNT(*) FROM ev GROUP BY key");
+  RunBoth(
+      "SELECT key, SUM(n), AVG(n), COUNT(n), MIN(n), MAX(n), SUM(x), "
+      "AVG(x), COUNT(x), MIN(x), MAX(x) FROM ev GROUP BY key");
+  // kMixed chunks take the Value path, typed chunks the array path,
+  // within the same groups.
+  RunBoth("SELECT key, SUM(m), AVG(m), COUNT(m), MIN(m), MAX(m) FROM ev "
+          "GROUP BY key");
+  RunBoth("SELECT key, SUM(q), AVG(q), COUNT(q), MIN(q), MAX(q) FROM ev "
+          "GROUP BY key");
+  RunBoth("SELECT key, SUM(n) FROM ev WHERE id > 150 GROUP BY key");
+  // Null-free string keys over the generated table.
+  RunBoth(
+      "SELECT tag, COUNT(*), SUM(salary), AVG(dept), MIN(tag) FROM emp "
+      "GROUP BY tag");
+  // The mixed-variant table grouped by a nullable string.
+  RunBoth("SELECT g, SUM(v), AVG(v), COUNT(v), MIN(v), MAX(v) FROM odd "
+          "GROUP BY g");
+  RunBoth("SELECT g, SUM(k), COUNT(*) FROM odd GROUP BY g");
+}
+
+TEST_F(ColumnarDifferentialTest, JoinEmitsNullableColumnsFromBothSides) {
+  RunBoth(
+      "SELECT ev.id, ev.key, ev.x, evd.label, evd.w FROM ev, evd "
+      "WHERE ev.n = evd.did");
+  // String join keys take the generic path.
+  RunBoth(
+      "SELECT ev.id, ev.key, evd.label, evd.w FROM ev, evd "
+      "WHERE ev.key = evd.label");
+  // A residual predicate compacts the candidate chunks.
+  RunBoth(
+      "SELECT ev.key, ev.m, evd.label, evd.w FROM ev, evd "
+      "WHERE ev.n = evd.did AND evd.w > ev.x");
+  RunBoth(
+      "SELECT evd.label, COUNT(*), SUM(ev.x) FROM ev, evd "
+      "WHERE ev.n = evd.did GROUP BY evd.label");
+}
+
+TEST_F(ColumnarDifferentialTest, SortDistinctGatherStrings) {
+  RunBoth("SELECT tag, id FROM emp ORDER BY tag");
+  RunBoth("SELECT DISTINCT tag FROM emp");
+  RunBoth("SELECT key, id, x FROM ev ORDER BY key DESC");
+  RunBoth("SELECT DISTINCT key FROM ev");
+  RunBoth("SELECT DISTINCT key, m FROM ev ORDER BY key");
+  RunBoth(
+      "SELECT DISTINCT evd.label FROM ev, evd WHERE ev.n = evd.did "
+      "ORDER BY evd.label");
 }
 
 TEST_F(ColumnarDifferentialTest, EmptyResults) {

@@ -66,6 +66,41 @@ TEST_F(RemoteServerTest, SubmitFragmentCompletesViaSimulator) {
   EXPECT_GT(sim_.Now(), 0.0);
 }
 
+TEST_F(RemoteServerTest, TelemetryHoldsOnlyTouchedMetrics) {
+  obs::Telemetry telemetry(&sim_);
+  server_->SetTelemetry(&telemetry);
+  for (int i = 0; i < 3; ++i) {
+    server_->SubmitFragment(ScanPlan(), [](Result<FragmentResult> r) {
+      EXPECT_OK(r.status());
+    });
+  }
+  sim_.Run();
+  const obs::MetricsSnapshot snap = telemetry.metrics.Snapshot();
+  EXPECT_EQ(snap.counters.at("server.submitted.s1"), 3u);
+  EXPECT_EQ(snap.counters.at("server.completed.s1"), 3u);
+  EXPECT_EQ(snap.histograms.at("server.exec_s.s1").count, 3u);
+  EXPECT_EQ(snap.gauges.count("server.queue_depth.s1"), 1u);
+  // Fates that never happened register nothing.
+  EXPECT_EQ(snap.counters.count("server.rejected.s1"), 0u);
+  EXPECT_EQ(snap.counters.count("server.failed.s1"), 0u);
+  EXPECT_EQ(snap.counters.count("server.cancelled.s1"), 0u);
+
+  // Re-attaching drops the cached references: the new registry gets the
+  // next metrics, the old one keeps what it had.
+  obs::Telemetry other(&sim_);
+  server_->SetTelemetry(&other);
+  server_->SetAvailable(false);
+  server_->SubmitFragment(ScanPlan(), [](Result<FragmentResult> r) {
+    EXPECT_FALSE(r.ok());
+  });
+  sim_.Run();
+  const obs::MetricsSnapshot after = other.metrics.Snapshot();
+  EXPECT_EQ(after.counters.at("server.rejected.s1"), 1u);
+  EXPECT_EQ(after.counters.count("server.submitted.s1"), 0u);
+  EXPECT_EQ(
+      telemetry.metrics.Snapshot().counters.count("server.rejected.s1"), 0u);
+}
+
 TEST_F(RemoteServerTest, BackgroundLoadSlowsExecution) {
   ASSERT_OK_AND_ASSIGN(FragmentResult idle, server_->ExecuteNow(ScanPlan()));
   server_->set_background_load(0.6);

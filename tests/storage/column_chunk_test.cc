@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "storage/table.h"
 #include "tests/test_util.h"
 
@@ -92,6 +96,125 @@ TEST(ColumnDataTest, AppendFromPreservesVariantAcrossKinds) {
   EXPECT_EQ(dst.GetValue(0), Value(1.0));
   EXPECT_EQ(dst.GetValue(1), Value(int64_t{2}));
   EXPECT_FALSE(dst.GetValue(1).is_double());
+}
+
+ColumnPtr ColumnOf(DataType declared, const std::vector<Value>& cells) {
+  auto col = std::make_shared<ColumnData>(declared);
+  for (const Value& v : cells) col->AppendValue(v);
+  return col;
+}
+
+/// Same kind, size, bitmap presence and exact cell variants.
+void ExpectSameColumn(const ColumnData& want, const ColumnData& got,
+                      const std::string& label) {
+  ASSERT_EQ(want.kind(), got.kind()) << label;
+  ASSERT_EQ(want.size(), got.size()) << label;
+  EXPECT_EQ(want.has_nulls(), got.has_nulls()) << label;
+  for (size_t i = 0; i < want.size(); ++i) {
+    const Value a = want.GetValue(i);
+    const Value b = got.GetValue(i);
+    EXPECT_EQ(a, b) << label << " cell " << i;
+    EXPECT_EQ(a.is_null(), b.is_null()) << label << " cell " << i;
+    EXPECT_EQ(a.is_int64(), b.is_int64()) << label << " cell " << i;
+    EXPECT_EQ(a.is_double(), b.is_double()) << label << " cell " << i;
+  }
+}
+
+TEST(ColumnDataTest, BulkGatherEqualsPerCellAppendFrom) {
+  struct Case {
+    std::string label;
+    DataType declared;
+    std::vector<Value> cells;
+  };
+  const std::vector<Case> cases = {
+      {"int64", DataType::kInt64, {I(5), I(-1), I(7), I(0), I(9), I(3)}},
+      {"double", DataType::kDouble, {D(0.5), D(1.5), D(-2), D(8), D(3), D(1)}},
+      {"string", DataType::kString,
+       {S("a"), Value(std::string(40, 'x')), S(""), S("dd"), S("e"), S("f")}},
+      {"int64 with nulls", DataType::kInt64,
+       {I(1), N(), I(3), I(4), N(), I(6)}},
+      {"string with nulls", DataType::kString,
+       {N(), S("b"), S("c"), N(), S("e"), S("f")}},
+      {"mixed", DataType::kDouble, {D(1.5), I(2), N(), D(4), I(5), D(6)}},
+  };
+  const std::vector<uint32_t> rows = {4, 0, 2, 2, 1};
+  for (const Case& c : cases) {
+    ColumnPtr src = ColumnOf(c.declared, c.cells);
+    for (size_t offset : {0u, 1u}) {
+      const ColumnSlice slice{src, offset};
+      // Into an empty column of the source's kind, and into one that
+      // already holds a null (its bitmap is allocated).
+      for (bool prefilled : {false, true}) {
+        ColumnData want(src->kind());
+        ColumnData got(src->kind());
+        if (prefilled) {
+          want.AppendNull();
+          got.AppendNull();
+        }
+        for (uint32_t r : rows) want.AppendFrom(*src, offset + r);
+        got.AppendGather(slice, rows.data(), rows.size());
+        ExpectSameColumn(want, got,
+                         c.label + " offset " + std::to_string(offset) +
+                             (prefilled ? " prefilled" : ""));
+      }
+    }
+  }
+  // A kind mismatch (int64 cells into a DOUBLE column) demotes exactly
+  // as AppendFrom does.
+  ColumnPtr ints = ColumnOf(DataType::kInt64, {I(1), I(2), I(3)});
+  ColumnData want(DataType::kDouble);
+  ColumnData got(DataType::kDouble);
+  const std::vector<uint32_t> all = {0, 1, 2};
+  for (uint32_t r : all) want.AppendFrom(*ints, r);
+  got.AppendGather(ColumnSlice{ints, 0}, all.data(), all.size());
+  ExpectSameColumn(want, got, "int64 into double");
+  EXPECT_EQ(got.kind(), ColumnData::Kind::kMixed);
+}
+
+TEST(ColumnDataTest, MultiChunkGatherEqualsPerCellAppendFrom) {
+  // Typed chunks first, then a null-bearing and a demoted chunk: the
+  // typed prefix stops at the first cell from either and the rest goes
+  // through AppendFrom.
+  const std::vector<ColumnSlice> srcs = {
+      {ColumnOf(DataType::kDouble, {D(1), D(2), D(3), D(4)}), 1},
+      {ColumnOf(DataType::kDouble, {D(10), D(20), D(30)}), 0},
+      {ColumnOf(DataType::kDouble, {D(7), N(), D(9)}), 0},
+      {ColumnOf(DataType::kDouble, {D(0.5), I(6)}), 0},
+  };
+  const std::vector<RowRef> typed = {{1, 2}, {0, 0}, {0, 2}, {1, 0}};
+  const std::vector<RowRef> mixed = {{1, 1}, {0, 1}, {2, 1}, {1, 2},
+                                     {3, 1}, {2, 0}, {0, 0}};
+  for (const auto& [label, refs] :
+       {std::pair{"typed", typed}, std::pair{"mixed", mixed}}) {
+    ColumnData want(DataType::kDouble);
+    ColumnData got(DataType::kDouble);
+    for (const RowRef& r : refs) {
+      want.AppendFrom(*srcs[r.chunk].col, srcs[r.chunk].offset + r.row);
+    }
+    got.AppendGather(srcs.data(), refs.data(), refs.size());
+    ExpectSameColumn(want, got, label);
+  }
+}
+
+TEST(ColumnDataTest, RangeBytesEqualsCellBytesSum) {
+  const std::vector<std::pair<DataType, std::vector<Value>>> columns = {
+      {DataType::kInt64, {I(1), I(2), I(3), I(4)}},
+      {DataType::kDouble, {D(1), N(), D(3), N()}},
+      {DataType::kString, {S("abc"), N(), Value(std::string(30, 'y')), S("")}},
+      {DataType::kInt64, {I(1), D(2.5), N(), S("s")}},  // demoted
+  };
+  for (const auto& [declared, cells] : columns) {
+    ColumnPtr col = ColumnOf(declared, cells);
+    for (size_t from = 0; from <= cells.size(); ++from) {
+      for (size_t n = 0; from + n <= cells.size(); ++n) {
+        size_t want = 0;
+        for (size_t i = from; i < from + n; ++i) want += col->CellBytes(i);
+        EXPECT_EQ(col->RangeBytes(from, n), want)
+            << DataTypeName(declared) << " [" << from << ", " << from + n
+            << ")";
+      }
+    }
+  }
 }
 
 TEST(ColumnChunkTest, SliceIsZeroCopy) {

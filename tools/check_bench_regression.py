@@ -61,6 +61,13 @@ WALL_RATE_SUFFIXES = ("/throughput_qps",)
 WALL_RATIO_SUFFIXES = ("/ratio_x",)
 WALL_CLOCK_MAX_RATIO = 25.0
 
+# A label containing one of these names a wall-clock quantity. Unless it
+# also ends in a class suffix above ("QT2/columnar/wall_s", not
+# "QT2/columnar_wall_s") it would be compared as a deterministic value
+# within DETERMINISTIC_REL_TOL, so the gate rejects it instead.
+WALL_CLOCK_MARKERS = ("wall_s", "ratio_x", "real_time_per_iter_s",
+                      "throughput_qps")
+
 
 def load(path):
     with open(path, "r", encoding="utf-8") as f:
@@ -107,6 +114,13 @@ def wall_clock_class(label):
     if label.endswith(WALL_RATIO_SUFFIXES):
         return "ratio"
     return None
+
+
+def misnamed_wall_clock(label):
+    """True when `label` names a wall-clock quantity but matches no
+    wall-clock class."""
+    return (wall_clock_class(label) is None
+            and any(m in label for m in WALL_CLOCK_MARKERS))
 
 
 def check_wall_clock(bench, kind, label, base, fresh, problems):
@@ -157,6 +171,13 @@ def compare(bench, baseline, fresh, problems):
     fresh_scalars = {s["label"]: s["value"] for s in fresh.get("scalars", [])}
     for scalar in baseline.get("scalars", []):
         label, base_value = scalar["label"], scalar["value"]
+        if misnamed_wall_clock(label):
+            suffixes = ", ".join(WALL_TIME_SUFFIXES + WALL_RATE_SUFFIXES +
+                                 WALL_RATIO_SUFFIXES)
+            problems.append(
+                f"{bench}: scalar '{label}' names a wall-clock quantity but "
+                f"matches no wall-clock class (end it in one of {suffixes})")
+            continue
         if label not in fresh_scalars:
             problems.append(f"{bench}: scalar '{label}' disappeared")
             continue
@@ -203,15 +224,21 @@ def update_baselines(fresh_dir, baseline_dir):
 
 def self_test():
     """Exercises both gate directions against throwaway fixtures: a clean
-    match passes, a fresh bench without a baseline fails, and a committed
-    baseline without fresh output (orphan) fails. Run from ctest."""
+    match passes, a fresh bench without a baseline fails, a committed
+    baseline without fresh output (orphan) fails, a documented wall-clock
+    label gets the loose rule, and a wall-clock label that matches no
+    class fails. Run from ctest."""
     import subprocess
     import tempfile
 
     bench = {"bench": "demo", "checks": [], "failed": 0,
              "workloads": [{"label": "w", "queries": 4}], "scalars": []}
 
-    def run_case(label, baselines, fresh, expect_rc, expect_text=None):
+    def with_scalar(label, value):
+        return dict(bench, scalars=[{"label": label, "value": value}])
+
+    def run_case(label, baselines, fresh, expect_rc, expect_text=None,
+                 base_bench=bench, fresh_bench=bench):
         with tempfile.TemporaryDirectory() as tmp:
             base_dir = os.path.join(tmp, "baselines")
             fresh_dir = os.path.join(tmp, "fresh")
@@ -220,11 +247,11 @@ def self_test():
             for name in baselines:
                 with open(os.path.join(base_dir, name), "w",
                           encoding="utf-8") as f:
-                    json.dump(bench, f)
+                    json.dump(base_bench, f)
             for name in fresh:
                 with open(os.path.join(fresh_dir, name), "w",
                           encoding="utf-8") as f:
-                    json.dump(bench, f)
+                    json.dump(fresh_bench, f)
             proc = subprocess.run(
                 [sys.executable, os.path.abspath(__file__),
                  "--baseline-dir", base_dir, "--fresh-dir", fresh_dir],
@@ -246,6 +273,16 @@ def self_test():
         run_case("orphaned committed baseline (no fresh output)",
                  ["BENCH_a.json", "BENCH_b.json"], ["BENCH_a.json"], 1,
                  "ORPHAN"),
+        # 60% off passes only because the label is classed as wall-clock.
+        run_case("documented wall-clock label on a slower host",
+                 ["BENCH_a.json"], ["BENCH_a.json"], 0,
+                 base_bench=with_scalar("QT2/columnar/wall_s", 1.0),
+                 fresh_bench=with_scalar("QT2/columnar/wall_s", 1.6)),
+        run_case("wall-clock label matching no wall-clock class",
+                 ["BENCH_a.json"], ["BENCH_a.json"], 1,
+                 "matches no wall-clock class",
+                 base_bench=with_scalar("QT2/speedup_ratio_x", 2.0),
+                 fresh_bench=with_scalar("QT2/speedup_ratio_x", 2.0)),
     ]
     return 0 if all(results) else 1
 
