@@ -14,18 +14,51 @@ namespace fedcal {
 
 namespace {
 
-/// Compacts the selected rows of `src` into a fresh chunk. Output columns
-/// start in the source representation, so same-kind cells copy through the
-/// typed gather (and demoted sources stay variant-exact).
+using SlotMask = ColumnarExecutor::SlotMask;
+
+SlotMask AllSlots(const PlanNode& node) {
+  return SlotMask(node.output_schema.num_columns(), true);
+}
+
+/// Marks the slots `e` reads (none for a null expression).
+void AddSlots(const BoundExprPtr& e, SlotMask* mask) {
+  if (e == nullptr) return;
+  std::vector<size_t> slots;
+  e->CollectColumns(&slots);
+  for (size_t s : slots) {
+    if (s < mask->size()) (*mask)[s] = true;
+  }
+}
+
+/// Fails on an absent slice: `t` is about to be read in full (a result
+/// leaving Execute, or the input of Distinct or a nested-loop join).
+Status CheckAllPresent(const ColumnarTable& t, const char* what) {
+  for (const ColumnChunk& chunk : t.chunks()) {
+    for (size_t c = 0; c < chunk.columns.size(); ++c) {
+      if (!chunk.columns[c].present()) {
+        return Status::Internal(
+            StringFormat("column %zu of %s is not materialized", c, what));
+      }
+    }
+  }
+  return Status::OK();
+}
+
+/// Compacts the selected rows of the `keep` columns of `src` into a fresh
+/// chunk; the other columns are absent. Output columns start in the source
+/// representation, so same-kind cells copy through the typed gather (and
+/// demoted sources stay variant-exact).
 ColumnChunk GatherChunk(const ColumnChunk& src, const uint32_t* sel,
-                        size_t k) {
+                        size_t k, const SlotMask& keep) {
   ColumnChunk out;
   out.length = k;
-  out.columns.reserve(src.columns.size());
-  for (const ColumnSlice& s : src.columns) {
+  out.columns.resize(src.columns.size());
+  for (size_t c = 0; c < src.columns.size(); ++c) {
+    const ColumnSlice& s = src.columns[c];
+    if (!keep[c] || !s.present()) continue;
     auto col = std::make_shared<ColumnData>(s.col->kind());
     col->AppendGather(s, sel, k);
-    out.columns.push_back(ColumnSlice{std::move(col), 0});
+    out.columns[c] = ColumnSlice{std::move(col), 0};
   }
   return out;
 }
@@ -42,22 +75,25 @@ std::vector<std::vector<ColumnSlice>> GatherSources(const ColumnarTable& t) {
   return sources;
 }
 
-/// Appends the rows `refs[0..n)` of `src` to `out` in chunks of
-/// `batch_rows`. Used by Sort and Distinct, whose outputs are arbitrary
-/// permutations/subsets of their input.
+/// Appends the `keep` columns of rows `refs[0..n)` of `src` to `out` in
+/// chunks of `batch_rows`; the other columns are absent. Used by Sort and
+/// Distinct, whose outputs are arbitrary permutations/subsets of their
+/// input.
 void AppendGatheredRows(const ColumnarTable& src, const RowRef* refs,
-                        size_t n, size_t batch_rows, ColumnarTable* out) {
+                        size_t n, size_t batch_rows, const SlotMask& keep,
+                        ColumnarTable* out) {
   if (batch_rows == 0) batch_rows = 1;
   const std::vector<std::vector<ColumnSlice>> sources = GatherSources(src);
   for (size_t start = 0; start < n; start += batch_rows) {
     const size_t len = std::min(batch_rows, n - start);
     ColumnChunk chunk;
     chunk.length = len;
-    chunk.columns.reserve(sources.size());
+    chunk.columns.resize(sources.size());
     for (size_t c = 0; c < sources.size(); ++c) {
+      if (!keep[c]) continue;
       auto col = std::make_shared<ColumnData>(src.schema().column(c).type);
-      col->AppendGather(sources[c].data(), refs + start, len);
-      chunk.columns.push_back(ColumnSlice{std::move(col), 0});
+      col->AppendGather(sources[c], refs + start, len);
+      chunk.columns[c] = ColumnSlice{std::move(col), 0};
     }
     out->AppendChunk(std::move(chunk));
   }
@@ -191,7 +227,8 @@ Result<TablePtr> ColumnarExecutor::Execute(
   obs::OperatorProfile root;
   FEDCAL_ASSIGN_OR_RETURN(
       ColumnarTablePtr result,
-      ExecNode(*plan, &local, profiling ? &root : nullptr));
+      ExecNode(*plan, AllSlots(*plan), &local, profiling ? &root : nullptr));
+  FEDCAL_RETURN_NOT_OK(CheckAllPresent(*result, "the result"));
   local.rows_output = result->num_rows();
   local.bytes_output = result->byte_size();
   if (stats) stats->Merge(local);
@@ -202,41 +239,43 @@ Result<TablePtr> ColumnarExecutor::Execute(
 }
 
 Result<ColumnarTablePtr> ColumnarExecutor::ExecNode(
-    const PlanNode& node, ExecStats* stats, obs::OperatorProfile* parent) {
+    const PlanNode& node, const SlotMask& needed, ExecStats* stats,
+    obs::OperatorProfile* parent) {
   ++stats->operators_executed;
-  if (parent == nullptr) return DispatchNode(node, stats, nullptr);
+  if (parent == nullptr) return DispatchNode(node, needed, stats, nullptr);
   OperatorProfileScope scope(node, *stats);
   const size_t arena0 = arena_.bytes_allocated();
   FEDCAL_ASSIGN_OR_RETURN(ColumnarTablePtr result,
-                          DispatchNode(node, stats, scope.prof()));
+                          DispatchNode(node, needed, stats, scope.prof()));
   scope.Finish(*stats, result->num_rows(), result->chunks().size(),
                arena_.bytes_allocated() - arena0, parent);
   return result;
 }
 
 Result<ColumnarTablePtr> ColumnarExecutor::DispatchNode(
-    const PlanNode& node, ExecStats* stats, obs::OperatorProfile* prof) {
+    const PlanNode& node, const SlotMask& needed, ExecStats* stats,
+    obs::OperatorProfile* prof) {
   switch (node.kind) {
     case PlanKind::kScan:
       return ExecScan(node, stats);
     case PlanKind::kIndexScan:
       return ExecIndexScan(node, stats);
     case PlanKind::kFilter:
-      return ExecFilter(node, stats, prof);
+      return ExecFilter(node, needed, stats, prof);
     case PlanKind::kProject:
       return ExecProject(node, stats, prof);
     case PlanKind::kHashJoin:
-      return ExecHashJoin(node, stats, prof);
+      return ExecHashJoin(node, needed, stats, prof);
     case PlanKind::kNestedLoopJoin:
       return ExecNestedLoopJoin(node, stats, prof);
     case PlanKind::kAggregate:
       return ExecAggregate(node, stats, prof);
     case PlanKind::kSort:
-      return ExecSort(node, stats, prof);
+      return ExecSort(node, needed, stats, prof);
     case PlanKind::kDistinct:
-      return ExecDistinct(node, stats, prof);
+      return ExecDistinct(node, needed, stats, prof);
     case PlanKind::kLimit:
-      return ExecLimit(node, stats, prof);
+      return ExecLimit(node, needed, stats, prof);
   }
   return Status::Internal("unhandled plan kind");
 }
@@ -305,9 +344,12 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecIndexScan(const PlanNode& node,
 }
 
 Result<ColumnarTablePtr> ColumnarExecutor::ExecFilter(
-    const PlanNode& node, ExecStats* stats, obs::OperatorProfile* prof) {
+    const PlanNode& node, const SlotMask& needed, ExecStats* stats,
+    obs::OperatorProfile* prof) {
+  SlotMask child = needed;
+  AddSlots(node.predicate, &child);
   FEDCAL_ASSIGN_OR_RETURN(ColumnarTablePtr in,
-                          ExecNode(*node.left, stats, prof));
+                          ExecNode(*node.left, child, stats, prof));
   auto out = std::make_shared<ColumnarTable>(node.output_schema);
   stats->work_units +=
       config_.costs.filter_row * static_cast<double>(in->num_rows());
@@ -322,7 +364,7 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecFilter(
       // Every row passed: share the chunk instead of copying it.
       out->AppendChunk(chunk);
     } else {
-      out->AppendChunk(GatherChunk(chunk, sel, k));
+      out->AppendChunk(GatherChunk(chunk, sel, k, needed));
     }
   }
   return ColumnarTablePtr(std::move(out));
@@ -330,8 +372,10 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecFilter(
 
 Result<ColumnarTablePtr> ColumnarExecutor::ExecProject(
     const PlanNode& node, ExecStats* stats, obs::OperatorProfile* prof) {
+  SlotMask child(node.left->output_schema.num_columns(), false);
+  for (const BoundExprPtr& e : node.projections) AddSlots(e, &child);
   FEDCAL_ASSIGN_OR_RETURN(ColumnarTablePtr in,
-                          ExecNode(*node.left, stats, prof));
+                          ExecNode(*node.left, child, stats, prof));
   auto out = std::make_shared<ColumnarTable>(node.output_schema);
   stats->work_units += config_.costs.project_expr *
                        static_cast<double>(in->num_rows()) *
@@ -357,11 +401,22 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecProject(
 }
 
 Result<ColumnarTablePtr> ColumnarExecutor::ExecHashJoin(
-    const PlanNode& node, ExecStats* stats, obs::OperatorProfile* prof) {
+    const PlanNode& node, const SlotMask& needed, ExecStats* stats,
+    obs::OperatorProfile* prof) {
+  // Matched pairs gather what the parent reads plus the residual's
+  // inputs (slots of the [build, probe] row); each side also produces its
+  // join keys.
+  SlotMask keep = needed;
+  AddSlots(node.residual, &keep);
+  const auto split = keep.begin() + node.left->output_schema.num_columns();
+  SlotMask lmask(keep.begin(), split);
+  SlotMask rmask(split, keep.end());
+  for (size_t s : node.left_keys) lmask[s] = true;
+  for (size_t s : node.right_keys) rmask[s] = true;
   FEDCAL_ASSIGN_OR_RETURN(ColumnarTablePtr build,
-                          ExecNode(*node.left, stats, prof));
+                          ExecNode(*node.left, lmask, stats, prof));
   FEDCAL_ASSIGN_OR_RETURN(ColumnarTablePtr probe,
-                          ExecNode(*node.right, stats, prof));
+                          ExecNode(*node.right, rmask, stats, prof));
   stats->work_units +=
       config_.costs.hash_build_row * static_cast<double>(build->num_rows());
   stats->work_units +=
@@ -386,16 +441,18 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecHashJoin(
     if (len == 0) return Status::OK();
     ColumnChunk cand;
     cand.length = len;
-    cand.columns.reserve(bsrc.size() + psrc.size());
+    cand.columns.resize(bsrc.size() + psrc.size());
     for (size_t c = 0; c < bsrc.size(); ++c) {
+      if (!keep[c]) continue;
       auto col = std::make_shared<ColumnData>(build->schema().column(c).type);
-      col->AppendGather(bsrc[c].data(), bsel.data(), len);
-      cand.columns.push_back(ColumnSlice{std::move(col), 0});
+      col->AppendGather(bsrc[c], bsel.data(), len);
+      cand.columns[c] = ColumnSlice{std::move(col), 0};
     }
     for (size_t c = 0; c < psrc.size(); ++c) {
+      if (!keep[bsrc.size() + c]) continue;
       auto col = std::make_shared<ColumnData>(probe->schema().column(c).type);
-      col->AppendGather(psrc[c].data(), psel.data(), len);
-      cand.columns.push_back(ColumnSlice{std::move(col), 0});
+      col->AppendGather(psrc[c], psel.data(), len);
+      cand.columns[bsrc.size() + c] = ColumnSlice{std::move(col), 0};
     }
     bsel.clear();
     psel.clear();
@@ -413,7 +470,7 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecHashJoin(
     if (k == len) {
       out->AppendChunk(std::move(cand));
     } else if (k > 0) {
-      out->AppendChunk(GatherChunk(cand, sel, k));
+      out->AppendChunk(GatherChunk(cand, sel, k, needed));
     }
     return Status::OK();
   };
@@ -585,10 +642,14 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecHashJoin(
 
 Result<ColumnarTablePtr> ColumnarExecutor::ExecNestedLoopJoin(
     const PlanNode& node, ExecStats* stats, obs::OperatorProfile* prof) {
-  FEDCAL_ASSIGN_OR_RETURN(ColumnarTablePtr left,
-                          ExecNode(*node.left, stats, prof));
-  FEDCAL_ASSIGN_OR_RETURN(ColumnarTablePtr right,
-                          ExecNode(*node.right, stats, prof));
+  FEDCAL_ASSIGN_OR_RETURN(
+      ColumnarTablePtr left,
+      ExecNode(*node.left, AllSlots(*node.left), stats, prof));
+  FEDCAL_ASSIGN_OR_RETURN(
+      ColumnarTablePtr right,
+      ExecNode(*node.right, AllSlots(*node.right), stats, prof));
+  FEDCAL_RETURN_NOT_OK(CheckAllPresent(*left, "a nested-loop join input"));
+  FEDCAL_RETURN_NOT_OK(CheckAllPresent(*right, "a nested-loop join input"));
   // Nested-loop joins are rare and small; run the row engine's loop over
   // materialized rows (charges and emission order are identical).
   const std::vector<Row> lrows = left->MaterializeRows();
@@ -615,8 +676,11 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecNestedLoopJoin(
 
 Result<ColumnarTablePtr> ColumnarExecutor::ExecAggregate(
     const PlanNode& node, ExecStats* stats, obs::OperatorProfile* prof) {
+  SlotMask child(node.left->output_schema.num_columns(), false);
+  for (const BoundExprPtr& g : node.group_by) AddSlots(g, &child);
+  for (const AggItem& a : node.aggs) AddSlots(a.arg, &child);
   FEDCAL_ASSIGN_OR_RETURN(ColumnarTablePtr in,
-                          ExecNode(*node.left, stats, prof));
+                          ExecNode(*node.left, child, stats, prof));
 
   stats->work_units +=
       config_.costs.agg_update_row * static_cast<double>(in->num_rows());
@@ -673,12 +737,19 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecAggregate(
   };
   std::unordered_map<RowKey, size_t, RowKeyHash> group_index;
   std::unordered_map<int64_t, size_t> int_index;
-  // Views into the key columns, which `evaluated` keeps alive.
+  // Views into the key columns' dictionaries, which `evaluated` keeps
+  // alive.
   std::unordered_map<std::string_view, size_t> str_index;
+  // String keys resolve through one array per dictionary, indexed by code:
+  // each (dictionary, code) pair hashes its string into `str_index` once,
+  // the first time a row carries it, so group ids keep first-seen order
+  // and a string coded in two dictionaries still names one group.
+  constexpr size_t kNoGroup = SIZE_MAX;
+  std::vector<std::pair<const StringDict*, std::vector<size_t>>> dict_groups;
   // NULL group keys form a regular group in the row engine (Compare treats
   // null == null); the typed maps can't hold them, so they get a dedicated
   // slot that still respects first-seen ordering.
-  size_t null_group = SIZE_MAX;
+  size_t null_group = kNoGroup;
   std::vector<size_t> gids;
   for (const ChunkVals& cv : evaluated) {
     const size_t n = cv.length;
@@ -687,9 +758,21 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecAggregate(
       const VectorResult& gv = cv.group_vals[0];
       const uint8_t* key_nulls =
           gv.col->has_nulls() ? gv.col->nulls() + gv.offset : nullptr;
+      const StringDict* dict = string_keys ? &gv.col->dict() : nullptr;
+      size_t* lut = nullptr;
+      if (dict != nullptr) {
+        auto it = std::find_if(dict_groups.begin(), dict_groups.end(),
+                               [&](const auto& e) { return e.first == dict; });
+        if (it == dict_groups.end()) {
+          dict_groups.emplace_back(dict,
+                                   std::vector<size_t>(dict->size(), kNoGroup));
+          it = dict_groups.end() - 1;
+        }
+        lut = it->second.data();
+      }
       for (size_t i = 0; i < n; ++i) {
         if (key_nulls != nullptr && key_nulls[i] != 0) {
-          if (null_group == SIZE_MAX) null_group = add_group(Row{Value()});
+          if (null_group == kNoGroup) null_group = add_group(Row{Value()});
           gids[i] = null_group;
         } else if (int64_keys) {
           const int64_t k = gv.col->ints()[gv.offset + i];
@@ -697,11 +780,15 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecAggregate(
           if (inserted) add_group(Row{Value(k)});
           gids[i] = it->second;
         } else {
-          const std::string& k = gv.col->strings()[gv.offset + i];
-          auto [it, inserted] =
-              str_index.try_emplace(std::string_view(k), keys.size());
-          if (inserted) add_group(Row{Value(k)});
-          gids[i] = it->second;
+          const uint32_t code = gv.col->codes()[gv.offset + i];
+          size_t& g = lut[code];
+          if (g == kNoGroup) {
+            const std::string_view k = dict->at(code);
+            auto [it, inserted] = str_index.try_emplace(k, keys.size());
+            if (inserted) add_group(Row{Value(std::string(k))});
+            g = it->second;
+          }
+          gids[i] = g;
         }
       }
     } else {
@@ -761,9 +848,15 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecAggregate(
 }
 
 Result<ColumnarTablePtr> ColumnarExecutor::ExecSort(
-    const PlanNode& node, ExecStats* stats, obs::OperatorProfile* prof) {
+    const PlanNode& node, const SlotMask& needed, ExecStats* stats,
+    obs::OperatorProfile* prof) {
+  SlotMask child = needed;
+  for (const auto& [e, desc] : node.sort_keys) {
+    Unused(desc);
+    AddSlots(e, &child);
+  }
   FEDCAL_ASSIGN_OR_RETURN(ColumnarTablePtr in,
-                          ExecNode(*node.left, stats, prof));
+                          ExecNode(*node.left, child, stats, prof));
   const size_t n = in->num_rows();
   stats->work_units +=
       config_.costs.sort_row_log * static_cast<double>(n) * Log2Rows(n);
@@ -808,14 +901,19 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecSort(
   for (size_t i : order) sorted.push_back(refs[i]);
 
   auto out = std::make_shared<ColumnarTable>(node.output_schema);
-  AppendGatheredRows(*in, sorted.data(), n, config_.batch_rows, out.get());
+  AppendGatheredRows(*in, sorted.data(), n, config_.batch_rows, needed,
+                     out.get());
   return ColumnarTablePtr(std::move(out));
 }
 
 Result<ColumnarTablePtr> ColumnarExecutor::ExecDistinct(
-    const PlanNode& node, ExecStats* stats, obs::OperatorProfile* prof) {
-  FEDCAL_ASSIGN_OR_RETURN(ColumnarTablePtr in,
-                          ExecNode(*node.left, stats, prof));
+    const PlanNode& node, const SlotMask& needed, ExecStats* stats,
+    obs::OperatorProfile* prof) {
+  // Rows are compared on every column.
+  FEDCAL_ASSIGN_OR_RETURN(
+      ColumnarTablePtr in,
+      ExecNode(*node.left, AllSlots(*node.left), stats, prof));
+  FEDCAL_RETURN_NOT_OK(CheckAllPresent(*in, "the input of Distinct"));
   stats->work_units +=
       config_.costs.distinct_row * static_cast<double>(in->num_rows());
   std::unordered_map<RowKey, bool, RowKeyHash> seen;
@@ -836,14 +934,15 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecDistinct(
   }
   auto out = std::make_shared<ColumnarTable>(node.output_schema);
   AppendGatheredRows(*in, picked.data(), picked.size(), config_.batch_rows,
-                     out.get());
+                     needed, out.get());
   return ColumnarTablePtr(std::move(out));
 }
 
 Result<ColumnarTablePtr> ColumnarExecutor::ExecLimit(
-    const PlanNode& node, ExecStats* stats, obs::OperatorProfile* prof) {
+    const PlanNode& node, const SlotMask& needed, ExecStats* stats,
+    obs::OperatorProfile* prof) {
   FEDCAL_ASSIGN_OR_RETURN(ColumnarTablePtr in,
-                          ExecNode(*node.left, stats, prof));
+                          ExecNode(*node.left, needed, stats, prof));
   const size_t n = std::min<size_t>(
       in->num_rows(),
       node.limit < 0 ? 0 : static_cast<size_t>(node.limit));

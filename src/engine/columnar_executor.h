@@ -3,6 +3,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/arena.h"
 #include "common/result.h"
@@ -30,10 +31,23 @@ namespace fedcal {
 /// Results come back as columnar-backed Tables whose rows materialize only
 /// if a consumer asks for them, so fragment results can be shipped and
 /// merged without ever leaving columnar form.
+///
+/// Late materialization: each node is told which of its output slots its
+/// parent reads (a SlotMask), and Filter, HashJoin, Sort and Distinct
+/// gather only those, leaving the others as absent slices. The parent
+/// reads: a Project its expressions, an Aggregate its group keys and
+/// arguments; a Filter its predicate, a HashJoin its residual and a Sort
+/// its keys, each plus its own parent's slots, and a HashJoin's children
+/// their join keys; a Limit its parent's slots; Distinct, a nested-loop
+/// join and the root every slot. Row counts, chunking and every charge are
+/// unchanged, so ExecStats and the root's bytes are too, and Execute fails
+/// rather than return a result with an absent slice.
 class ColumnarExecutor {
  public:
   using TableResolver =
       std::function<Result<TablePtr>(const std::string& table_name)>;
+  /// Slot i is true when the consumer of a node's output reads column i.
+  using SlotMask = std::vector<bool>;
 
   ColumnarExecutor(const TableResolver& resolver, const ExecConfig& config)
       : resolver_(resolver), config_(config), eval_(&arena_) {}
@@ -47,22 +61,29 @@ class ColumnarExecutor {
                            std::shared_ptr<obs::OperatorProfile>* profile_out);
 
  private:
-  /// `parent` null = profiling off (the hot path); non-null = append this
-  /// node's profile to parent->children.
-  Result<ColumnarTablePtr> ExecNode(const PlanNode& node, ExecStats* stats,
+  /// `needed` = the output slots the caller reads. `parent` null =
+  /// profiling off (the hot path); non-null = append this node's profile
+  /// to parent->children.
+  Result<ColumnarTablePtr> ExecNode(const PlanNode& node,
+                                    const SlotMask& needed, ExecStats* stats,
                                     obs::OperatorProfile* parent);
-  Result<ColumnarTablePtr> DispatchNode(const PlanNode& node, ExecStats* stats,
+  Result<ColumnarTablePtr> DispatchNode(const PlanNode& node,
+                                        const SlotMask& needed,
+                                        ExecStats* stats,
                                         obs::OperatorProfile* prof);
 
   Result<ColumnarTablePtr> ExecScan(const PlanNode& node,
                                     ExecStats* stats);
   Result<ColumnarTablePtr> ExecIndexScan(const PlanNode& node,
                                          ExecStats* stats);
-  Result<ColumnarTablePtr> ExecFilter(const PlanNode& node, ExecStats* stats,
+  Result<ColumnarTablePtr> ExecFilter(const PlanNode& node,
+                                      const SlotMask& needed, ExecStats* stats,
                                       obs::OperatorProfile* prof);
   Result<ColumnarTablePtr> ExecProject(const PlanNode& node, ExecStats* stats,
                                        obs::OperatorProfile* prof);
-  Result<ColumnarTablePtr> ExecHashJoin(const PlanNode& node, ExecStats* stats,
+  Result<ColumnarTablePtr> ExecHashJoin(const PlanNode& node,
+                                        const SlotMask& needed,
+                                        ExecStats* stats,
                                         obs::OperatorProfile* prof);
   Result<ColumnarTablePtr> ExecNestedLoopJoin(const PlanNode& node,
                                               ExecStats* stats,
@@ -70,11 +91,15 @@ class ColumnarExecutor {
   Result<ColumnarTablePtr> ExecAggregate(const PlanNode& node,
                                          ExecStats* stats,
                                          obs::OperatorProfile* prof);
-  Result<ColumnarTablePtr> ExecSort(const PlanNode& node, ExecStats* stats,
+  Result<ColumnarTablePtr> ExecSort(const PlanNode& node,
+                                    const SlotMask& needed, ExecStats* stats,
                                     obs::OperatorProfile* prof);
-  Result<ColumnarTablePtr> ExecDistinct(const PlanNode& node, ExecStats* stats,
+  Result<ColumnarTablePtr> ExecDistinct(const PlanNode& node,
+                                        const SlotMask& needed,
+                                        ExecStats* stats,
                                         obs::OperatorProfile* prof);
-  Result<ColumnarTablePtr> ExecLimit(const PlanNode& node, ExecStats* stats,
+  Result<ColumnarTablePtr> ExecLimit(const PlanNode& node,
+                                     const SlotMask& needed, ExecStats* stats,
                                      obs::OperatorProfile* prof);
 
   /// Scan charge shared by the root-scan fast path and ExecScan.

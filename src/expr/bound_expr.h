@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -146,6 +147,6 @@ Result<Value> EvalBinaryValues(BinaryOp op, const Value& l, const Value& r);
 bool IsTruthy(const Value& v);
 
 /// SQL LIKE matching with '%' (any run) and '_' (any single character).
-bool LikeMatch(const std::string& text, const std::string& pattern);
+bool LikeMatch(std::string_view text, std::string_view pattern);
 
 }  // namespace fedcal

@@ -1,6 +1,7 @@
 #include "expr/vector_eval.h"
 
 #include <cstring>
+#include <string_view>
 #include <utility>
 
 #include "common/macros.h"
@@ -30,12 +31,13 @@ struct Operand {
   Rep rep = Rep::kNullConst;
   const int64_t* ints = nullptr;
   const double* dbls = nullptr;
-  const std::string* strs = nullptr;
+  const uint32_t* codes = nullptr;  ///< string cells: codes into `dict`
+  const StringDict* dict = nullptr;
   const Value* vals = nullptr;
   const uint8_t* nulls = nullptr;  ///< nullptr when the column is null-free
   int64_t iconst = 0;
   double dconst = 0.0;
-  const std::string* sconst = nullptr;
+  std::string_view sconst;
 };
 
 Operand Classify(const VectorResult& v) {
@@ -52,7 +54,7 @@ Operand Classify(const VectorResult& v) {
       o.dconst = c.AsDouble();
     } else {
       o.rep = Rep::kStrConst;
-      o.sconst = &c.AsString();
+      o.sconst = c.AsString();
     }
     return o;
   }
@@ -71,7 +73,8 @@ Operand Classify(const VectorResult& v) {
       break;
     case ColumnData::Kind::kString:
       o.rep = Rep::kStrCol;
-      o.strs = col.strings().data() + off;
+      o.codes = col.codes() + off;
+      o.dict = &col.dict();
       o.nulls = col.has_nulls() ? col.nulls() + off : nullptr;
       break;
     case ColumnData::Kind::kMixed:
@@ -113,12 +116,13 @@ struct DblConstAcc {
   double operator()(size_t) const { return v; }
 };
 struct StrColAcc {
-  const std::string* p;
-  const std::string& operator()(size_t i) const { return p[i]; }
+  const uint32_t* codes;
+  const StringDict* dict;
+  std::string_view operator()(size_t i) const { return dict->at(codes[i]); }
 };
 struct StrConstAcc {
-  const std::string* v;
-  const std::string& operator()(size_t) const { return *v; }
+  std::string_view v;
+  std::string_view operator()(size_t) const { return v; }
 };
 
 template <typename F>
@@ -151,13 +155,13 @@ void WithDblAcc(const Operand& o, F&& f) {
 template <typename F>
 void WithStrAcc(const Operand& o, F&& f) {
   if (o.rep == Rep::kStrCol) {
-    f(StrColAcc{o.strs});
+    f(StrColAcc{o.codes, o.dict});
   } else {
     f(StrConstAcc{o.sconst});
   }
 }
 
-/// Comparison outcome for a three-way (or std::string::compare) result.
+/// Comparison outcome for a three-way (or string compare) result.
 inline int64_t CmpResult(BinaryOp op, int c) {
   switch (op) {
     case BinaryOp::kEq:
@@ -361,6 +365,7 @@ VectorResult ArithNumeric(BinaryOp op, const Operand& lo, const Operand& ro,
 
 /// Fills `out[i]` with the truthiness (non-null, non-zero / non-empty) of
 /// each cell — the AND/OR collapse EvalBinaryValues applies via IsTruthy.
+/// A string cell is non-empty exactly when its code is not 0.
 void TruthVector(const VectorResult& v, size_t n, uint8_t* out) {
   if (v.constant) {
     std::memset(out, IsTruthy(v.const_value) ? 1 : 0, n);
@@ -386,10 +391,10 @@ void TruthVector(const VectorResult& v, size_t n, uint8_t* out) {
       break;
     }
     case ColumnData::Kind::kString: {
-      const std::string* p = col.strings().data() + off;
+      const uint32_t* p = col.codes() + off;
       const uint8_t* nu = col.has_nulls() ? col.nulls() + off : nullptr;
       for (size_t i = 0; i < n; ++i) {
-        out[i] = (!CellNull(nu, i) && !p[i].empty()) ? 1 : 0;
+        out[i] = (!CellNull(nu, i) && p[i] != 0) ? 1 : 0;
       }
       break;
     }
@@ -441,6 +446,10 @@ Result<VectorResult> VectorEvaluator::Eval(const BoundExpr& e,
             chunk.columns.size()));
       }
       const ColumnSlice& slice = chunk.columns[e.column_index()];
+      if (!slice.present()) {
+        return Status::Internal(StringFormat(
+            "column slot %zu is not materialized", e.column_index()));
+      }
       VectorResult r;
       r.col = slice.col;
       r.offset = slice.offset;
@@ -647,12 +656,11 @@ Result<const uint32_t*> VectorEvaluator::EvalSelection(const BoundExpr& e,
       break;
     }
     case ColumnData::Kind::kString: {
-      const std::string* p = col.strings().data() + off;
+      // Code 0 is the empty string.
+      const uint32_t* p = col.codes() + off;
       const uint8_t* nu = col.has_nulls() ? col.nulls() + off : nullptr;
       for (size_t i = 0; i < n; ++i) {
-        if (!CellNull(nu, i) && !p[i].empty()) {
-          sel[k++] = static_cast<uint32_t>(i);
-        }
+        if (!CellNull(nu, i) && p[i] != 0) sel[k++] = static_cast<uint32_t>(i);
       }
       break;
     }

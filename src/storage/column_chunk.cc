@@ -4,6 +4,48 @@
 
 namespace fedcal {
 
+namespace {
+
+ColumnData::Kind KindOf(DataType declared) {
+  switch (declared) {
+    case DataType::kInt64:
+      return ColumnData::Kind::kInt64;
+    case DataType::kDouble:
+      return ColumnData::Kind::kDouble;
+    case DataType::kString:
+      return ColumnData::Kind::kString;
+  }
+  return ColumnData::Kind::kMixed;
+}
+
+/// The dictionary every new kString column starts from: just the empty
+/// string. No column made it, so a column's first new string copies it.
+const StringDictPtr& EmptyDict() {
+  static const StringDictPtr dict = std::make_shared<StringDict>();
+  return dict;
+}
+
+}  // namespace
+
+StringDict::StringDict(const StringDict& other) {
+  views_.reserve(other.size());
+  index_.reserve(other.size());
+  for (std::string_view s : other.views_) Add(s);
+}
+
+uint32_t StringDict::Add(std::string_view s) {
+  const auto code = static_cast<uint32_t>(views_.size());
+  views_.push_back(storage_.emplace_back(s));
+  index_.emplace(views_.back(), code);
+  return code;
+}
+
+ColumnData::ColumnData(Kind k) : kind_(k) {
+  if (k == Kind::kString) dict_ = EmptyDict();
+}
+
+ColumnData::ColumnData(DataType declared) : ColumnData(KindOf(declared)) {}
+
 void ColumnData::Reserve(size_t n) {
   switch (kind_) {
     case Kind::kInt64:
@@ -13,7 +55,7 @@ void ColumnData::Reserve(size_t n) {
       dbls_.reserve(n);
       break;
     case Kind::kString:
-      strs_.reserve(n);
+      codes_.reserve(n);
       break;
     case Kind::kMixed:
       vals_.reserve(n);
@@ -30,8 +72,10 @@ void ColumnData::Demote() {
   ints_.shrink_to_fit();
   dbls_.clear();
   dbls_.shrink_to_fit();
-  strs_.clear();
-  strs_.shrink_to_fit();
+  codes_.clear();
+  codes_.shrink_to_fit();
+  dict_.reset();
+  owns_dict_ = false;
   nulls_.clear();
   nulls_.shrink_to_fit();
   kind_ = Kind::kMixed;
@@ -53,7 +97,7 @@ void ColumnData::AppendNull() {
       dbls_.push_back(0.0);
       break;
     case Kind::kString:
-      strs_.emplace_back();
+      codes_.push_back(0);  // the empty string
       break;
     case Kind::kMixed:
       break;
@@ -97,6 +141,20 @@ void ColumnData::AppendValue(const Value& v) {
   ++size_;
 }
 
+void ColumnData::AppendString(std::string_view v) {
+  uint32_t code = dict_->Find(v);
+  if (code == StringDict::kAbsent) {
+    // Copy before adding: a dictionary this column did not make may be
+    // read by other columns, concurrently too.
+    if (!owns_dict_) {
+      dict_ = std::make_shared<StringDict>(*dict_);
+      owns_dict_ = true;
+    }
+    code = dict_->Intern(v);
+  }
+  AppendCode(code);
+}
+
 void ColumnData::AppendFrom(const ColumnData& src, size_t i) {
   if (src.IsNull(i)) {
     AppendNull();
@@ -111,7 +169,11 @@ void ColumnData::AppendFrom(const ColumnData& src, size_t i) {
         AppendDouble(src.dbls_[i]);
         return;
       case Kind::kString:
-        AppendString(src.strs_[i]);
+        if (src.dict_ == dict_) {
+          AppendCode(src.codes_[i]);
+        } else {
+          AppendString(src.dict_->at(src.codes_[i]));
+        }
         return;
       case Kind::kMixed:
         break;
@@ -134,10 +196,24 @@ void GatherValues(const T* base, const uint32_t* rows, size_t n,
 
 }  // namespace
 
+void ColumnData::AdoptDict(const StringDictPtr& dict) {
+  if (kind_ != Kind::kString || dict_ == dict || dict_->size() != 1) return;
+  dict_ = dict;
+  owns_dict_ = false;
+}
+
+bool ColumnData::TakesTyped(const ColumnData& src) const {
+  if (src.kind_ != kind_ || kind_ == Kind::kMixed || src.has_nulls()) {
+    return false;
+  }
+  return kind_ != Kind::kString || src.dict_ == dict_;
+}
+
 void ColumnData::AppendGather(const ColumnSlice& src, const uint32_t* rows,
                               size_t n) {
   const ColumnData& s = *src.col;
-  if (s.kind_ != kind_ || kind_ == Kind::kMixed || s.has_nulls()) {
+  if (s.kind_ == Kind::kString) AdoptDict(s.dict_);
+  if (!TakesTyped(s)) {
     for (size_t i = 0; i < n; ++i) AppendFrom(s, src.offset + rows[i]);
     return;
   }
@@ -149,7 +225,7 @@ void ColumnData::AppendGather(const ColumnSlice& src, const uint32_t* rows,
       GatherValues(s.dbls_.data() + src.offset, rows, n, &dbls_);
       break;
     case Kind::kString:
-      GatherValues(s.strs_.data() + src.offset, rows, n, &strs_);
+      GatherValues(s.codes_.data() + src.offset, rows, n, &codes_);
       break;
     case Kind::kMixed:
       break;
@@ -172,7 +248,7 @@ size_t ColumnData::GatherTypedPrefix(std::vector<T> ColumnData::*store,
   for (; i < n; ++i) {
     if (refs[i].chunk != chunk) {
       const ColumnSlice& s = srcs[refs[i].chunk];
-      if (s.col->kind_ != kind_ || s.col->has_nulls()) break;
+      if (!TakesTyped(*s.col)) break;
       chunk = refs[i].chunk;
       base = (s.col.get()->*store).data() + s.offset;
     }
@@ -184,19 +260,31 @@ size_t ColumnData::GatherTypedPrefix(std::vector<T> ColumnData::*store,
   return i;
 }
 
-void ColumnData::AppendGather(const ColumnSlice* srcs, const RowRef* refs,
-                              size_t n) {
+void ColumnData::AppendGather(const std::vector<ColumnSlice>& srcs,
+                              const RowRef* refs, size_t n) {
   size_t i = 0;
   switch (kind_) {
     case Kind::kInt64:
-      i = GatherTypedPrefix(&ColumnData::ints_, srcs, refs, n);
+      i = GatherTypedPrefix(&ColumnData::ints_, srcs.data(), refs, n);
       break;
     case Kind::kDouble:
-      i = GatherTypedPrefix(&ColumnData::dbls_, srcs, refs, n);
+      i = GatherTypedPrefix(&ColumnData::dbls_, srcs.data(), refs, n);
       break;
-    case Kind::kString:
-      i = GatherTypedPrefix(&ColumnData::strs_, srcs, refs, n);
+    case Kind::kString: {
+      // Taking over one source's dictionary when another codes in a
+      // second would copy the whole first one at the second's first new
+      // string; interning into this column's own dictionary costs a hash
+      // per cell instead.
+      const bool one_dict =
+          !srcs.empty() &&
+          std::all_of(srcs.begin(), srcs.end(), [&](const ColumnSlice& s) {
+            return s.col->kind_ == Kind::kString &&
+                   s.col->dict_ == srcs[0].col->dict_;
+          });
+      if (one_dict) AdoptDict(srcs[0].col->dict_);
+      i = GatherTypedPrefix(&ColumnData::codes_, srcs.data(), refs, n);
       break;
+    }
     case Kind::kMixed:
       break;
   }
@@ -215,7 +303,7 @@ Value ColumnData::GetValue(size_t i) const {
     case Kind::kDouble:
       return Value(dbls_[i]);
     case Kind::kString:
-      return Value(strs_[i]);
+      return Value(std::string(dict_->at(codes_[i])));
     case Kind::kMixed:
       break;
   }
@@ -228,7 +316,7 @@ size_t ColumnData::CellBytes(size_t i) const {
     case Kind::kDouble:
       return IsNull(i) ? 1 : 8;
     case Kind::kString:
-      return IsNull(i) ? 1 : strs_[i].size() + 8;
+      return IsNull(i) ? 1 : dict_->at(codes_[i]).size() + 8;
     case Kind::kMixed:
       return vals_[i].ByteSize();
   }
@@ -248,8 +336,11 @@ size_t ColumnData::RangeBytes(size_t from, size_t n) const {
   }
   size_t bytes = 8 * (n - nulls) + nulls;
   if (kind_ == Kind::kString) {
-    // Null cells hold empty strings, so they add no length.
-    for (size_t i = from; i < from + n; ++i) bytes += strs_[i].size();
+    // Null cells hold code 0, the empty string, so they add no length.
+    const StringDict& dict = *dict_;
+    for (size_t i = from; i < from + n; ++i) {
+      bytes += dict.at(codes_[i]).size();
+    }
   }
   return bytes;
 }
@@ -259,7 +350,7 @@ void ColumnarTable::AppendChunk(ColumnChunk chunk, size_t bytes) {
   if (bytes == SIZE_MAX) {
     bytes = 0;
     for (const ColumnSlice& c : chunk.columns) {
-      bytes += c.col->RangeBytes(c.offset, chunk.length);
+      if (c.present()) bytes += c.col->RangeBytes(c.offset, chunk.length);
     }
   }
   num_rows_ += chunk.length;
@@ -313,6 +404,19 @@ ColumnarTablePtr ColumnarFromRows(const Schema& schema,
   auto out = std::make_shared<ColumnarTable>(schema);
   const size_t n = rows.size();
   const size_t ncols = schema.num_columns();
+  // One dictionary per string column, complete before any chunk shares
+  // it, so gathers across the table's chunks copy codes.
+  std::vector<StringDictPtr> dicts(ncols);
+  std::vector<std::vector<uint32_t>> codes(ncols);
+  for (size_t c = 0; c < ncols; ++c) {
+    if (schema.column(c).type != DataType::kString) continue;
+    dicts[c] = std::make_shared<StringDict>();
+    codes[c].resize(n);
+    for (size_t r = 0; r < n; ++r) {
+      const Value& v = rows[r][c];
+      if (v.is_string()) codes[c][r] = dicts[c]->Intern(v.AsString());
+    }
+  }
   for (size_t start = 0; start < n; start += batch_rows) {
     const size_t len = std::min(batch_rows, n - start);
     ColumnChunk chunk;
@@ -320,11 +424,18 @@ ColumnarTablePtr ColumnarFromRows(const Schema& schema,
     chunk.columns.reserve(ncols);
     size_t bytes = 0;
     for (size_t c = 0; c < ncols; ++c) {
-      auto col = std::make_shared<ColumnData>(schema.column(c).type);
+      auto col = dicts[c] != nullptr
+                     ? std::make_shared<ColumnData>(dicts[c])
+                     : std::make_shared<ColumnData>(schema.column(c).type);
       col->Reserve(len);
       for (size_t r = start; r < start + len; ++r) {
-        col->AppendValue(rows[r][c]);
-        bytes += rows[r][c].ByteSize();
+        const Value& v = rows[r][c];
+        if (v.is_string() && col->kind() == ColumnData::Kind::kString) {
+          col->AppendCode(codes[c][r]);
+        } else {
+          col->AppendValue(v);
+        }
+        bytes += v.ByteSize();
       }
       chunk.columns.push_back(ColumnSlice{std::move(col), 0});
     }

@@ -1,8 +1,11 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "storage/schema.h"
@@ -11,6 +14,51 @@
 namespace fedcal {
 
 struct ColumnSlice;
+
+/// \brief The distinct strings behind one or more kString columns, each
+/// stored once and named by a dense uint32 code.
+///
+/// Code 0 is always the empty string, and null cells hold it too, so a
+/// cell's length and truthiness need no null check. A base table's mirror
+/// builds one dictionary per string column and every chunk and every
+/// column gathered from it shares that dictionary, so gathers copy codes.
+/// A column adds strings in place only to a dictionary it made itself; it
+/// copies any other (a mirror's, or one taken over from a gather source)
+/// first (ColumnData::AppendString). Other columns reach a column's own
+/// dictionary only by gathering from that column, and a column is
+/// complete before anything reads it, so readers of a dictionary never
+/// race with a writer.
+class StringDict {
+ public:
+  static constexpr uint32_t kAbsent = UINT32_MAX;
+
+  StringDict() { Add(""); }
+  /// Copies the strings; the codes stay the same.
+  StringDict(const StringDict& other);
+  StringDict& operator=(const StringDict&) = delete;
+
+  size_t size() const { return views_.size(); }
+  std::string_view at(uint32_t code) const { return views_[code]; }
+  /// Code of `s`, or kAbsent.
+  uint32_t Find(std::string_view s) const {
+    auto it = index_.find(s);
+    return it == index_.end() ? kAbsent : it->second;
+  }
+  /// Code of `s`, added if absent.
+  uint32_t Intern(std::string_view s) {
+    const uint32_t code = Find(s);
+    return code != kAbsent ? code : Add(s);
+  }
+
+ private:
+  uint32_t Add(std::string_view s);
+
+  std::deque<std::string> storage_;  ///< stable addresses for the views
+  std::vector<std::string_view> views_;
+  std::unordered_map<std::string_view, uint32_t> index_;
+};
+
+using StringDictPtr = std::shared_ptr<StringDict>;
 
 /// \brief Where one row of a chunked table lives: the chunk's index and
 /// the row within that chunk (relative to each column slice's offset).
@@ -22,33 +70,30 @@ struct RowRef {
 
 /// \brief One column of values in columnar layout.
 ///
-/// Values live in a typed vector (int64/double/string) with an optional
-/// null bitmap that is allocated only when the first null arrives — the
-/// null-free fast path is a plain contiguous array. A column whose cells
-/// mix numeric representations (e.g. an int64 Value stored in a DOUBLE
-/// column, which the row engine's Value variant permits) demotes itself to
-/// a `kMixed` vector<Value> so that round-tripping through the columnar
-/// engine preserves every cell's exact variant — the differential oracle
-/// compares representations, not just numeric equality.
+/// Values live in a typed vector (int64/double, or uint32 codes into a
+/// StringDict for strings) with an optional null bitmap that is allocated
+/// only when the first null arrives — the null-free fast path is a plain
+/// contiguous array. A column whose cells mix representations (e.g. an
+/// int64 Value stored in a DOUBLE column, which the row engine's Value
+/// variant permits) demotes itself to a `kMixed` vector<Value> so that
+/// round-tripping through the columnar engine preserves every cell's exact
+/// variant — the differential oracle compares representations, not just
+/// numeric equality.
 class ColumnData {
  public:
   enum class Kind { kInt64, kDouble, kString, kMixed };
 
-  explicit ColumnData(Kind k) : kind_(k) {}
-
-  explicit ColumnData(DataType declared) {
-    switch (declared) {
-      case DataType::kInt64:
-        kind_ = Kind::kInt64;
-        break;
-      case DataType::kDouble:
-        kind_ = Kind::kDouble;
-        break;
-      case DataType::kString:
-        kind_ = Kind::kString;
-        break;
-    }
-  }
+  explicit ColumnData(Kind k);
+  explicit ColumnData(DataType declared);
+  /// A kString column coding its cells into `dict` (see AppendCode).
+  explicit ColumnData(StringDictPtr dict)
+      : kind_(Kind::kString), dict_(std::move(dict)) {}
+  /// Not copyable: a copy would share a dictionary that both columns
+  /// count as their own and change in place.
+  ColumnData(const ColumnData&) = delete;
+  ColumnData& operator=(const ColumnData&) = delete;
+  ColumnData(ColumnData&&) = default;
+  ColumnData& operator=(ColumnData&&) = default;
 
   Kind kind() const { return kind_; }
   size_t size() const { return size_; }
@@ -59,10 +104,12 @@ class ColumnData {
   }
 
   /// Raw typed storage (valid for the matching kind only). Cells that are
-  /// null hold a default value; consult the null bitmap.
+  /// null hold a default value (code 0, the empty string, for strings);
+  /// consult the null bitmap.
   const int64_t* ints() const { return ints_.data(); }
   const double* doubles() const { return dbls_.data(); }
-  const std::vector<std::string>& strings() const { return strs_; }
+  const uint32_t* codes() const { return codes_.data(); }
+  const StringDict& dict() const { return *dict_; }
   const std::vector<Value>& mixed() const { return vals_; }
   const uint8_t* nulls() const { return nulls_.data(); }
 
@@ -84,8 +131,12 @@ class ColumnData {
     if (!nulls_.empty()) nulls_.push_back(0);
     ++size_;
   }
-  void AppendString(std::string v) {
-    strs_.push_back(std::move(v));
+  /// Appends `v`, adding it to the dictionary if it is new there. A
+  /// dictionary this column did not make is copied first.
+  void AppendString(std::string_view v);
+  /// Appends a code of this column's dictionary.
+  void AppendCode(uint32_t code) {
+    codes_.push_back(code);
     if (!nulls_.empty()) nulls_.push_back(0);
     ++size_;
   }
@@ -94,14 +145,21 @@ class ColumnData {
 
   /// Appends the cells of `src` at rows `rows[0..n)` (relative to
   /// `src.offset`); `src` must not be this column. The result equals n
-  /// AppendFrom calls. A null-free source of this column's typed kind
-  /// copies through one typed loop; kMixed, null-bearing or other-kind
-  /// sources fall back to per-cell AppendFrom.
+  /// AppendFrom calls. A string column that holds only empty strings
+  /// first takes over a kString source's dictionary. A null-free source
+  /// of this column's typed kind (for strings: coded in this column's
+  /// dictionary) copies through one typed loop; other sources fall back
+  /// to per-cell AppendFrom.
   void AppendGather(const ColumnSlice& src, const uint32_t* rows, size_t n);
   /// Multi-chunk form: cell i is row `refs[i].row` of `srcs[refs[i].chunk]`.
-  /// Typed cells copy in one loop up to the first cell whose source is
-  /// not a null-free column of this kind; the rest go through AppendFrom.
-  void AppendGather(const ColumnSlice* srcs, const RowRef* refs, size_t n);
+  /// A string column takes over the sources' dictionary only when every
+  /// source is a kString column coded in that one dictionary; otherwise
+  /// its cells are interned into its own, which then holds only the
+  /// strings gathered. Typed cells copy in one loop up to the first cell
+  /// whose source the typed loop cannot take; the rest go through
+  /// AppendFrom.
+  void AppendGather(const std::vector<ColumnSlice>& srcs, const RowRef* refs,
+                    size_t n);
 
   /// Cell `i` as a row-engine Value (exact variant round-trip).
   Value GetValue(size_t i) const;
@@ -115,6 +173,13 @@ class ColumnData {
 
  private:
   void Demote();
+  /// Switches a kString column to `dict` while it holds only empty strings
+  /// and nulls (code 0 is the empty string in every dictionary).
+  void AdoptDict(const StringDictPtr& dict);
+  /// True when the typed gather may copy `src`'s cells: a null-free
+  /// column of this kind, for strings one coded in this column's
+  /// dictionary.
+  bool TakesTyped(const ColumnData& src) const;
   /// Typed prefix of the multi-chunk AppendGather over `store` (the
   /// vector of this column's kind); returns the number of cells copied.
   template <typename T>
@@ -126,20 +191,25 @@ class ColumnData {
   size_t size_ = 0;
   std::vector<int64_t> ints_;
   std::vector<double> dbls_;
-  std::vector<std::string> strs_;
-  std::vector<Value> vals_;     ///< kMixed only
-  std::vector<uint8_t> nulls_;  ///< empty = no nulls yet (fast path)
+  std::vector<uint32_t> codes_;  ///< kString: codes into dict_
+  StringDictPtr dict_;           ///< kString only
+  bool owns_dict_ = false;       ///< dict_ was made by this column
+  std::vector<Value> vals_;      ///< kMixed only
+  std::vector<uint8_t> nulls_;   ///< empty = no nulls yet (fast path)
 };
 
 using ColumnPtr = std::shared_ptr<ColumnData>;
 
 /// \brief A view of one column starting at `offset`: the unit of zero-copy
 /// sharing. Slicing and column pass-through adjust the offset instead of
-/// copying cells.
+/// copying cells. An absent slice (null `col`) is a column the consumer of
+/// an intermediate result never reads (see ColumnarExecutor); no result
+/// leaves the engine with one.
 struct ColumnSlice {
   ColumnPtr col;
   size_t offset = 0;
 
+  bool present() const { return col != nullptr; }
   bool IsNull(size_t i) const { return col->IsNull(offset + i); }
   Value ValueAt(size_t i) const { return col->GetValue(offset + i); }
 };
@@ -181,16 +251,17 @@ class ColumnarTable {
 
   /// Appends a chunk, taking ownership of its (possibly shared) columns.
   /// `bytes` is the chunk's payload per the row-engine accounting; pass
-  /// SIZE_MAX to have it recomputed from each column's RangeBytes.
+  /// SIZE_MAX to have it recomputed from each present column's RangeBytes.
   void AppendChunk(ColumnChunk chunk, size_t bytes = SIZE_MAX);
 
   /// Appends every chunk of `other` without copying column data — the
   /// zero-copy fragment-merge primitive.
   void AppendTableZeroCopy(const ColumnarTable& other);
 
-  /// Row `r` (global index) as a row-engine Row.
+  /// Row `r` (global index) as a row-engine Row. Every column must be
+  /// present.
   Row MaterializeRow(size_t r) const;
-  /// All rows, in order.
+  /// All rows, in order. Every column must be present.
   std::vector<Row> MaterializeRows() const;
 
  private:

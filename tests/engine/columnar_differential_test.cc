@@ -160,9 +160,20 @@ class ColumnarDifferentialTest : public ::testing::Test {
   /// Runs `sql` under both engines (columnar at several batch sizes) and
   /// asserts identical results and stats.
   void RunBoth(const std::string& sql) {
+    auto plan = db_.Plan(sql);
+    ASSERT_TRUE(plan.ok()) << sql << ": " << plan.status().ToString();
+    RunPlanBoth(plan.value(), sql);
+  }
+
+  /// RunBoth for a plan built by hand, for shapes the planner never
+  /// emits (a Sort or Distinct below a Project, a Filter above a join).
+  void RunPlanBoth(const PlanNodePtr& plan, const std::string& label) {
+    const auto resolve = [this](const std::string& n) {
+      return db_.Resolve(n);
+    };
     ExecStats row_stats;
-    auto row_res = db_.Run(sql, &row_stats);
-    ASSERT_TRUE(row_res.ok()) << sql << ": " << row_res.status().ToString();
+    auto row_res = Executor(resolve, ExecConfig{}).Execute(plan, &row_stats);
+    ASSERT_TRUE(row_res.ok()) << label << ": " << row_res.status().ToString();
     TablePtr row_t = row_res.MoveValue();
 
     for (size_t batch : {64u, 4096u}) {
@@ -170,18 +181,50 @@ class ColumnarDifferentialTest : public ::testing::Test {
       cfg.engine = EngineKind::kColumnar;
       cfg.batch_rows = batch;
       ExecStats col_stats;
-      auto col_res = db_.Run(sql, &col_stats, cfg);
+      auto col_res = Executor(resolve, cfg).Execute(plan, &col_stats);
       ASSERT_TRUE(col_res.ok())
-          << sql << ": " << col_res.status().ToString();
-      const std::string label =
-          sql + " [batch=" + std::to_string(batch) + "]";
-      ExpectIdenticalTables(*row_t, *col_res.value(), label);
-      ExpectIdenticalStats(row_stats, col_stats, label);
+          << label << ": " << col_res.status().ToString();
+      const std::string batch_label =
+          label + " [batch=" + std::to_string(batch) + "]";
+      ExpectIdenticalTables(*row_t, *col_res.value(), batch_label);
+      ExpectIdenticalStats(row_stats, col_stats, batch_label);
     }
+  }
+
+  PlanNodePtr ScanOf(const std::string& table) {
+    return PlanNode::Scan(table, db_.Resolve(table).value()->schema());
+  }
+
+  /// ev JOIN evd ON ev.n = evd.did. Slots 0-5 are ev's (id, key, n, x, m,
+  /// q) and 6-8 evd's (did, label, w).
+  PlanNodePtr EvJoin(BoundExprPtr residual = nullptr) {
+    return PlanNode::HashJoin(ScanOf("ev"), ScanOf("evd"), {2}, {0},
+                              std::move(residual));
   }
 
   MiniDb db_;
 };
+
+BoundExprPtr Col(const PlanNode& node, size_t slot) {
+  const ColumnDef& def = node.output_schema.column(slot);
+  return BoundExpr::Column(slot, def.name, def.type);
+}
+
+BoundExprPtr Cmp(BinaryOp op, BoundExprPtr l, BoundExprPtr r) {
+  return BoundExpr::Binary(op, std::move(l), std::move(r));
+}
+
+/// Projects `slots` of `child`, in order.
+PlanNodePtr ProjectSlots(PlanNodePtr child, const std::vector<size_t>& slots) {
+  std::vector<BoundExprPtr> exprs;
+  Schema schema;
+  for (size_t s : slots) {
+    exprs.push_back(Col(*child, s));
+    schema.AddColumn(child->output_schema.column(s));
+  }
+  return PlanNode::Project(std::move(child), std::move(exprs),
+                           std::move(schema));
+}
 
 TEST_F(ColumnarDifferentialTest, Scan) { RunBoth("SELECT * FROM emp"); }
 
@@ -294,6 +337,92 @@ TEST_F(ColumnarDifferentialTest, SortDistinctGatherStrings) {
   RunBoth(
       "SELECT DISTINCT evd.label FROM ev, evd WHERE ev.n = evd.did "
       "ORDER BY evd.label");
+}
+
+TEST_F(ColumnarDifferentialTest, ColumnMasksOverSqlJoins) {
+  // COUNT(*) reads no column: the join's chunks carry rows but no
+  // present column.
+  RunBoth("SELECT COUNT(*) FROM ev, evd WHERE ev.n = evd.did");
+  RunBoth("SELECT COUNT(*) FROM emp, sales WHERE emp.id = sales.emp_id");
+  // Residuals over columns nothing above them reads.
+  RunBoth("SELECT ev.id FROM ev, evd WHERE ev.n = evd.did AND evd.w > ev.x");
+  RunBoth(
+      "SELECT evd.label, COUNT(*) FROM ev, evd "
+      "WHERE ev.n = evd.did AND ev.key < evd.label GROUP BY evd.label");
+  // A nested-loop join over filtered children reads every column of
+  // both, though its parent reads two.
+  RunBoth(
+      "SELECT ev.id, evd.label FROM ev, evd "
+      "WHERE ev.x > evd.w AND ev.id < 40 AND evd.did < 10");
+  // Sort, Distinct and Limit above a join.
+  RunBoth(
+      "SELECT ev.id, evd.label FROM ev, evd WHERE ev.n = evd.did "
+      "ORDER BY evd.label DESC LIMIT 20");
+  RunBoth(
+      "SELECT DISTINCT evd.label, ev.key FROM ev, evd "
+      "WHERE ev.n = evd.did AND ev.id > 30");
+}
+
+TEST_F(ColumnarDifferentialTest, ColumnMasksOnHandBuiltPlans) {
+  const PlanNodePtr j = EvJoin();
+  // A join at the root returns every column, with and without a residual.
+  RunPlanBoth(j, "join at the root");
+  RunPlanBoth(EvJoin(Cmp(BinaryOp::kLt, Col(*j, 3), Col(*j, 8))),
+              "join with a residual at the root");
+  // The filter alone reads evd.w.
+  RunPlanBoth(
+      ProjectSlots(PlanNode::Filter(j, Cmp(BinaryOp::kGt, Col(*j, 8),
+                                           BoundExpr::Literal(D(20)))),
+                   {0, 7}),
+      "filter above a join");
+  // The sort alone reads evd.w and ev.id.
+  RunPlanBoth(ProjectSlots(PlanNode::Sort(j, {{Col(*j, 8), true},
+                                              {Col(*j, 0), false}}),
+                           {1, 7}),
+              "sort keys nothing above reads");
+  // Distinct compares all nine columns; its parent reads one.
+  RunPlanBoth(ProjectSlots(PlanNode::Distinct(j), {7}),
+              "distinct over a join");
+  // Limit passes its parent's slots through.
+  RunPlanBoth(ProjectSlots(PlanNode::Limit(j, 25), {0, 8}),
+              "limit over a join");
+  RunPlanBoth(ProjectSlots(PlanNode::Limit(PlanNode::Sort(
+                                               j, {{Col(*j, 3), false}}),
+                                           30),
+                           {1, 7}),
+              "limit over a sort over a join");
+  // A nested-loop join over filtered children, below a narrowing parent.
+  const PlanNodePtr ev = PlanNode::Filter(
+      ScanOf("ev"),
+      Cmp(BinaryOp::kLt, Col(*ScanOf("ev"), 0), BoundExpr::Literal(I(40))));
+  const PlanNodePtr evd = PlanNode::Filter(
+      ScanOf("evd"),
+      Cmp(BinaryOp::kLt, Col(*ScanOf("evd"), 0), BoundExpr::Literal(I(10))));
+  const PlanNodePtr nlj = PlanNode::NestedLoopJoin(
+      ev, evd, Cmp(BinaryOp::kGt, Col(*ev, 3), Col(*evd, 2)));
+  RunPlanBoth(ProjectSlots(nlj, {0, 7}), "nested-loop join, filtered inputs");
+}
+
+TEST_F(ColumnarDifferentialTest, StringGroupKeysAcrossDictionaries) {
+  // Two mirrors merged zero-copy, as two servers' fragments are: their
+  // dictionaries code "b" and "a" differently, each holds a string the
+  // other lacks, and "c" is first seen in the second one.
+  const Schema schema({{"k", DataType::kString}, {"v", DataType::kInt64}});
+  std::vector<Row> first;
+  std::vector<Row> second;
+  for (int64_t i = 0; i < 150; ++i) {
+    first.push_back({i % 9 == 4 ? N() : S(i % 3 == 0 ? "b" : "a"), I(i)});
+    second.push_back({S(i % 4 == 0 ? "a" : (i % 4 == 1 ? "c" : "b")), I(i)});
+  }
+  for (size_t batch : {64u, 4096u}) {
+    auto merged = std::make_shared<ColumnarTable>(schema);
+    merged->AppendTableZeroCopy(*ColumnarFromRows(schema, first, batch));
+    merged->AppendTableZeroCopy(*ColumnarFromRows(schema, second, batch));
+    db_.AddTable(Table::FromColumnar("two_dicts", merged));
+    RunBoth("SELECT k, COUNT(*), SUM(v), MIN(v) FROM two_dicts GROUP BY k");
+    RunBoth("SELECT k, COUNT(*) FROM two_dicts WHERE v > 100 GROUP BY k");
+    RunBoth("SELECT k, v FROM two_dicts WHERE v < 5 OR v > 145");
+  }
 }
 
 TEST_F(ColumnarDifferentialTest, EmptyResults) {

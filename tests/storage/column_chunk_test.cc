@@ -191,7 +191,7 @@ TEST(ColumnDataTest, MultiChunkGatherEqualsPerCellAppendFrom) {
     for (const RowRef& r : refs) {
       want.AppendFrom(*srcs[r.chunk].col, srcs[r.chunk].offset + r.row);
     }
-    got.AppendGather(srcs.data(), refs.data(), refs.size());
+    got.AppendGather(srcs, refs.data(), refs.size());
     ExpectSameColumn(want, got, label);
   }
 }
@@ -215,6 +215,244 @@ TEST(ColumnDataTest, RangeBytesEqualsCellBytesSum) {
       }
     }
   }
+}
+
+/// Column 0 of chunk `c` of `t`.
+const ColumnSlice& SliceOf(const ColumnarTablePtr& t, size_t c) {
+  return t->chunks()[c].columns[0];
+}
+
+TEST(StringDictTest, GathersWithinAndAcrossDictionariesEqualAppendFrom) {
+  const Schema schema({{"s", DataType::kString}});
+  // One dictionary for both chunks of `a`; `b` codes "y" and "x" the other
+  // way round and holds "w", which `a` lacks.
+  const ColumnarTablePtr a = ColumnarFromRows(
+      schema, {{S("x")}, {S("y")}, {S("x")}, {S("zz")}, {S("")}, {S("y")}},
+      /*batch_rows=*/3);
+  const ColumnarTablePtr b =
+      ColumnarFromRows(schema, {{S("y")}, {S("w")}, {S("x")}}, 3);
+  ASSERT_EQ(a->chunks().size(), 2u);
+  EXPECT_EQ(&SliceOf(a, 0).col->dict(), &SliceOf(a, 1).col->dict());
+  EXPECT_NE(&SliceOf(a, 0).col->dict(), &SliceOf(b, 0).col->dict());
+  const std::vector<ColumnSlice> srcs = {SliceOf(a, 0), SliceOf(a, 1),
+                                         SliceOf(b, 0)};
+
+  const std::vector<RowRef> within = {{1, 0}, {0, 2}, {1, 2}, {0, 0}, {1, 1}};
+  const std::vector<RowRef> across = {{0, 1}, {2, 1}, {1, 0}, {2, 0},
+                                      {0, 0}, {2, 2}};
+  for (const auto& [label, refs] :
+       {std::pair{"within", within}, std::pair{"across", across}}) {
+    ColumnData want(DataType::kString);
+    ColumnData got(DataType::kString);
+    for (const RowRef& r : refs) {
+      want.AppendFrom(*srcs[r.chunk].col, srcs[r.chunk].offset + r.row);
+    }
+    got.AppendGather(srcs, refs.data(), refs.size());
+    ExpectSameColumn(want, got, label);
+  }
+  // Sources that all code in one dictionary hand it to the gather, which
+  // then copies codes; sources in two leave the column its own.
+  const std::vector<ColumnSlice> srcs_a = {SliceOf(a, 0), SliceOf(a, 1)};
+  ColumnData shared(DataType::kString);
+  shared.AppendGather(srcs_a, within.data(), within.size());
+  EXPECT_EQ(&shared.dict(), &SliceOf(a, 0).col->dict());
+  ColumnData own(DataType::kString);
+  own.AppendGather(srcs, within.data(), within.size());
+  EXPECT_NE(&own.dict(), &SliceOf(a, 0).col->dict());
+  EXPECT_EQ(own.dict().size(), 4u);  // "", "zz", "x", "y"
+
+  // Single-slice gathers from another dictionary into a column that
+  // already holds strings of its own.
+  const std::vector<uint32_t> rows = {2, 0, 1, 0};
+  for (bool prefilled : {false, true}) {
+    ColumnData want(DataType::kString);
+    ColumnData got(DataType::kString);
+    if (prefilled) {
+      want.AppendValue(S("q"));
+      got.AppendValue(S("q"));
+    }
+    for (uint32_t r : rows) want.AppendFrom(*SliceOf(b, 0).col, r);
+    got.AppendGather(SliceOf(b, 0), rows.data(), rows.size());
+    ExpectSameColumn(want, got, prefilled ? "prefilled" : "empty");
+  }
+}
+
+TEST(StringDictTest, AppendCopiesASharedDictionaryFirst) {
+  // A column adds strings in place only to a dictionary it made itself.
+  // One it took over from a gather source is copied first, so the
+  // source's cells and dictionary keep their values.
+  ColumnPtr owner = std::make_shared<ColumnData>(DataType::kString);
+  owner->AppendValue(S("a"));
+  const StringDict* made = &owner->dict();
+  owner->AppendValue(S("b"));
+  EXPECT_EQ(&owner->dict(), made);  // its own: no second copy
+  ColumnData borrower(DataType::kString);
+  const std::vector<uint32_t> rows = {1, 0, 1};
+  borrower.AppendGather(ColumnSlice{owner, 0}, rows.data(), rows.size());
+  ASSERT_EQ(&borrower.dict(), &owner->dict());
+
+  borrower.AppendValue(S("d"));
+  EXPECT_NE(&borrower.dict(), &owner->dict());
+  const std::vector<Value> owner_cells = {S("a"), S("b")};
+  for (size_t i = 0; i < owner_cells.size(); ++i) {
+    EXPECT_EQ(owner->GetValue(i), owner_cells[i]) << "owner cell " << i;
+  }
+  EXPECT_EQ(owner->dict().size(), 3u);  // "", "a", "b"
+  EXPECT_EQ(owner->dict().Find("d"), StringDict::kAbsent);
+  const std::vector<Value> borrower_cells = {S("b"), S("a"), S("b"), S("d")};
+  for (size_t i = 0; i < borrower_cells.size(); ++i) {
+    EXPECT_EQ(borrower.GetValue(i), borrower_cells[i]) << "borrower cell " << i;
+  }
+
+  // A dictionary handed to columns at construction, as a mirror's is,
+  // belongs to none of them: the first to add a string copies it.
+  auto dict = std::make_shared<StringDict>();
+  const uint32_t code_a = dict->Intern("a");
+  ColumnData first(dict);
+  ColumnData second(dict);
+  first.AppendCode(code_a);
+  second.AppendCode(code_a);
+  first.AppendValue(S("e"));
+  EXPECT_NE(&first.dict(), dict.get());
+  EXPECT_EQ(dict->Find("e"), StringDict::kAbsent);
+  EXPECT_EQ(second.GetValue(0), S("a"));
+  EXPECT_EQ(first.GetValue(0), S("a"));
+  EXPECT_EQ(first.GetValue(1), S("e"));
+
+  // A string the shared dictionary already holds copies nothing.
+  const ColumnarTablePtr t =
+      ColumnarFromRows(Schema({{"s", DataType::kString}}),
+                       {{S("a")}, {S("b")}}, 8);
+  ColumnData again(DataType::kString);
+  again.AppendGather(SliceOf(t, 0), rows.data(), 2);
+  again.AppendValue(S("a"));
+  EXPECT_EQ(&again.dict(), &SliceOf(t, 0).col->dict());
+  EXPECT_EQ(again.GetValue(2), S("a"));
+}
+
+TEST(StringDictTest, GatherOverTwoLargeDictionariesHoldsOnlyItsStrings) {
+  // Two merged tables with 1,000 distinct strings each, gathered a few
+  // cells per output chunk as Sort, Distinct and the join's flush do:
+  // each output column's dictionary holds only the strings it gathered,
+  // never a copy of either source's.
+  const Schema schema({{"s", DataType::kString}});
+  std::vector<Row> rows_a;
+  std::vector<Row> rows_b;
+  for (int i = 0; i < 1000; ++i) {
+    const std::string n = std::to_string(i);
+    rows_a.push_back({Value(std::string("a").append(n))});
+    rows_b.push_back({Value(std::string("b").append(n))});
+  }
+  const ColumnarTablePtr a = ColumnarFromRows(schema, rows_a, 250);
+  const ColumnarTablePtr b = ColumnarFromRows(schema, rows_b, 250);
+  std::vector<ColumnSlice> srcs;
+  for (const ColumnarTablePtr& t : {a, b}) {
+    for (const ColumnChunk& chunk : t->chunks()) {
+      srcs.push_back(chunk.columns[0]);
+    }
+  }
+  ASSERT_EQ(srcs.size(), 8u);
+  ASSERT_EQ(srcs[0].col->dict().size(), 1001u);
+
+  // Output chunk 1 starts in a's dictionary, chunk 2 in b's, chunk 3
+  // repeats a string.
+  const std::vector<std::vector<RowRef>> outputs = {
+      {{0, 3}, {5, 7}, {2, 100}, {7, 249}},
+      {{4, 0}, {1, 1}, {6, 2}},
+      {{3, 9}, {3, 9}, {4, 9}},
+  };
+  const std::vector<size_t> distinct = {4, 3, 2};
+  for (size_t o = 0; o < outputs.size(); ++o) {
+    const std::vector<RowRef>& refs = outputs[o];
+    ColumnData want(DataType::kString);
+    ColumnData got(DataType::kString);
+    for (const RowRef& r : refs) {
+      want.AppendFrom(*srcs[r.chunk].col, srcs[r.chunk].offset + r.row);
+    }
+    got.AppendGather(srcs, refs.data(), refs.size());
+    const std::string label = "output " + std::to_string(o);
+    ExpectSameColumn(want, got, label);
+    EXPECT_EQ(got.dict().size(), 1 + distinct[o]) << label;
+    EXPECT_EQ(want.dict().size(), 1 + distinct[o]) << label;
+  }
+}
+
+TEST(StringDictTest, BytesMatchValueByteSize) {
+  const std::vector<Row> rows = {{S("abc")}, {N()},  {S("")},
+                                 {Value(std::string(40, 'z'))},
+                                 {S("abc")}, {N()}};
+  const ColumnarTablePtr t =
+      ColumnarFromRows(Schema({{"s", DataType::kString}}), rows, 4);
+  // Mirror chunks, a typed gather of codes, and a per-cell copy.
+  std::vector<ColumnPtr> cols;
+  size_t base = 0;
+  std::vector<std::vector<Value>> cells;
+  for (const ColumnChunk& chunk : t->chunks()) {
+    cols.push_back(chunk.columns[0].col);
+    cells.emplace_back();
+    for (size_t i = 0; i < chunk.length; ++i) {
+      cells.back().push_back(rows[base + i][0]);
+    }
+    base += chunk.length;
+  }
+  auto gathered = std::make_shared<ColumnData>(DataType::kString);
+  const std::vector<uint32_t> picks = {3, 0, 2, 0};
+  gathered->AppendGather(SliceOf(t, 0), picks.data(), picks.size());
+  cols.push_back(gathered);
+  cells.push_back({rows[3][0], rows[0][0], rows[2][0], rows[0][0]});
+  cols.push_back(ColumnOf(DataType::kString,
+                          {rows[1][0], rows[3][0], rows[4][0], rows[2][0]}));
+  cells.push_back({rows[1][0], rows[3][0], rows[4][0], rows[2][0]});
+
+  for (size_t c = 0; c < cols.size(); ++c) {
+    const ColumnData& col = *cols[c];
+    for (size_t i = 0; i < cells[c].size(); ++i) {
+      EXPECT_EQ(col.CellBytes(i), cells[c][i].ByteSize())
+          << "column " << c << " cell " << i;
+    }
+    for (size_t from = 0; from <= cells[c].size(); ++from) {
+      for (size_t n = 0; from + n <= cells[c].size(); ++n) {
+        size_t want = 0;
+        for (size_t i = from; i < from + n; ++i) {
+          want += cells[c][i].ByteSize();
+        }
+        EXPECT_EQ(col.RangeBytes(from, n), want)
+            << "column " << c << " [" << from << ", " << from + n << ")";
+      }
+    }
+  }
+}
+
+TEST(StringDictTest, NullsAndDemotionKeepExactVariants) {
+  // A string column with nulls whose second chunk holds an int64 cell:
+  // that chunk demotes to kMixed, the first stays coded.
+  const std::vector<Row> rows = {{S("a")}, {N()},  {S("b")},
+                                 {N()},    {I(5)}, {S("a")}};
+  const ColumnarTablePtr t =
+      ColumnarFromRows(Schema({{"s", DataType::kString}}), rows, 3);
+  EXPECT_EQ(SliceOf(t, 0).col->kind(), ColumnData::Kind::kString);
+  EXPECT_EQ(SliceOf(t, 1).col->kind(), ColumnData::Kind::kMixed);
+  const std::vector<Row> back = t->MaterializeRows();
+  ASSERT_EQ(back.size(), rows.size());
+  for (size_t r = 0; r < rows.size(); ++r) {
+    EXPECT_EQ(back[r][0], rows[r][0]) << "row " << r;
+    EXPECT_EQ(back[r][0].is_null(), rows[r][0].is_null()) << "row " << r;
+    EXPECT_EQ(back[r][0].is_int64(), rows[r][0].is_int64()) << "row " << r;
+  }
+
+  // Gathering both chunks into a string column demotes at the int64 cell
+  // exactly as AppendFrom does.
+  const std::vector<ColumnSlice> srcs = {SliceOf(t, 0), SliceOf(t, 1)};
+  const std::vector<RowRef> refs = {{0, 2}, {0, 1}, {1, 1}, {1, 0}, {0, 0}};
+  ColumnData want(DataType::kString);
+  ColumnData got(DataType::kString);
+  for (const RowRef& r : refs) want.AppendFrom(*srcs[r.chunk].col, r.row);
+  got.AppendGather(srcs, refs.data(), refs.size());
+  ExpectSameColumn(want, got, "gather into demotion");
+  EXPECT_EQ(got.kind(), ColumnData::Kind::kMixed);
+  EXPECT_TRUE(got.GetValue(1).is_null());
+  EXPECT_TRUE(got.GetValue(2).is_int64());
+  EXPECT_EQ(got.GetValue(0), S("b"));
 }
 
 TEST(ColumnChunkTest, SliceIsZeroCopy) {

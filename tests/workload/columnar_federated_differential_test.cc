@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "tests/test_util.h"
 #include "workload/scenario.h"
@@ -111,6 +113,40 @@ TEST(ColumnarFederatedDifferentialTest, PartialReplicationCorpus) {
   // Partial layout: joins decompose into cross-server fragments that
   // merge at the integrator — the zero-copy columnar merge path.
   RunCorpus(/*full_replication=*/false);
+}
+
+TEST(ColumnarFederatedDifferentialTest, StringGroupByOverTwoServersFragments) {
+  // Partial layout: employee lives only on S3 and sales off it, so these
+  // joins merge fragments from two servers at the integrator, and the
+  // GROUP BY's input carries strings coded in each server's own
+  // dictionaries. Groups must come out in first-seen order, exactly as
+  // the row engine emits them.
+  auto row_sc = std::make_unique<Scenario>(BaseConfig(false, false));
+  auto col_sc = std::make_unique<Scenario>(BaseConfig(true, false));
+  const std::vector<std::string> sqls = {
+      "SELECT s.region, COUNT(*) AS cnt, SUM(e.salary) AS total "
+      "FROM employee e JOIN sales s ON s.empno = e.empno "
+      "WHERE s.amount > 2000 GROUP BY s.region",
+      "SELECT d.location, COUNT(*) AS cnt, MAX(s.region) AS top "
+      "FROM employee e JOIN sales s ON s.empno = e.empno "
+      "JOIN department d ON e.workdept = d.deptno "
+      "WHERE d.budget > 400000 GROUP BY d.location",
+  };
+  for (const std::string& sql : sqls) {
+    auto row_out = row_sc->integrator().RunSync(sql);
+    auto col_out = col_sc->integrator().RunSync(sql);
+    ASSERT_TRUE(row_out.ok()) << sql << ": " << row_out.status().ToString();
+    ASSERT_TRUE(col_out.ok()) << sql << ": " << col_out.status().ToString();
+    const std::vector<std::string>& servers =
+        col_out->executed_plan.server_set;
+    EXPECT_GE(std::set<std::string>(servers.begin(), servers.end()).size(),
+              2u)
+        << sql;
+    EXPECT_EQ(row_out->executed_plan.server_set, servers) << sql;
+    EXPECT_EQ(row_out->response_seconds, col_out->response_seconds) << sql;
+    ASSERT_GT(col_out->table->num_rows(), 1u) << sql;
+    ExpectIdenticalTables(*row_out->table, *col_out->table, sql);
+  }
 }
 
 TEST(ColumnarFederatedDifferentialTest, LoadPhasesStayIdentical) {

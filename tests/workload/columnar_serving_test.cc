@@ -5,6 +5,11 @@
 // free of data races, and every query must complete correctly.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <numeric>
+#include <string>
+#include <vector>
+
 #include "workload/runner.h"
 
 namespace fedcal {
@@ -32,6 +37,85 @@ TEST(ColumnarServingTest, MultiWorkerServingCompletesEveryQuery) {
       runner.RunMixedWorkload(/*instances_per_type=*/4, /*clients=*/4);
   EXPECT_EQ(r.measurements.size(), 16u);
   EXPECT_EQ(r.failures(), 0u);
+}
+
+TEST(ColumnarServingTest, ClientsReadStringsWhileDispatcherGathers) {
+  // QT2 and QT4 results hold strings coded in the servers' base-table
+  // dictionaries (QT4's location cells share them outright). Four client
+  // workers read every cell of their results on their own threads, and
+  // add a string to a column gathered from each result, while the
+  // dispatcher keeps executing the other clients' queries, whose gathers
+  // read the same dictionaries. The added strings must land in copies.
+  ScenarioConfig cfg;
+  cfg.seed = 7;
+  cfg.large_rows = 4'000;
+  cfg.small_rows = 400;
+  cfg.exec_mode = ExecMode::kServing;
+  cfg.serving_workers = 4;
+  cfg.serving_time_scale = 0.0;
+  cfg.columnar_engine = true;
+  cfg.batch_rows = 256;
+  Scenario sc(cfg);
+  QccConfig qcc;
+  qcc.enable_availability_daemon = false;
+  sc.qcc(qcc).AttachTo(&sc.integrator());
+
+  ServingRuntime* rt = sc.serving();
+  Integrator& ii = sc.integrator();
+  constexpr int kClients = 4;
+  constexpr int kRounds = 6;
+  std::atomic<size_t> failures{0};
+  std::atomic<size_t> string_cells{0};
+  for (int c = 0; c < kClients; ++c) {
+    rt->Submit([&, c] {
+      for (int i = 0; i < kRounds; ++i) {
+        const QueryType type =
+            (c + i) % 2 == 0 ? QueryType::kQT2 : QueryType::kQT4;
+        auto compiled =
+            ii.Compile(sc.MakeQueryInstance(type, (c * kRounds + i) % 10));
+        if (!compiled.ok()) {
+          ++failures;
+          continue;
+        }
+        // Written under the dispatch exclusion, read after AwaitCondition.
+        bool finished = false;
+        TablePtr table;
+        ii.Execute(*compiled, [&](Result<QueryOutcome> r) {
+          if (r.ok()) table = r->table;
+          finished = true;
+        });
+        rt->AwaitCondition([&] { return finished; });
+        if (table == nullptr) {
+          ++failures;
+          continue;
+        }
+        const ColumnarTablePtr result = table->columnar(cfg.batch_rows);
+        for (const Row& row : result->MaterializeRows()) {
+          for (const Value& v : row) {
+            if (!v.is_string()) continue;
+            EXPECT_FALSE(v.AsString().empty());
+            ++string_cells;
+          }
+        }
+        const std::string tag =
+            "client " + std::to_string(c) + " round " + std::to_string(i);
+        for (const ColumnChunk& chunk : result->chunks()) {
+          for (const ColumnSlice& s : chunk.columns) {
+            if (s.col->kind() != ColumnData::Kind::kString) continue;
+            std::vector<uint32_t> rows(chunk.length);
+            std::iota(rows.begin(), rows.end(), 0u);
+            ColumnData derived(DataType::kString);
+            derived.AppendGather(s, rows.data(), rows.size());
+            derived.AppendValue(Value(tag));
+            EXPECT_EQ(s.col->dict().Find(tag), StringDict::kAbsent);
+          }
+        }
+      }
+    });
+  }
+  rt->WaitIdle();
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_GT(string_cells.load(), 0u);
 }
 
 TEST(ColumnarServingTest, SingleWorkerServingMatchesSimExactly) {
