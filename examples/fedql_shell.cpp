@@ -171,172 +171,7 @@ int main() {
       std::string cmd;
       iss >> cmd;
       if (cmd == "quit" || cmd == "q") break;
-      if (cmd == "tables") {
-        for (const auto& nickname : sc->catalog().nicknames()) {
-          auto entry = sc->catalog().Lookup(nickname);
-          std::printf("  %-12s", nickname.c_str());
-          for (const auto& loc : (*entry)->locations) {
-            std::printf(" %s:%s", loc.server_id.c_str(),
-                        loc.remote_table.c_str());
-          }
-          std::printf("\n");
-        }
-      } else if (cmd == "servers") {
-        for (const auto& sid : sc->server_ids()) {
-          const RemoteServer& s = sc->server(sid);
-          std::printf(
-              "  %-4s %-5s load=%.2f factor=%.2f busy=%d queued=%zu "
-              "done=%zu\n",
-              sid.c_str(), s.available() ? "up" : "DOWN",
-              s.background_load(),
-              sc->qcc().store().ServerFactor(sid), s.busy_workers(),
-              s.queued_fragments(), s.fragments_completed());
-        }
-      } else if (cmd == "load") {
-        std::string sid;
-        double f = 0.0;
-        if (iss >> sid >> f) {
-          sc->server(sid).set_background_load(f);
-          std::printf("  %s background load = %.2f\n", sid.c_str(), f);
-        } else {
-          std::printf("  usage: \\load <server> <fraction>\n");
-        }
-      } else if (cmd == "down" || cmd == "up") {
-        std::string sid;
-        if (iss >> sid) {
-          sc->server(sid).SetAvailable(cmd == "up");
-          sc->telemetry().events.Emit(
-              cmd == "up" ? obs::EventType::kServerUp
-                          : obs::EventType::kServerDown,
-              cmd == "up" ? obs::EventSeverity::kInfo
-                          : obs::EventSeverity::kError,
-              sid, /*query_id=*/0,
-              std::string("operator \\") + cmd + " from shell");
-          std::printf("  %s is now %s\n", sid.c_str(),
-                      cmd == "up" ? "up" : "down");
-        }
-      } else if (cmd == "explain") {
-        // With an argument: that query id; without: the last query (or,
-        // failing that, the most recent recorded decision).
-        uint64_t target_id = last_query_id;
-        if (!(iss >> target_id)) target_id = last_query_id;
-        const obs::FlightRecorder& rec = sc->telemetry().recorder;
-        const obs::DecisionRecord* d =
-            target_id != 0 ? rec.Find(target_id) : rec.Latest();
-        if (d != nullptr) {
-          std::printf("%s", obs::ExplainText(*d).c_str());
-          // Queries that were re-evaluated in flight get the mid-query
-          // tail: trigger, gap vs hysteresis bar, verdict per evaluation.
-          std::printf("%s",
-                      obs::ReRouteChainText(rec, d->query_id).c_str());
-        } else if (const ExplainEntry* e =
-                       target_id != 0
-                           ? sc->integrator().explain().Find(target_id)
-                           : sc->integrator().explain().Latest()) {
-          // No flight-recorder decision (QCC detached): fall back to the
-          // explain table's winner-only view.
-          std::printf("  (winner-only explain entry; attach qcc for full "
-                      "decisions)\n");
-          std::printf("  total estimated: %.4f s\n",
-                      e->total_estimated_seconds);
-          for (const auto& f : e->fragments) {
-            std::printf("  [%s] est=%.4f cal=%.4f  %s\n",
-                        f.server_id.c_str(), f.estimated_seconds,
-                        f.calibrated_seconds, f.statement.c_str());
-          }
-          std::printf("  merge plan:\n%s\n", e->merge_plan_text.c_str());
-        } else {
-          std::printf("  no explained query yet\n");
-        }
-      } else if (cmd == "profile") {
-        uint64_t target_id = last_query_id;
-        if (!(iss >> target_id)) target_id = last_query_id;
-        const obs::FlightRecorder& rec = sc->telemetry().recorder;
-        const obs::DecisionRecord* d =
-            target_id != 0 ? rec.Find(target_id) : rec.Latest();
-        if (d == nullptr) {
-          std::printf("  no profiled query yet\n");
-        } else if (d->profile == nullptr) {
-          std::printf("  query %llu recorded no operator profile\n",
-                      static_cast<unsigned long long>(d->query_id));
-        } else {
-          std::printf("%s", obs::ProfileText(*d->profile).c_str());
-        }
-      } else if (cmd == "accuracy") {
-        std::printf("%s",
-                    obs::AccuracyText(sc->telemetry().recorder).c_str());
-      } else if (cmd == "timeline") {
-        std::string sid;
-        if (iss >> sid) {
-          std::printf("%s",
-                      obs::TimelineText(sc->telemetry().recorder, sid)
-                          .c_str());
-        } else {
-          std::printf("  usage: \\timeline <server>  (servers:");
-          for (const auto& s : sc->server_ids()) {
-            std::printf(" %s", s.c_str());
-          }
-          std::printf(")\n");
-        }
-      } else if (cmd == "help" || cmd == "h" || cmd == "?") {
-        PrintCommandList();
-      } else if (cmd == "stats") {
-        std::printf("  mode: %s (%d worker%s), virtual t=%.3f s\n",
-                    ExecModeName(sc->exec_mode()),
-                    sc->ctx().worker_count(),
-                    sc->ctx().worker_count() == 1 ? "" : "s",
-                    sc->ctx().Now());
-        const std::string text = sc->telemetry().metrics.ToText();
-        std::printf("%s", text.empty() ? "  no metrics yet\n" : text.c_str());
-      } else if (cmd == "trace") {
-        if (last_query_id == 0) {
-          std::printf("  no traced query yet\n");
-        } else {
-          std::printf("%s",
-                      sc->telemetry().tracer.ToText(last_query_id).c_str());
-        }
-      } else if (cmd == "cache") {
-        const PlanCache& cache = sc->integrator().plan_cache();
-        const PlanCache::Stats& st = cache.stats();
-        std::printf("  prepared-plan cache: %zu/%zu entries, routing epoch "
-                    "%llu (%llu bumps)\n",
-                    cache.size(), cache.capacity(),
-                    static_cast<unsigned long long>(cache.epoch()),
-                    static_cast<unsigned long long>(st.epoch_bumps));
-        std::printf("  hits=%llu misses=%llu hit_rate=%.1f%% "
-                    "invalidated=%llu evictions=%llu\n",
-                    static_cast<unsigned long long>(st.hits),
-                    static_cast<unsigned long long>(st.misses),
-                    st.HitRate() * 100.0,
-                    static_cast<unsigned long long>(st.invalidated),
-                    static_cast<unsigned long long>(st.evictions));
-        std::printf("  last invalidation: %s\n",
-                    cache.last_invalidation_reason().empty()
-                        ? "(none)"
-                        : cache.last_invalidation_reason().c_str());
-      } else if (cmd == "health") {
-        const obs::HealthSnapshot snap = obs::BuildHealthSnapshot(
-            sc->telemetry().health, sc->telemetry().recorder,
-            sc->telemetry().events, sc->ctx().Now(), sc->server_ids());
-        std::printf("%s", obs::FedtopText(snap).c_str());
-      } else if (cmd == "sched") {
-        // Same struct fedtop renders; prints its own "(serving mode
-        // only)" note when the sched.* metrics are absent.
-        std::printf(
-            "%s",
-            obs::SchedText(obs::BuildSchedulerPanel(sc->telemetry().metrics))
-                .c_str());
-      } else if (cmd == "contention") {
-        std::printf("%s",
-                    obs::ContentionText(obs::BuildLockPanels()).c_str());
-      } else if (cmd == "alerts") {
-        std::printf("%s", obs::AlertsText(sc->telemetry().health).c_str());
-      } else if (cmd == "events") {
-        size_t n = 20;
-        iss >> n;
-        std::printf("%s",
-                    obs::EventsText(sc->telemetry().events, n).c_str());
-      } else if (cmd == "mode") {
+      if (cmd == "mode") {
         std::string mode;
         if (iss >> mode) {
           if (mode == "serving") {
@@ -355,21 +190,194 @@ int main() {
                       sc->ctx().worker_count(),
                       sc->ctx().worker_count() == 1 ? "" : "s");
         }
-      } else if (cmd == "qcc") {
-        std::string mode;
-        iss >> mode;
-        if (mode == "off" && qcc_attached) {
-          sc->qcc().Detach(&sc->integrator());
-          qcc_attached = false;
-        } else if (mode == "on" && !qcc_attached) {
-          sc->qcc().AttachTo(&sc->integrator());
-          qcc_attached = true;
-        }
-        std::printf("  qcc is %s\n", qcc_attached ? "on" : "off");
-      } else {
-        std::printf("  unknown command: \\%s\n", cmd.c_str());
-        PrintCommandList();
+        continue;
       }
+      // Every other command reads or writes state the serving dispatcher
+      // also touches (servers, QCC, health, telemetry; its availability
+      // probes run there), so it keeps the dispatcher out meanwhile. \mode
+      // stays outside: rebuilding joins the dispatcher thread.
+      sc->ctx().RunExclusive([&] {
+        if (cmd == "tables") {
+          for (const auto& nickname : sc->catalog().nicknames()) {
+            auto entry = sc->catalog().Lookup(nickname);
+            std::printf("  %-12s", nickname.c_str());
+            for (const auto& loc : (*entry)->locations) {
+              std::printf(" %s:%s", loc.server_id.c_str(),
+                          loc.remote_table.c_str());
+            }
+            std::printf("\n");
+          }
+        } else if (cmd == "servers") {
+          for (const auto& sid : sc->server_ids()) {
+            const RemoteServer& s = sc->server(sid);
+            std::printf(
+                "  %-4s %-5s load=%.2f factor=%.2f busy=%d queued=%zu "
+                "done=%zu\n",
+                sid.c_str(), s.available() ? "up" : "DOWN",
+                s.background_load(),
+                sc->qcc().store().ServerFactor(sid), s.busy_workers(),
+                s.queued_fragments(), s.fragments_completed());
+          }
+        } else if (cmd == "load") {
+          std::string sid;
+          double f = 0.0;
+          if (iss >> sid >> f) {
+            sc->server(sid).set_background_load(f);
+            std::printf("  %s background load = %.2f\n", sid.c_str(), f);
+          } else {
+            std::printf("  usage: \\load <server> <fraction>\n");
+          }
+        } else if (cmd == "down" || cmd == "up") {
+          std::string sid;
+          if (iss >> sid) {
+            sc->server(sid).SetAvailable(cmd == "up");
+            sc->telemetry().events.Emit(
+                cmd == "up" ? obs::EventType::kServerUp
+                            : obs::EventType::kServerDown,
+                cmd == "up" ? obs::EventSeverity::kInfo
+                            : obs::EventSeverity::kError,
+                sid, /*query_id=*/0,
+                std::string("operator \\") + cmd + " from shell");
+            std::printf("  %s is now %s\n", sid.c_str(),
+                        cmd == "up" ? "up" : "down");
+          }
+        } else if (cmd == "explain") {
+          // With an argument: that query id; without: the last query (or,
+          // failing that, the most recent recorded decision).
+          uint64_t target_id = last_query_id;
+          if (!(iss >> target_id)) target_id = last_query_id;
+          const obs::FlightRecorder& rec = sc->telemetry().recorder;
+          const obs::DecisionRecord* d =
+              target_id != 0 ? rec.Find(target_id) : rec.Latest();
+          if (d != nullptr) {
+            std::printf("%s", obs::ExplainText(*d).c_str());
+            // Queries that were re-evaluated in flight get the mid-query
+            // tail: trigger, gap vs hysteresis bar, verdict per evaluation.
+            std::printf("%s",
+                        obs::ReRouteChainText(rec, d->query_id).c_str());
+          } else if (const ExplainEntry* e =
+                         target_id != 0
+                             ? sc->integrator().explain().Find(target_id)
+                             : sc->integrator().explain().Latest()) {
+            // No flight-recorder decision (QCC detached): fall back to the
+            // explain table's winner-only view.
+            std::printf("  (winner-only explain entry; attach qcc for full "
+                        "decisions)\n");
+            std::printf("  total estimated: %.4f s\n",
+                        e->total_estimated_seconds);
+            for (const auto& f : e->fragments) {
+              std::printf("  [%s] est=%.4f cal=%.4f  %s\n",
+                          f.server_id.c_str(), f.estimated_seconds,
+                          f.calibrated_seconds, f.statement.c_str());
+            }
+            std::printf("  merge plan:\n%s\n", e->merge_plan_text.c_str());
+          } else {
+            std::printf("  no explained query yet\n");
+          }
+        } else if (cmd == "profile") {
+          uint64_t target_id = last_query_id;
+          if (!(iss >> target_id)) target_id = last_query_id;
+          const obs::FlightRecorder& rec = sc->telemetry().recorder;
+          const obs::DecisionRecord* d =
+              target_id != 0 ? rec.Find(target_id) : rec.Latest();
+          if (d == nullptr) {
+            std::printf("  no profiled query yet\n");
+          } else if (d->profile == nullptr) {
+            std::printf("  query %llu recorded no operator profile\n",
+                        static_cast<unsigned long long>(d->query_id));
+          } else {
+            std::printf("%s", obs::ProfileText(*d->profile).c_str());
+          }
+        } else if (cmd == "accuracy") {
+          std::printf("%s",
+                      obs::AccuracyText(sc->telemetry().recorder).c_str());
+        } else if (cmd == "timeline") {
+          std::string sid;
+          if (iss >> sid) {
+            std::printf("%s",
+                        obs::TimelineText(sc->telemetry().recorder, sid)
+                            .c_str());
+          } else {
+            std::printf("  usage: \\timeline <server>  (servers:");
+            for (const auto& s : sc->server_ids()) {
+              std::printf(" %s", s.c_str());
+            }
+            std::printf(")\n");
+          }
+        } else if (cmd == "help" || cmd == "h" || cmd == "?") {
+          PrintCommandList();
+        } else if (cmd == "stats") {
+          std::printf("  mode: %s (%d worker%s), virtual t=%.3f s\n",
+                      ExecModeName(sc->exec_mode()),
+                      sc->ctx().worker_count(),
+                      sc->ctx().worker_count() == 1 ? "" : "s",
+                      sc->ctx().Now());
+          const std::string text = sc->telemetry().metrics.ToText();
+          std::printf("%s", text.empty() ? "  no metrics yet\n" : text.c_str());
+        } else if (cmd == "trace") {
+          if (last_query_id == 0) {
+            std::printf("  no traced query yet\n");
+          } else {
+            std::printf("%s",
+                        sc->telemetry().tracer.ToText(last_query_id).c_str());
+          }
+        } else if (cmd == "cache") {
+          const PlanCache& cache = sc->integrator().plan_cache();
+          const PlanCache::Stats& st = cache.stats();
+          std::printf("  prepared-plan cache: %zu/%zu entries, routing epoch "
+                      "%llu (%llu bumps)\n",
+                      cache.size(), cache.capacity(),
+                      static_cast<unsigned long long>(cache.epoch()),
+                      static_cast<unsigned long long>(st.epoch_bumps));
+          std::printf("  hits=%llu misses=%llu hit_rate=%.1f%% "
+                      "invalidated=%llu evictions=%llu\n",
+                      static_cast<unsigned long long>(st.hits),
+                      static_cast<unsigned long long>(st.misses),
+                      st.HitRate() * 100.0,
+                      static_cast<unsigned long long>(st.invalidated),
+                      static_cast<unsigned long long>(st.evictions));
+          std::printf("  last invalidation: %s\n",
+                      cache.last_invalidation_reason().empty()
+                          ? "(none)"
+                          : cache.last_invalidation_reason().c_str());
+        } else if (cmd == "health") {
+          const obs::HealthSnapshot snap = obs::BuildHealthSnapshot(
+              sc->telemetry().health, sc->telemetry().recorder,
+              sc->telemetry().events, sc->ctx().Now(), sc->server_ids());
+          std::printf("%s", obs::FedtopText(snap).c_str());
+        } else if (cmd == "sched") {
+          // Same struct fedtop renders; prints its own "(serving mode
+          // only)" note when the sched.* metrics are absent.
+          std::printf(
+              "%s",
+              obs::SchedText(obs::BuildSchedulerPanel(sc->telemetry().metrics))
+                  .c_str());
+        } else if (cmd == "contention") {
+          std::printf("%s",
+                      obs::ContentionText(obs::BuildLockPanels()).c_str());
+        } else if (cmd == "alerts") {
+          std::printf("%s", obs::AlertsText(sc->telemetry().health).c_str());
+        } else if (cmd == "events") {
+          size_t n = 20;
+          iss >> n;
+          std::printf("%s",
+                      obs::EventsText(sc->telemetry().events, n).c_str());
+        } else if (cmd == "qcc") {
+          std::string mode;
+          iss >> mode;
+          if (mode == "off" && qcc_attached) {
+            sc->qcc().Detach(&sc->integrator());
+            qcc_attached = false;
+          } else if (mode == "on" && !qcc_attached) {
+            sc->qcc().AttachTo(&sc->integrator());
+            qcc_attached = true;
+          }
+          std::printf("  qcc is %s\n", qcc_attached ? "on" : "off");
+        } else {
+          std::printf("  unknown command: \\%s\n", cmd.c_str());
+          PrintCommandList();
+        }
+      });
       continue;
     }
 

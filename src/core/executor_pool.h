@@ -44,9 +44,10 @@ struct ServingConfig {
 /// Everything the engine mutates from event callbacks (attempts,
 /// tickets, server queues, links) is therefore dispatcher-owned and needs
 /// no locks of its own. The concurrent surfaces — plan cache, QCC
-/// calibration state, telemetry spine, logging — carry their own
-/// synchronization so `Prepare`/`Route` on worker threads never take the
-/// dispatch lock (plan selection is not serialized).
+/// calibration state, telemetry spine, logging, and each server's data,
+/// which `Route` reads to run the chosen fragments — carry their own
+/// synchronization so `Route` on worker threads never takes the dispatch
+/// lock (plan selection and fragment engine work are not serialized).
 class ServingRuntime final : public ExecutionContext {
  public:
   explicit ServingRuntime(ServingConfig config = {});

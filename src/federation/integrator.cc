@@ -261,10 +261,23 @@ Result<CompiledQuery> Integrator::Route(const PreparedPlanPtr& prepared,
   if (compiled.chosen_index >= compiled.options.size()) {
     compiled.chosen_index = 0;
   }
+  const GlobalPlanOption& winner = compiled.options[compiled.chosen_index];
+
+  // Serving mode: the engine work of the chosen fragments runs here, on
+  // the client thread, rather than in the jobs on the one dispatcher
+  // thread. The simulator keeps it at job start, where its writes between
+  // Route and the job are already applied.
+  if (sim_->mode() == ExecMode::kServing) {
+    for (const FragmentOption& fc : winner.fragment_choices) {
+      auto wrapper = meta_wrapper_->GetWrapper(fc.wrapper_plan.server_id);
+      compiled.fragment_runs.push_back(
+          wrapper.ok() ? (*wrapper)->server()->RunAhead(fc.wrapper_plan.plan)
+                       : nullptr);
+    }
+  }
   tel.tracer.EndSpan(ctx->query_id, route_span);
 
   // Record the winner in the explain table.
-  const GlobalPlanOption& winner = compiled.options[compiled.chosen_index];
   ExplainEntry entry;
   entry.query_id = compiled.query_id;
   entry.sql = compiled.sql;
@@ -284,7 +297,8 @@ Result<CompiledQuery> Integrator::Compile(const std::string& sql) {
   Result<PreparedPlanPtr> prepared = Status::Internal("prepare never ran");
   // Prepare mutates event-thread-owned state (patroller, planner caches);
   // a serving worker joins the dispatcher's exclusion for it. Route stays
-  // outside — pricing and plan selection run concurrently across workers.
+  // outside — pricing, plan selection and the chosen fragments' engine
+  // work run concurrently across workers.
   sim_->RunExclusive([&] { prepared = Prepare(sql, &ctx); });
   if (!prepared.ok()) return prepared.status();
   return Route(*prepared, &ctx);
@@ -383,13 +397,19 @@ void Integrator::DispatchFragment(const std::shared_ptr<Attempt>& attempt,
   const int gen = attempt->dispatch_gen[f];
   attempt->outstanding[f] = 1;
   attempt->primary_servers[f] = server_id;
+  // Route's run goes with the fragment's first dispatch only: taking it
+  // here leaves nothing for later attempts, which copy this query.
+  FragmentRunPtr run;
+  if (f < attempt->compiled.fragment_runs.size()) {
+    run = std::move(attempt->compiled.fragment_runs[f]);
+  }
   attempt->primary[f] = meta_wrapper_->ExecuteFragment(
       compiled.query_id, choice,
       [this, attempt, f, server_id, gen](Result<FragmentExecution> result) {
         OnFragmentResult(attempt, f, server_id, /*is_hedge=*/false, gen,
                          std::move(result));
       },
-      attempt->span);
+      attempt->span, std::move(run));
 
   if (attempt->deadlines_on) {
     const double deadline = FragmentDeadline(choice);

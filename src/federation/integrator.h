@@ -121,6 +121,12 @@ struct CompiledQuery {
   bool cache_hit = false;
   /// The routing epoch the plans were priced under.
   uint64_t routing_epoch = 0;
+  /// Serving mode: the chosen option's fragments as Route ran them on the
+  /// calling thread, one per fragment (null where a server left its
+  /// fragment to the dispatcher). Execute hands run f to fragment f's first
+  /// dispatch, which moves it out; retries, hedges and re-routes run the
+  /// engine at the server. Never cached: each Route makes its own.
+  std::vector<FragmentRunPtr> fragment_runs;
 };
 
 /// \brief Outcome of one federated query execution.
@@ -156,12 +162,15 @@ struct QueryOutcome {
 /// Threading contract (serving mode): Route is safe to call from any
 /// worker thread — it prices against a calibrator snapshot pinned by
 /// BeginPricing/EndPricing, and every structure it touches (plan cache,
-/// tracer, metrics, explain table) locks internally. Prepare mutates
+/// tracer, metrics, explain table) locks internally. It then runs the
+/// chosen option's fragments on the calling thread through
+/// RemoteServer::RunAhead, which holds each server's data lock against
+/// writes, so the dispatcher only prices them. Prepare mutates
 /// event-thread-owned state (patroller, optimizer/meta-wrapper planning)
 /// and must run inside ExecutionContext::RunExclusive when called off the
 /// event thread. Execute and OnRoutingEpochBump take that exclusion
 /// themselves. In simulation mode everything is single-threaded and the
-/// contract is vacuous.
+/// contract is vacuous; fragments run at the server's job start.
 class Integrator {
  public:
   Integrator(GlobalCatalog* catalog, MetaWrapper* meta_wrapper,
@@ -194,7 +203,8 @@ class Integrator {
 
   /// Route phase: copies the prepared candidates, substitutes this
   /// instance's literal parameters, prices with the calibrator's current
-  /// state, lets the selector choose, and records the explain entry.
+  /// state, lets the selector choose, and records the explain entry. In
+  /// serving mode it then runs the chosen fragments (fragment_runs).
   Result<CompiledQuery> Route(const PreparedPlanPtr& prepared,
                               QueryContext* ctx);
 

@@ -197,7 +197,8 @@ void MetaWrapper::OnTicketCancelled(const FragmentTicket& ticket,
 FragmentTicketPtr MetaWrapper::ExecuteFragment(uint64_t query_id,
                                                const FragmentOption& option,
                                                ExecutionCallback done,
-                                               uint64_t parent_span) {
+                                               uint64_t parent_span,
+                                               FragmentRunPtr run) {
   auto ticket = std::make_shared<FragmentTicket>();
   ticket->mw_ = this;
   ticket->server_id_ = option.wrapper_plan.server_id;
@@ -236,8 +237,7 @@ FragmentTicketPtr MetaWrapper::ExecuteFragment(uint64_t query_id,
       network_->TransferTime(ticket->server_id_, 512, ticket->submit_time_);
   PlanNodePtr plan = option.wrapper_plan.plan;
 
-  ticket->pending_event_ = sim_->ScheduleAfter(request_time, [this, ticket,
-                                                             plan] {
+  auto request = [this, ticket, plan, run = std::move(run)]() mutable {
     if (ticket->finished()) return;
     obs::Tracer& trc = telemetry_->tracer;
     ticket->pending_event_ = 0;
@@ -297,8 +297,11 @@ FragmentTicketPtr MetaWrapper::ExecuteFragment(uint64_t query_id,
                 auto cb = std::move(ticket->done_);
                 cb(std::move(exec));
               });
-        });
-  });
+        },
+        std::move(run));
+  };
+  ticket->pending_event_ =
+      sim_->ScheduleAfter(request_time, std::move(request));
   return ticket;
 }
 

@@ -174,10 +174,13 @@ class MetaWrapper {
   /// The returned ticket supports mid-flight cancellation (deadlines,
   /// hedging); callers that never cancel may ignore it. `parent_span`
   /// nests the dispatch span under the caller's span (0 = query root).
+  /// `run` is the server's RunAhead result for this option's plan, handed
+  /// on to its job (see RemoteServer::SubmitFragment).
   FragmentTicketPtr ExecuteFragment(uint64_t query_id,
                                     const FragmentOption& option,
                                     ExecutionCallback done,
-                                    uint64_t parent_span = 0);
+                                    uint64_t parent_span = 0,
+                                    FragmentRunPtr run = nullptr);
 
   /// What an availability-daemon probe measured vs what the configured
   /// profile predicted — the ratio bootstraps initial calibration factors

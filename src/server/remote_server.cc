@@ -14,14 +14,32 @@ RemoteServer::RemoteServer(ServerConfig config, ExecutionContext* sim, Rng rng)
       executor_([this](const std::string& name) { return GetTable(name); },
                 config_.exec) {}
 
+template <typename Fn>
+Status RemoteServer::Write(bool changes_data, Fn&& write) {
+  writers_.fetch_add(1);
+  Status st;
+  {
+    std::unique_lock<std::shared_mutex> lock(data_mu_);
+    st = write();
+    // Even a failed write may have changed data (AppendRows stops at the
+    // first bad row), so every data write makes older runs stale.
+    if (changes_data) data_version_.fetch_add(1, std::memory_order_release);
+  }
+  writers_.fetch_sub(1);
+  return st;
+}
+
 Status RemoteServer::AddTable(TablePtr table) {
   if (tables_.count(table->name())) {
     return Status::AlreadyExists("table " + table->name() + " on server " +
                                  config_.id);
   }
-  stats_.Put(TableStats::Compute(*table));
-  tables_[table->name()] = std::move(table);
-  return Status::OK();
+  TableStats stats = TableStats::Compute(*table);
+  return Write(/*changes_data=*/true, [&] {
+    stats_.Put(std::move(stats));
+    tables_[table->name()] = std::move(table);
+    return Status::OK();
+  });
 }
 
 Result<TablePtr> RemoteServer::GetTable(const std::string& name) const {
@@ -50,10 +68,12 @@ Status RemoteServer::AppendRows(const std::string& table,
     return Status::NotFound("no table " + table + " on server " +
                             config_.id);
   }
-  for (const Row& row : rows) {
-    FEDCAL_RETURN_NOT_OK(it->second->AppendRow(row));
-  }
-  return Status::OK();
+  return Write(/*changes_data=*/true, [&] {
+    for (const Row& row : rows) {
+      FEDCAL_RETURN_NOT_OK(it->second->AppendRow(row));
+    }
+    return Status::OK();
+  });
 }
 
 Status RemoteServer::RefreshStats(const std::string& table) {
@@ -62,14 +82,23 @@ Status RemoteServer::RefreshStats(const std::string& table) {
     return Status::NotFound("no table " + table + " on server " +
                             config_.id);
   }
-  stats_.Put(TableStats::Compute(*it->second));
-  return Status::OK();
+  TableStats stats = TableStats::Compute(*it->second);
+  return Write(/*changes_data=*/false, [&] {
+    stats_.Put(std::move(stats));
+    return Status::OK();
+  });
 }
 
 void RemoteServer::RefreshAllStats() {
+  std::vector<TableStats> fresh;
+  fresh.reserve(tables_.size());
   for (const auto& [name, table] : tables_) {
-    stats_.Put(TableStats::Compute(*table));
+    fresh.push_back(TableStats::Compute(*table));
   }
+  (void)Write(/*changes_data=*/false, [&] {
+    for (TableStats& stats : fresh) stats_.Put(std::move(stats));
+    return Status::OK();
+  });
 }
 
 void RemoteServer::set_background_load(double load) {
@@ -140,8 +169,21 @@ void RemoteServer::RecordExecSeconds(double seconds) {
   exec_s_->Record(seconds);
 }
 
+FragmentRunPtr RemoteServer::RunAhead(const PlanNodePtr& plan) {
+  if (writers_.load() > 0) return nullptr;
+  std::shared_lock<std::shared_mutex> lock(data_mu_, std::try_to_lock);
+  if (!lock.owns_lock()) return nullptr;
+  auto run = std::make_shared<FragmentRun>();
+  run->plan = plan;
+  run->data_version = data_version_.load(std::memory_order_acquire);
+  run->table = executor_.Execute(
+      plan, &run->exec_stats, config_.exec.profile ? &run->profile : nullptr);
+  return run;
+}
+
 uint64_t RemoteServer::SubmitFragment(PlanNodePtr plan,
-                                      CompletionCallback done) {
+                                      CompletionCallback done,
+                                      FragmentRunPtr run) {
   if (!available_) {
     Count(Fate::kRejected);
     // Rejection still takes one scheduler tick so callers never reenter.
@@ -151,7 +193,8 @@ uint64_t RemoteServer::SubmitFragment(PlanNodePtr plan,
     return 0;
   }
   const uint64_t id = next_job_id_++;
-  queue_.push_back(Job{id, std::move(plan), std::move(done), sim_->Now()});
+  queue_.push_back(Job{id, std::move(plan), std::move(done), sim_->Now(),
+                       std::move(run)});
   Count(Fate::kSubmitted);
   TryDispatch();
   SetQueueDepth(double(queue_.size()));
@@ -206,8 +249,22 @@ void RemoteServer::RunJob(Job job) {
   result.started_at = sim_->Now();
   ExecStats stats;
   std::shared_ptr<obs::OperatorProfile> profile;
-  auto table = executor_.Execute(
-      job.plan, &stats, config_.exec.profile ? &profile : nullptr);
+  Result<TablePtr> table = Status::Internal("fragment not run");
+  // A run made ahead on a client thread stands in for the engine when it
+  // ran this plan on the data the server still holds. Everything below
+  // prices both alike: the work is the same ExecStats either way.
+  const bool from_run = job.run != nullptr && job.run->plan == job.plan &&
+                        job.run->data_version == data_version();
+  if (from_run) {
+    job.run->plan = nullptr;
+    table = std::move(job.run->table);
+    stats = job.run->exec_stats;
+    profile = std::move(job.run->profile);
+  } else {
+    table = executor_.Execute(job.plan, &stats,
+                              config_.exec.profile ? &profile : nullptr);
+  }
+  job.run = nullptr;
   if (profile) {
     // Scale unit deltas with the speeds in force *now* — the load that
     // shaped this execution, even if it changes before the reply lands.
@@ -237,7 +294,7 @@ void RemoteServer::RunJob(Job job) {
   const uint64_t job_id = job.id;
   const ExecutionContext::EventId event = sim_->ScheduleAfter(
       service_time,
-      [this, job_id, failure,
+      [this, job_id, failure, from_run,
        table = table.ok() ? table.MoveValue() : nullptr, stats, submitted,
        profile = std::move(profile),
        started = result.started_at]() mutable {
@@ -251,6 +308,7 @@ void RemoteServer::RunJob(Job job) {
           done(failure);
         } else {
           ++completed_;
+          if (from_run) ++completed_from_runs_;
           Count(Fate::kCompleted);
           FragmentResult r;
           r.table = std::move(table);

@@ -1,9 +1,11 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <deque>
 #include <functional>
 #include <map>
+#include <shared_mutex>
 #include <string>
 
 #include "common/result.h"
@@ -53,6 +55,23 @@ struct FragmentResult {
   std::shared_ptr<obs::OperatorProfile> profile;
 };
 
+/// \brief A fragment's engine work done ahead of its job on a client thread
+/// (RemoteServer::RunAhead). The job that carries it prices it exactly as
+/// an inline run, or runs the plan again when the run no longer applies.
+struct FragmentRun {
+  /// The plan that ran. A job takes the result only for this same plan,
+  /// and clears it on taking, so a run answers at most one job.
+  PlanNodePtr plan;
+  /// The server's data version the run read (RemoteServer::data_version).
+  uint64_t data_version = 0;
+  Result<TablePtr> table = Status::Internal("fragment not run");
+  ExecStats exec_stats;
+  /// Per-operator profile in work units: the job scales it with the
+  /// speeds in force when it starts, as it does an inline run's.
+  std::shared_ptr<obs::OperatorProfile> profile;
+};
+using FragmentRunPtr = std::shared_ptr<FragmentRun>;
+
 /// \brief A simulated remote database server.
 ///
 /// Hosts real tables, executes fragment plans with the real engine, and
@@ -61,6 +80,12 @@ struct FragmentResult {
 /// Completion is delivered asynchronously through the discrete-event
 /// simulator. Supports availability flips (server down) and transient
 /// error injection for the reliability experiments.
+///
+/// Threading: everything here belongs to the dispatcher (event callbacks
+/// and exclusive sections, see ExecutionContext::RunExclusive) except
+/// RunAhead and ReadStats, which any thread may call meanwhile. A per-server
+/// reader/writer lock keeps those two apart from the writes (AddTable,
+/// AppendRows, RefreshStats), which must themselves run on the dispatcher.
 class RemoteServer {
  public:
   RemoteServer(ServerConfig config, ExecutionContext* sim, Rng rng);
@@ -73,6 +98,8 @@ class RemoteServer {
   /// Registers a table (name must be unique on this server) and computes
   /// its statistics.
   Status AddTable(TablePtr table);
+  /// Lookups read the table map unlocked: call them on the dispatcher, or
+  /// from the engine inside RunAhead.
   Result<TablePtr> GetTable(const std::string& name) const;
   bool HasTable(const std::string& name) const;
   std::vector<std::string> table_names() const;
@@ -88,6 +115,20 @@ class RemoteServer {
 
   /// Local statistics catalog (what the wrapper's cost model uses).
   const StatsCatalog& stats() const { return stats_; }
+
+  /// Runs `fn(stats())` with AddTable and RefreshStats held off, for
+  /// readers off the dispatcher (Route's re-estimate of a cached plan).
+  template <typename Fn>
+  decltype(auto) ReadStats(Fn&& fn) const {
+    std::shared_lock<std::shared_mutex> lock(data_mu_);
+    return fn(stats_);
+  }
+
+  /// Bumped by every AddTable and AppendRows call: a FragmentRun made at
+  /// an older version may have read data that has since changed.
+  uint64_t data_version() const {
+    return data_version_.load(std::memory_order_acquire);
+  }
 
   // -- Load & availability ---------------------------------------------------
 
@@ -126,7 +167,21 @@ class RemoteServer {
   /// covers queueing plus service time (transport is the Network's job).
   /// Returns a job id usable with CancelFragment (0 when the fragment was
   /// rejected outright and there is nothing to cancel).
-  uint64_t SubmitFragment(PlanNodePtr plan, CompletionCallback done);
+  ///
+  /// `run`, when given, is RunAhead's result for `plan`: the job uses it in
+  /// place of running the engine, with the same ExecStats, speeds, error
+  /// draw and availability check. It runs the plan inline as before when
+  /// `run` is null, was made for another plan, was already used, or read
+  /// data that AddTable or AppendRows changed since.
+  uint64_t SubmitFragment(PlanNodePtr plan, CompletionCallback done,
+                          FragmentRunPtr run = nullptr);
+
+  /// Runs `plan` with this server's engine on the calling thread, ahead of
+  /// the SubmitFragment that will carry the result, so the dispatcher only
+  /// prices it. Safe on any thread while the dispatcher runs. Returns null,
+  /// leaving the engine work to the job, when a write is waiting or in
+  /// progress: a write waits for no more than the runs already started.
+  FragmentRunPtr RunAhead(const PlanNodePtr& plan);
 
   /// Cancels a queued or in-flight fragment: the job is dequeued (or its
   /// worker freed and its busy time refunded) and its callback never
@@ -150,6 +205,9 @@ class RemoteServer {
   int busy_workers() const { return busy_workers_; }
   size_t queued_fragments() const { return queue_.size(); }
   size_t fragments_completed() const { return completed_; }
+  /// Completed fragments whose result came from a RunAhead run rather than
+  /// from the engine running inline in the job.
+  size_t fragments_completed_from_runs() const { return completed_from_runs_; }
   size_t fragments_failed() const { return failed_; }
   size_t fragments_cancelled() const { return cancelled_; }
   double total_busy_seconds() const { return total_busy_seconds_; }
@@ -160,6 +218,7 @@ class RemoteServer {
     PlanNodePtr plan;
     CompletionCallback done;
     SimTime submitted_at;
+    FragmentRunPtr run;
   };
   struct RunningJob {
     ExecutionContext::EventId completion_event = 0;
@@ -175,6 +234,10 @@ class RemoteServer {
 
   void TryDispatch();
   void RunJob(Job job);
+  /// Applies `write` with the data lock held exclusively, bumping the data
+  /// version when `changes_data`. RunAhead stays out while it waits.
+  template <typename Fn>
+  Status Write(bool changes_data, Fn&& write);
   /// Bumps counter `server.<fate>.<id>` when telemetry is attached.
   void Count(Fate fate);
   /// Sets gauge `server.queue_depth.<id>` when telemetry is attached.
@@ -194,6 +257,11 @@ class RemoteServer {
   std::map<std::string, TablePtr> tables_;
   StatsCatalog stats_;
   Executor executor_;
+  /// Held shared by RunAhead and ReadStats, exclusively by Write.
+  mutable std::shared_mutex data_mu_;
+  /// Writes waiting for or holding data_mu_.
+  std::atomic<int> writers_{0};
+  std::atomic<uint64_t> data_version_{0};
 
   double background_load_ = 0.0;
   bool available_ = true;
@@ -204,6 +272,7 @@ class RemoteServer {
   uint64_t next_job_id_ = 1;
   std::map<uint64_t, RunningJob> running_;
   size_t completed_ = 0;
+  size_t completed_from_runs_ = 0;
   size_t failed_ = 0;
   size_t cancelled_ = 0;
   double total_busy_seconds_ = 0.0;

@@ -46,8 +46,10 @@ Result<std::vector<WrapperPlan>> RelationalWrapper::PlanFragmentSql(
 }
 
 Status RelationalWrapper::Reestimate(WrapperPlan* wp) const {
-  FEDCAL_RETURN_NOT_OK(
-      planner_.cost_model().Annotate(wp->plan, server_->stats()));
+  // Route calls this off the dispatcher, beside AddTable and RefreshStats.
+  FEDCAL_RETURN_NOT_OK(server_->ReadStats([&](const StatsCatalog& stats) {
+    return planner_.cost_model().Annotate(wp->plan, stats);
+  }));
   wp->estimated_work = wp->plan->estimated_work;
   wp->estimated_rows = wp->plan->estimated_rows;
   wp->estimated_bytes =

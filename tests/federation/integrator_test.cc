@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/executor_pool.h"
 #include "storage/datagen.h"
 #include "tests/test_util.h"
 
@@ -20,9 +21,9 @@ class FederationFixture : public ::testing::Test {
  protected:
   void SetUp() override {
     server_a_ = std::make_unique<RemoteServer>(
-        ServerConfig{.id = "srvA"}, &sim_, Rng(1));
+        ServerConfig{.id = "srvA"}, context(), Rng(1));
     server_b_ = std::make_unique<RemoteServer>(
-        ServerConfig{.id = "srvB"}, &sim_, Rng(2));
+        ServerConfig{.id = "srvB"}, context(), Rng(2));
 
     auto orders = MakeTable("orders",
                             {{"oid", DataType::kInt64},
@@ -72,12 +73,15 @@ class FederationFixture : public ::testing::Test {
     wrapper_a_ = std::make_unique<RelationalWrapper>(server_a_.get());
     wrapper_b_ = std::make_unique<RelationalWrapper>(server_b_.get());
 
-    mw_ = std::make_unique<MetaWrapper>(&catalog_, &network_, &sim_);
+    mw_ = std::make_unique<MetaWrapper>(&catalog_, &network_, context());
     mw_->RegisterWrapper(wrapper_a_.get());
     mw_->RegisterWrapper(wrapper_b_.get());
 
-    ii_ = std::make_unique<Integrator>(&catalog_, mw_.get(), &sim_);
+    ii_ = std::make_unique<Integrator>(&catalog_, mw_.get(), context());
   }
+
+  /// The context every component is built on.
+  virtual ExecutionContext* context() { return &sim_; }
 
   Simulator sim_;
   Network network_;
@@ -214,6 +218,163 @@ TEST_F(FederationFixture, FailsWhenOnlySourceIsDown) {
 TEST_F(FederationFixture, UnknownNicknameFails) {
   auto out = ii_->RunSync("SELECT x FROM nothere");
   EXPECT_FALSE(out.ok());
+}
+
+constexpr char kCrossServerJoin[] =
+    "SELECT c.cname, i.sku FROM customers c, orders o, items i "
+    "WHERE c.cid = o.cid AND o.oid = i.oid AND o.amount >= 30";
+
+TEST_F(FederationFixture, SimulationLeavesFragmentsToTheServers) {
+  ASSERT_OK_AND_ASSIGN(CompiledQuery compiled, ii_->Compile(kCrossServerJoin));
+  EXPECT_TRUE(compiled.fragment_runs.empty());
+  ASSERT_OK_AND_ASSIGN(QueryOutcome out, ii_->RunSync(kCrossServerJoin));
+  EXPECT_EQ(out.table->num_rows(), 2u);
+  EXPECT_EQ(server_a_->fragments_completed_from_runs(), 0u);
+  EXPECT_EQ(server_b_->fragments_completed_from_runs(), 0u);
+}
+
+/// The same federation on the serving runtime, where Route runs the chosen
+/// fragments on the calling thread (CompiledQuery::fragment_runs).
+class ServingFederationFixture : public FederationFixture {
+ protected:
+  void SetUp() override {
+    serving_ = std::make_unique<ServingRuntime>();
+    FederationFixture::SetUp();
+  }
+  ExecutionContext* context() override { return serving_.get(); }
+
+  /// Prepare (inside the dispatcher's exclusion) then Route, as a client
+  /// thread does.
+  Result<CompiledQuery> PrepareAndRoute(const std::string& sql,
+                                        PreparedPlanPtr* prepared_out) {
+    QueryContext ctx;
+    Result<PreparedPlanPtr> prepared = Status::Internal("not prepared");
+    serving_->RunExclusive([&] { prepared = ii_->Prepare(sql, &ctx); });
+    if (!prepared.ok()) return prepared.status();
+    *prepared_out = *prepared;
+    return ii_->Route(*prepared, &ctx);
+  }
+
+  Result<QueryOutcome> ExecuteAndWait(const CompiledQuery& compiled) {
+    bool finished = false;
+    Result<QueryOutcome> outcome = Status::Internal("not finished");
+    ii_->Execute(compiled, [&](Result<QueryOutcome> r) {
+      outcome = std::move(r);
+      finished = true;
+    });
+    serving_->AwaitCondition([&] { return finished; });
+    return outcome;
+  }
+
+  static std::vector<std::weak_ptr<FragmentRun>> Watch(
+      const CompiledQuery& compiled) {
+    return {compiled.fragment_runs.begin(), compiled.fragment_runs.end()};
+  }
+  static bool AllExpired(const std::vector<std::weak_ptr<FragmentRun>>& w) {
+    for (const auto& run : w) {
+      if (!run.expired()) return false;
+    }
+    return true;
+  }
+
+  std::unique_ptr<ServingRuntime> serving_;
+};
+
+TEST_F(ServingFederationFixture, RouteRunsEachChosenFragment) {
+  PreparedPlanPtr prepared;
+  ASSERT_OK_AND_ASSIGN(CompiledQuery compiled,
+                       PrepareAndRoute(kCrossServerJoin, &prepared));
+  const GlobalPlanOption& chosen = compiled.options[compiled.chosen_index];
+  ASSERT_GE(chosen.fragment_choices.size(), 2u);
+  ASSERT_EQ(compiled.fragment_runs.size(), chosen.fragment_choices.size());
+  for (size_t f = 0; f < compiled.fragment_runs.size(); ++f) {
+    ASSERT_NE(compiled.fragment_runs[f], nullptr) << f;
+    EXPECT_EQ(compiled.fragment_runs[f]->plan,
+              chosen.fragment_choices[f].wrapper_plan.plan)
+        << f;
+    EXPECT_OK(compiled.fragment_runs[f]->table.status());
+  }
+
+  ASSERT_OK_AND_ASSIGN(QueryOutcome out, ExecuteAndWait(compiled));
+  auto rows = SortedRows(*out.table);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0][1].AsString(), "c");
+  EXPECT_EQ(rows[1][1].AsString(), "d");
+  // Each fragment's first dispatch took its run; the jobs used them.
+  for (const FragmentRunPtr& run : compiled.fragment_runs) {
+    EXPECT_EQ(run->plan, nullptr);
+  }
+  serving_->RunExclusive([&] {
+    EXPECT_EQ(server_a_->fragments_completed_from_runs() +
+                  server_b_->fragments_completed_from_runs(),
+              chosen.fragment_choices.size());
+    EXPECT_EQ(server_a_->fragments_completed() +
+                  server_b_->fragments_completed(),
+              chosen.fragment_choices.size());
+  });
+}
+
+TEST_F(ServingFederationFixture, TwoRoutesOfACachedStatementRunTheirOwn) {
+  PreparedPlanPtr first;
+  PreparedPlanPtr second;
+  ASSERT_OK_AND_ASSIGN(CompiledQuery a,
+                       PrepareAndRoute(kCrossServerJoin, &first));
+  ASSERT_OK_AND_ASSIGN(CompiledQuery b,
+                       PrepareAndRoute(kCrossServerJoin, &second));
+  ASSERT_EQ(first, second);  // the second was a plan-cache hit
+  ASSERT_EQ(a.fragment_runs.size(), b.fragment_runs.size());
+  ASSERT_FALSE(a.fragment_runs.empty());
+  for (size_t f = 0; f < a.fragment_runs.size(); ++f) {
+    ASSERT_NE(a.fragment_runs[f], nullptr);
+    ASSERT_NE(b.fragment_runs[f], nullptr);
+    EXPECT_NE(a.fragment_runs[f], b.fragment_runs[f]) << f;
+    EXPECT_NE(a.fragment_runs[f]->plan, nullptr) << f;
+    EXPECT_NE(b.fragment_runs[f]->plan, nullptr) << f;
+  }
+  // Both execute on their own runs, neither left for the other.
+  ASSERT_OK_AND_ASSIGN(QueryOutcome out_a, ExecuteAndWait(a));
+  ASSERT_OK_AND_ASSIGN(QueryOutcome out_b, ExecuteAndWait(b));
+  EXPECT_EQ(out_a.table->num_rows(), 2u);
+  EXPECT_EQ(out_b.table->num_rows(), 2u);
+  serving_->RunExclusive([&] {
+    EXPECT_EQ(server_a_->fragments_completed_from_runs() +
+                  server_b_->fragments_completed_from_runs(),
+              2 * a.fragment_runs.size());
+  });
+}
+
+TEST_F(ServingFederationFixture, CachedPreparedPlanNeverHoldsARun) {
+  PreparedPlanPtr prepared;
+  std::vector<std::weak_ptr<FragmentRun>> runs;
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_OK_AND_ASSIGN(CompiledQuery compiled,
+                         PrepareAndRoute(kCrossServerJoin, &prepared));
+    const auto watched = Watch(compiled);
+    ASSERT_FALSE(watched.empty());
+    runs.insert(runs.end(), watched.begin(), watched.end());
+  }
+  // The routed queries are gone; the cache and its plan are not, and
+  // they must not be what keeps a run (and its result table) alive.
+  ASSERT_NE(prepared, nullptr);
+  EXPECT_EQ(ii_->plan_cache().size(), 1u);
+  EXPECT_TRUE(AllExpired(runs));
+}
+
+TEST_F(ServingFederationFixture, OutcomeHoldsNoRun) {
+  PreparedPlanPtr prepared;
+  std::vector<std::weak_ptr<FragmentRun>> runs;
+  Result<QueryOutcome> out = Status::Internal("not run");
+  {
+    ASSERT_OK_AND_ASSIGN(CompiledQuery compiled,
+                         PrepareAndRoute(kCrossServerJoin, &prepared));
+    runs = Watch(compiled);
+    out = ExecuteAndWait(compiled);
+  }
+  ASSERT_OK(out.status());
+  EXPECT_FALSE(out->executed_plan.fragment_choices.empty());
+  // The outcome, executed_plan included, outlives the query it came from
+  // without keeping its runs.
+  EXPECT_TRUE(AllExpired(runs));
 }
 
 }  // namespace

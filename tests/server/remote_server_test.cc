@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <future>
+#include <thread>
+
 #include "storage/datagen.h"
 #include "tests/test_util.h"
 
@@ -35,6 +39,9 @@ class RemoteServerTest : public ::testing::Test {
     auto t = server_->GetTable("data").MoveValue();
     return PlanNode::Scan("data", t->schema());
   }
+  /// Unlike a bare scan, which hands back the hosted table itself, every
+  /// run of this plan materializes a new table.
+  PlanNodePtr LimitPlan() { return PlanNode::Limit(ScanPlan(), 1'500); }
 
   Simulator sim_;
   std::unique_ptr<RemoteServer> server_;
@@ -253,6 +260,257 @@ TEST_F(RemoteServerTest, CancelUnknownOrFinishedJobReturnsFalse) {
   sim_.Run();
   EXPECT_FALSE(server_->CancelFragment(id));  // already completed
   EXPECT_EQ(server_->fragments_cancelled(), 0u);
+}
+
+// -- Runs made ahead of the job (RunAhead) ------------------------------------
+
+std::vector<Row> FiveRows() {
+  std::vector<Row> rows;
+  for (int i = 0; i < 5; ++i) {
+    rows.push_back({Value(int64_t{1000 + i}), Value(1.5)});
+  }
+  return rows;
+}
+
+TEST_F(RemoteServerTest, RunAheadMatchesAnInlineRun) {
+  const PlanNodePtr plan = ScanPlan();
+  const FragmentRunPtr run = server_->RunAhead(plan);
+  ASSERT_NE(run, nullptr);
+  ASSERT_OK(run->table.status());
+  EXPECT_EQ(run->plan, plan);
+  EXPECT_EQ(run->data_version, server_->data_version());
+  ASSERT_OK_AND_ASSIGN(FragmentResult inline_run, server_->ExecuteNow(plan));
+  EXPECT_EQ((*run->table)->num_rows(), inline_run.table->num_rows());
+  EXPECT_EQ(run->exec_stats.work_units, inline_run.exec_stats.work_units);
+  EXPECT_EQ(run->exec_stats.io_units, inline_run.exec_stats.io_units);
+}
+
+TEST_F(RemoteServerTest, JobTakesItsRunsTableAndStatsWithoutTheEngine) {
+  // A run whose table the plan could never produce: the job must hand it
+  // over as is, priced from the run's stats.
+  auto run = std::make_shared<FragmentRun>();
+  run->plan = ScanPlan();
+  run->data_version = server_->data_version();
+  auto marker = std::make_shared<Table>(
+      "marker", Schema({{"m", DataType::kInt64}}));
+  ASSERT_OK(marker->AppendRow({Value(int64_t{7})}));
+  run->table = TablePtr(marker);
+  run->exec_stats.work_units = 300.0;
+  run->exec_stats.io_units = 100.0;
+  run->exec_stats.rows_scanned = 11;
+
+  Result<FragmentResult> reply = Status::Internal("no reply");
+  server_->SubmitFragment(
+      run->plan, [&](Result<FragmentResult> r) { reply = std::move(r); },
+      run);
+  sim_.Run();
+  ASSERT_OK(reply.status());
+  EXPECT_EQ(reply->table, marker);
+  EXPECT_EQ(reply->exec_stats.work_units, 300.0);
+  EXPECT_EQ(reply->exec_stats.io_units, 100.0);
+  EXPECT_EQ(reply->exec_stats.rows_scanned, 11u);
+  // 200 CPU units and 100 I/O units at 100k units/s each.
+  EXPECT_DOUBLE_EQ(reply->server_seconds, 0.003);
+  EXPECT_EQ(server_->fragments_completed(), 1u);
+  EXPECT_EQ(server_->fragments_completed_from_runs(), 1u);
+}
+
+TEST_F(RemoteServerTest, AppendRowsBeforeTheJobStartsMakesItRunAgain) {
+  // Both workers busy, so the job carrying the run waits in the queue
+  // while rows land; it starts after the write and must see them.
+  for (int i = 0; i < 2; ++i) {
+    server_->SubmitFragment(ScanPlan(), [](Result<FragmentResult>) {});
+  }
+  const PlanNodePtr plan = ScanPlan();
+  const FragmentRunPtr run = server_->RunAhead(plan);
+  ASSERT_NE(run, nullptr);
+  size_t rows = 0;
+  server_->SubmitFragment(
+      plan, [&](Result<FragmentResult> r) {
+        ASSERT_OK(r.status());
+        rows = r->table->num_rows();
+      },
+      run);
+  ASSERT_EQ(server_->queued_fragments(), 1u);
+  ASSERT_OK(server_->AppendRows("data", FiveRows()));
+  EXPECT_NE(server_->data_version(), run->data_version);
+  sim_.Run();
+  EXPECT_EQ(rows, 2'005u);
+  EXPECT_EQ(server_->fragments_completed(), 3u);
+  EXPECT_EQ(server_->fragments_completed_from_runs(), 0u);
+}
+
+TEST_F(RemoteServerTest, AddTableAfterTheRunMakesTheJobRunAgain) {
+  auto source = server_->GetTable("data").MoveValue();
+  const PlanNodePtr plan = PlanNode::Scan("late", source->schema());
+  const FragmentRunPtr run = server_->RunAhead(plan);
+  ASSERT_NE(run, nullptr);
+  EXPECT_EQ(run->table.status().code(), StatusCode::kNotFound);
+  ASSERT_OK(server_->AddTable(source->CloneAs("late")));
+  size_t rows = 0;
+  server_->SubmitFragment(
+      plan, [&](Result<FragmentResult> r) {
+        ASSERT_OK(r.status());
+        rows = r->table->num_rows();
+      },
+      run);
+  sim_.Run();
+  EXPECT_EQ(rows, 2'000u);
+  EXPECT_EQ(server_->fragments_completed_from_runs(), 0u);
+}
+
+TEST_F(RemoteServerTest, RunAnswersAtMostOneJob) {
+  const PlanNodePtr plan = LimitPlan();
+  const FragmentRunPtr run = server_->RunAhead(plan);
+  ASSERT_NE(run, nullptr);
+  const TablePtr ran = *run->table;
+  std::vector<TablePtr> replies;
+  for (int i = 0; i < 2; ++i) {
+    server_->SubmitFragment(
+        plan, [&](Result<FragmentResult> r) {
+          ASSERT_OK(r.status());
+          replies.push_back(r->table);
+        },
+        run);
+  }
+  sim_.Run();
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_EQ(replies[0], ran);
+  EXPECT_NE(replies[1], ran);
+  EXPECT_EQ(replies[1]->num_rows(), ran->num_rows());
+  EXPECT_EQ(run->plan, nullptr);
+  EXPECT_EQ(server_->fragments_completed(), 2u);
+  EXPECT_EQ(server_->fragments_completed_from_runs(), 1u);
+}
+
+TEST_F(RemoteServerTest, RunForAnotherPlanIsIgnored) {
+  const FragmentRunPtr run = server_->RunAhead(LimitPlan());
+  ASSERT_NE(run, nullptr);
+  const TablePtr ran = *run->table;
+  TablePtr reply;
+  server_->SubmitFragment(
+      LimitPlan(), [&](Result<FragmentResult> r) { reply = r->table; }, run);
+  sim_.Run();
+  ASSERT_NE(reply, nullptr);
+  EXPECT_NE(reply, ran);
+  EXPECT_EQ(server_->fragments_completed_from_runs(), 0u);
+}
+
+TEST_F(RemoteServerTest, ErrorRunFailsLikeAnInlineFailure) {
+  // The plan itself is fine: only the run's error can fail the job.
+  auto run = std::make_shared<FragmentRun>();
+  run->plan = ScanPlan();
+  run->data_version = server_->data_version();
+  run->table = Status::ExecutionError("run failed ahead");
+  Status failure;
+  double failed_at = -1.0;
+  server_->SubmitFragment(
+      run->plan, [&](Result<FragmentResult> r) {
+        failure = r.status();
+        failed_at = sim_.Now();
+      },
+      run);
+  sim_.Run();
+  EXPECT_EQ(failure.code(), StatusCode::kExecutionError);
+  EXPECT_EQ(failure.message(), "run failed ahead");
+  EXPECT_DOUBLE_EQ(failed_at, 1e-4);  // an inline failure's fast-fail time
+  EXPECT_EQ(server_->fragments_failed(), 1u);
+  EXPECT_EQ(server_->fragments_completed(), 0u);
+}
+
+TEST_F(RemoteServerTest, DownServerRejectsAJobWithARun) {
+  const PlanNodePtr plan = ScanPlan();
+  server_->SetAvailable(false);
+  Status rejected;
+  server_->SubmitFragment(
+      plan, [&](Result<FragmentResult> r) { rejected = r.status(); },
+      server_->RunAhead(plan));
+  sim_.Run();
+  EXPECT_EQ(rejected.code(), StatusCode::kUnavailable);
+
+  // Down while the job waited for a worker: rejected at job start.
+  server_->SetAvailable(true);
+  for (int i = 0; i < 2; ++i) {
+    server_->SubmitFragment(plan, [](Result<FragmentResult>) {});
+  }
+  Status queued;
+  server_->SubmitFragment(
+      plan, [&](Result<FragmentResult> r) { queued = r.status(); },
+      server_->RunAhead(plan));
+  server_->SetAvailable(false);
+  sim_.Run();
+  EXPECT_EQ(queued.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(server_->fragments_completed_from_runs(), 0u);
+}
+
+TEST_F(RemoteServerTest, RunProfileIsScaledWithTheSpeedsAtJobStart) {
+  ServerConfig cfg = server_->config();
+  cfg.exec.profile = true;
+  RemoteServer s(cfg, &sim_, Rng(3));
+  auto t = server_->GetTable("data").MoveValue();
+  ASSERT_OK(s.AddTable(t->CloneAs("data")));
+  const PlanNodePtr plan = PlanNode::Scan("data", t->schema());
+
+  const FragmentRunPtr run = s.RunAhead(plan);  // at zero load
+  ASSERT_NE(run, nullptr);
+  ASSERT_NE(run->profile, nullptr);
+  EXPECT_EQ(run->profile->cum_virtual_s, 0.0);  // work units only
+  s.set_background_load(0.6);
+  std::vector<std::shared_ptr<obs::OperatorProfile>> profiles;
+  auto keep = [&](Result<FragmentResult> r) {
+    ASSERT_OK(r.status());
+    profiles.push_back(r->profile);
+  };
+  s.SubmitFragment(plan, keep, run);
+  sim_.Run();
+  s.SubmitFragment(plan, keep);  // inline, at the same load
+  sim_.Run();
+  ASSERT_EQ(profiles.size(), 2u);
+  ASSERT_NE(profiles[0], nullptr);
+  ASSERT_NE(profiles[1], nullptr);
+  EXPECT_GT(profiles[0]->cum_virtual_s, 0.0);
+  EXPECT_EQ(profiles[0]->cum_virtual_s, profiles[1]->cum_virtual_s);
+  EXPECT_EQ(s.fragments_completed_from_runs(), 1u);
+}
+
+TEST_F(RemoteServerTest, RunAheadStandsAsideForAWaitingWrite) {
+  // A reader holds the data lock (as a run in progress would) until
+  // released; a write then waits for it. Runs that start meanwhile must
+  // leave their fragment to the job rather than hold the write up further.
+  std::promise<void> held;
+  std::promise<void> release;
+  std::thread reader([&] {
+    server_->ReadStats([&](const StatsCatalog&) {
+      held.set_value();
+      release.get_future().wait();
+      return 0;
+    });
+  });
+  held.get_future().wait();
+  const uint64_t version = server_->data_version();
+  std::thread writer(
+      [&] { ASSERT_OK(server_->AppendRows("data", FiveRows())); });
+
+  const PlanNodePtr plan = ScanPlan();
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  FragmentRunPtr run = server_->RunAhead(plan);
+  while (run != nullptr && std::chrono::steady_clock::now() < give_up) {
+    // The writer has not announced itself yet: this run was still allowed.
+    EXPECT_EQ(run->data_version, version);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    run = server_->RunAhead(plan);
+  }
+  EXPECT_EQ(run, nullptr);
+  EXPECT_EQ(server_->data_version(), version);  // the write still waits
+
+  release.set_value();
+  reader.join();
+  writer.join();
+  EXPECT_EQ(server_->data_version(), version + 1);
+  run = server_->RunAhead(plan);
+  ASSERT_NE(run, nullptr);
+  EXPECT_EQ((*run->table)->num_rows(), 2'005u);
 }
 
 TEST_F(RemoteServerTest, EffectiveSpeedFloors) {

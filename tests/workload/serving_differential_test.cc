@@ -94,6 +94,26 @@ TEST(ServingDifferentialTest, SingleWorkerServingMatchesSimExactly) {
 
   // Both clocks ended at the same virtual instant.
   EXPECT_EQ(sim_sc->sim().Now(), srv_sc->ctx().Now());
+
+  // Serving ran every fragment's engine work in Route on the client
+  // thread, and with no faults or writes every job took that run; the
+  // simulator ran each one inline at job start.
+  size_t completed = 0;
+  srv_sc->ctx().RunExclusive([&] {
+    for (const auto& sid : srv_sc->server_ids()) {
+      const RemoteServer& s = srv_sc->server(sid);
+      EXPECT_EQ(s.fragments_completed_from_runs(), s.fragments_completed())
+          << sid;
+      completed += s.fragments_completed();
+    }
+  });
+  EXPECT_GT(completed, 0u);
+  for (const auto& sid : sim_sc->server_ids()) {
+    EXPECT_EQ(sim_sc->server(sid).fragments_completed(),
+              srv_sc->server(sid).fragments_completed())
+        << sid;
+    EXPECT_EQ(sim_sc->server(sid).fragments_completed_from_runs(), 0u) << sid;
+  }
 }
 
 TEST(ServingDifferentialTest, RunSyncReturnsRowIdenticalResults) {
