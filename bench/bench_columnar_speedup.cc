@@ -1,17 +1,18 @@
-// Row-vs-columnar federated wall-clock harness at 1M-row scale.
+// Row-vs-columnar engine wall-clock harness at 1M-row scale.
 //
-// Runs the full QT1-QT4 corpus through two identically-seeded testbeds —
-// one with the reference row engine, one with the vectorized columnar
-// engine — and reports per-query and corpus-total wall seconds plus the
-// speedup ratio. The differential tests prove the engines byte-identical;
-// this harness proves the columnar engine is *worth it* at the scale the
-// paper's integration scenarios target (ScalePreset::kMedium: 1M-row
-// large tables, 10k-row small tables).
-//
-// Scenarios are built and torn down sequentially (row first, then
-// columnar) so peak memory holds one 1M-row testbed, not two. Partial
-// replication decomposes joins into cross-server fragments, so the
-// integrator's zero-copy columnar merge is on the measured path.
+// Builds one federation at ScalePreset::kMedium (1M-row large tables,
+// 1k-row department table), runs each QT1-QT4 corpus query once through
+// the integrator to learn the global plan it executes, and then times that
+// plan's engine work through both engines on the same tables: every
+// fragment plan against its server's tables, then the merge plan over the
+// fragments' results. The production engine is the vectorized columnar
+// executor; the reference is the row-at-a-time oracle under tests/oracle,
+// which reads each base table into row form once, before any timing (a
+// row store's rows are simply there). The differential tests prove the
+// engines byte-identical; this harness proves the columnar engine is
+// *worth it* at the scale the paper's integration scenarios target.
+// Partial replication decomposes joins into cross-server fragments, so
+// the integrator's zero-copy columnar merge is on the measured path.
 //
 // JSON scalars end in the `/wall_s` and `/ratio_x` label classes that
 // tools/check_bench_regression.py treats as wall-clock (loose bound) and
@@ -19,12 +20,15 @@
 // corpus >= 6x) live in this harness's own shape checks.
 #include <chrono>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "federation/decomposer.h"
 #include "storage/datagen.h"
+#include "tests/oracle/row_executor.h"
 #include "workload/scenario.h"
 
 namespace fedcal {
@@ -32,7 +36,7 @@ namespace {
 
 constexpr int kTimedIters = 2;
 
-ScenarioConfig MakeConfig(bool columnar) {
+ScenarioConfig MakeConfig() {
   ScenarioConfig cfg;
   cfg.seed = 42;
   cfg.WithScale(ScalePreset::kMedium);
@@ -43,58 +47,110 @@ ScenarioConfig MakeConfig(bool columnar) {
   // the engine's 50M-row intermediate-result safety cap on both engines.
   cfg.small_rows = 1'000;
   cfg.full_replication = false;
-  cfg.columnar_engine = columnar;
   return cfg;
 }
 
+void Fail(const std::string& what, const Status& status) {
+  std::fprintf(stderr, "%s failed: %s\n", what.c_str(),
+               status.ToString().c_str());
+  std::exit(1);
+}
+
+/// Row views of base tables, one per payload: replicas that share a
+/// payload share its view.
+class RowViews {
+ public:
+  oracle::RowTablePtr Of(const TablePtr& table) {
+    oracle::RowTablePtr& view = views_[table->columnar().get()];
+    if (view == nullptr) view = oracle::RowView(table);
+    return view;
+  }
+
+ private:
+  std::map<const ColumnarTable*, oracle::RowTablePtr> views_;
+};
+
+using Clock = std::chrono::steady_clock;
+
+double SecondsSince(Clock::time_point t0) {
+  return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+/// One run of `plan`'s engine work on the columnar engine: returns the
+/// wall seconds and stores the result's row count in `*rows`.
+double TimeColumnar(Scenario& sc, const GlobalPlanOption& plan,
+                    size_t* rows) {
+  const auto t0 = Clock::now();
+  std::map<std::string, TablePtr> fragments;
+  for (size_t f = 0; f < plan.fragment_choices.size(); ++f) {
+    const WrapperPlan& wp = plan.fragment_choices[f].wrapper_plan;
+    RemoteServer& server = sc.server(wp.server_id);
+    auto table = Executor([&server](const std::string& n) {
+                   return server.GetTable(n);
+                 }, server.config().exec)
+                     .Execute(wp.plan, nullptr);
+    if (!table.ok()) Fail("columnar fragment", table.status());
+    fragments[Decomposition::FragmentTableName(f)] = table.MoveValue();
+  }
+  auto merged = Executor(
+                    [&](const std::string& n) -> Result<TablePtr> {
+                      return fragments.at(n);
+                    },
+                    sc.integrator().config().exec)
+                    .Execute(plan.merge_plan, nullptr);
+  if (!merged.ok()) Fail("columnar merge", merged.status());
+  const double s = SecondsSince(t0);
+  *rows = (*merged)->num_rows();
+  return s;
+}
+
+/// TimeColumnar's work on the row oracle, over `views`' row views.
+double TimeRow(Scenario& sc, const GlobalPlanOption& plan, RowViews* views,
+               size_t* rows) {
+  // Read every base table the fragments scan before the clock starts.
+  std::vector<oracle::RowExecutor::TableResolver> resolvers;
+  for (const FragmentOption& fc : plan.fragment_choices) {
+    RemoteServer& server = sc.server(fc.wrapper_plan.server_id);
+    auto local = std::make_shared<std::map<std::string, oracle::RowTablePtr>>();
+    for (const std::string& name : server.table_names()) {
+      (*local)[name] = views->Of(server.GetTable(name).MoveValue());
+    }
+    resolvers.push_back(
+        [local](const std::string& n) -> Result<oracle::RowTablePtr> {
+          auto it = local->find(n);
+          if (it == local->end()) return Status::NotFound("no table " + n);
+          return it->second;
+        });
+  }
+  const auto t0 = Clock::now();
+  std::map<std::string, oracle::RowTablePtr> fragments;
+  for (size_t f = 0; f < plan.fragment_choices.size(); ++f) {
+    const WrapperPlan& wp = plan.fragment_choices[f].wrapper_plan;
+    auto table =
+        oracle::RowExecutor(resolvers[f], sc.server(wp.server_id).config().exec)
+            .Execute(wp.plan, nullptr);
+    if (!table.ok()) Fail("row fragment", table.status());
+    fragments[Decomposition::FragmentTableName(f)] = table.MoveValue();
+  }
+  auto merged = oracle::RowExecutor(
+                    [&](const std::string& n) -> Result<oracle::RowTablePtr> {
+                      return fragments.at(n);
+                    },
+                    sc.integrator().config().exec)
+                    .Execute(plan.merge_plan, nullptr);
+  if (!merged.ok()) Fail("row merge", merged.status());
+  const double s = SecondsSince(t0);
+  *rows = (*merged)->num_rows();
+  return s;
+}
+
 struct EngineTimes {
-  // One wall-seconds entry per (query type, instance) in corpus order.
+  // One wall-seconds entry per query type in corpus order (best of
+  // kTimedIters).
   std::vector<double> wall_s;
   std::vector<size_t> result_rows;
   double total_s = 0;
 };
-
-/// Builds one testbed, runs the corpus once untimed (datagen-independent
-/// warmup: plan-cache compile, columnar mirror conversion, allocator
-/// growth), then times `kTimedIters` passes and keeps the fastest.
-EngineTimes RunEngine(bool columnar) {
-  using Clock = std::chrono::steady_clock;
-  Scenario sc(MakeConfig(columnar));
-
-  std::vector<std::string> corpus;
-  for (QueryType type : AllQueryTypes()) {
-    corpus.push_back(sc.MakeQueryInstance(type, 0));
-  }
-
-  EngineTimes out;
-  out.wall_s.assign(corpus.size(), 0.0);
-  out.result_rows.assign(corpus.size(), 0);
-  for (size_t q = 0; q < corpus.size(); ++q) {
-    auto warm = sc.integrator().RunSync(corpus[q]);
-    if (!warm.ok()) {
-      std::fprintf(stderr, "query %zu failed: %s\n", q,
-                   warm.status().ToString().c_str());
-      std::exit(1);
-    }
-    out.result_rows[q] = warm->table->num_rows();
-    double best = 0;
-    for (int it = 0; it < kTimedIters; ++it) {
-      const auto t0 = Clock::now();
-      auto r = sc.integrator().RunSync(corpus[q]);
-      const auto t1 = Clock::now();
-      if (!r.ok()) {
-        std::fprintf(stderr, "query %zu failed: %s\n", q,
-                     r.status().ToString().c_str());
-        std::exit(1);
-      }
-      const double s = std::chrono::duration<double>(t1 - t0).count();
-      if (it == 0 || s < best) best = s;
-    }
-    out.wall_s[q] = best;
-    out.total_s += best;
-  }
-  return out;
-}
 
 }  // namespace
 }  // namespace fedcal
@@ -103,14 +159,40 @@ int main() {
   using namespace fedcal;  // NOLINT
 
   std::printf("columnar speedup harness: ScalePreset::kMedium (%s), "
-              "partial replication, %d timed iters (best-of)\n",
+              "partial replication, each query's executed plans, %d timed "
+              "iters (best-of)\n",
               ScalePresetName(ScalePreset::kMedium), kTimedIters);
   bench::PrintRule();
 
-  std::printf("[1/2] row engine (reference)\n");
-  const EngineTimes row = RunEngine(/*columnar=*/false);
-  std::printf("[2/2] columnar engine\n");
-  const EngineTimes col = RunEngine(/*columnar=*/true);
+  Scenario sc(MakeConfig());
+  RowViews views;
+  EngineTimes row;
+  EngineTimes col;
+  std::vector<size_t> answer_rows;
+  for (QueryType type : AllQueryTypes()) {
+    const std::string sql = sc.MakeQueryInstance(type, 0);
+    auto out = sc.integrator().RunSync(sql);
+    if (!out.ok()) Fail(sql, out.status());
+    answer_rows.push_back(out->table->num_rows());
+    std::printf("[%s] timing the row oracle and the columnar engine\n",
+                QueryTypeName(type));
+    double row_best = 0;
+    double col_best = 0;
+    size_t row_rows = 0;
+    size_t col_rows = 0;
+    for (int it = 0; it < kTimedIters; ++it) {
+      const double r = TimeRow(sc, out->executed_plan, &views, &row_rows);
+      const double c = TimeColumnar(sc, out->executed_plan, &col_rows);
+      if (it == 0 || r < row_best) row_best = r;
+      if (it == 0 || c < col_best) col_best = c;
+    }
+    row.wall_s.push_back(row_best);
+    row.result_rows.push_back(row_rows);
+    row.total_s += row_best;
+    col.wall_s.push_back(col_best);
+    col.result_rows.push_back(col_rows);
+    col.total_s += col_best;
+  }
 
   bench::JsonReporter reporter("columnar_speedup");
   bench::ShapeCheck check;
@@ -130,7 +212,8 @@ int main() {
     reporter.AddScalar(names[q] + "/row/wall_s", row.wall_s[q]);
     reporter.AddScalar(names[q] + "/columnar/wall_s", col.wall_s[q]);
     reporter.AddScalar(names[q] + "/speedup/ratio_x", ratio);
-    check.Expect(row.result_rows[q] == col.result_rows[q],
+    check.Expect(row.result_rows[q] == col.result_rows[q] &&
+                     col.result_rows[q] == answer_rows[q],
                  names[q] + " row/columnar result cardinality match");
     if (names[q] == "QT2") qt2_ratio = ratio;
     if (names[q] == "QT3") qt3_ratio = ratio;

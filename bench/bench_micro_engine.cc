@@ -1,7 +1,9 @@
 // Micro-benchmarks of the execution-engine substrate: operator throughput
 // and the full parse/bind/plan pipeline. These are google-benchmark
 // binaries measuring *wall-clock* performance of the library itself (the
-// figure harnesses measure *simulated* time).
+// figure harnesses measure *simulated* time). The BM_<Op> benchmarks time
+// the row-at-a-time oracle (tests/oracle), the reference the columnar
+// engine's BM_<Op>Columnar speedups are read against.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
@@ -11,11 +13,13 @@
 #include "sql/binder.h"
 #include "sql/parser.h"
 #include "storage/datagen.h"
+#include "tests/oracle/row_executor.h"
 
 namespace fedcal {
 namespace {
 
-TablePtr MakeLarge(size_t rows, uint64_t seed) {
+TablePtr MakeLarge(size_t rows, uint64_t seed,
+                   size_t chunk_rows = Table::kDefaultChunkRows) {
   Rng rng(seed);
   TableGenSpec spec;
   spec.name = "t";
@@ -26,20 +30,43 @@ TablePtr MakeLarge(size_t rows, uint64_t seed) {
   spec.generators = {ColumnGenSpec::Serial(),
                      ColumnGenSpec::UniformInt(0, 999),
                      ColumnGenSpec::UniformDouble(0, 1000)};
-  return GenerateTable(spec, &rng).MoveValue();
+  return GenerateTable(spec, &rng, chunk_rows).MoveValue();
 }
 
 class Db {
  public:
-  explicit Db(size_t rows) {
-    a_ = MakeLarge(rows, 1);
-    b_ = MakeLarge(rows, 2);
+  /// Tables `a` and `b` of `rows` rows, their payloads cut into chunks of
+  /// `chunk_rows`, and the oracle's row views of them, read once here.
+  explicit Db(size_t rows, size_t chunk_rows = Table::kDefaultChunkRows) {
+    a_ = MakeLarge(rows, 1, chunk_rows);
+    b_ = MakeLarge(rows, 2, chunk_rows);
+    a_rows_ = oracle::RowView(a_);
+    b_rows_ = oracle::RowView(b_);
     stats_.Put(TableStats::Compute(*a_));
     stats_.Put(TableStats::Compute(*b_));
   }
 
-  Result<TablePtr> Run(const std::string& sql, ExecStats* st = nullptr,
-                       ExecConfig config = {}) {
+  /// Plans and runs `sql` on the columnar engine.
+  Result<TablePtr> Run(const std::string& sql, ExecConfig config = {}) {
+    Executor exec([this](const std::string& n) -> Result<TablePtr> {
+      return n == "a" ? a_ : b_;
+    }, config);
+    return exec.Execute(Plan(sql), nullptr);
+  }
+
+  /// Plans and runs `sql` on the row oracle.
+  Result<oracle::RowTablePtr> RunRow(const std::string& sql) {
+    oracle::RowExecutor exec(
+        [this](const std::string& n) -> Result<oracle::RowTablePtr> {
+          return n == "a" ? a_rows_ : b_rows_;
+        });
+    return exec.Execute(Plan(sql), nullptr);
+  }
+
+  const StatsCatalog& stats() const { return stats_; }
+
+ private:
+  PlanNodePtr Plan(const std::string& sql) {
     auto stmt = ParseSelect(sql);
     std::vector<Schema> schemas;
     for (const auto& tr : stmt->from) {
@@ -47,32 +74,20 @@ class Db {
     }
     auto bq = BindQuery(*stmt, schemas);
     Planner planner(&stats_);
-    auto plan = planner.Plan(*bq);
-    Executor exec([this](const std::string& n) -> Result<TablePtr> {
-      return n == "a" ? a_ : b_;
-    }, config);
-    return exec.Execute(*plan, st);
+    return planner.Plan(*bq).MoveValue();
   }
 
-  /// Pre-builds the columnar mirrors so columnar benchmarks measure
-  /// execution, not the one-time row-to-column conversion.
-  void WarmColumnar(size_t batch_rows) {
-    a_->columnar(batch_rows);
-    b_->columnar(batch_rows);
-  }
-
-  const StatsCatalog& stats() const { return stats_; }
-
- private:
   TablePtr a_;
   TablePtr b_;
+  oracle::RowTablePtr a_rows_;
+  oracle::RowTablePtr b_rows_;
   StatsCatalog stats_;
 };
 
 void BM_ScanFilter(benchmark::State& state) {
   Db db(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    auto r = db.Run("SELECT id FROM a WHERE v > 500");
+    auto r = db.RunRow("SELECT id FROM a WHERE v > 500");
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -82,7 +97,7 @@ BENCHMARK(BM_ScanFilter)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 16);
 void BM_HashJoin(benchmark::State& state) {
   Db db(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    auto r = db.Run("SELECT a.id FROM a, b WHERE a.id = b.id");
+    auto r = db.RunRow("SELECT a.id FROM a, b WHERE a.id = b.id");
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -92,7 +107,7 @@ BENCHMARK(BM_HashJoin)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 16);
 void BM_HashAggregate(benchmark::State& state) {
   Db db(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    auto r = db.Run(
+    auto r = db.RunRow(
         "SELECT k, COUNT(*) AS c, SUM(v) AS s FROM a GROUP BY k");
     benchmark::DoNotOptimize(r);
   }
@@ -103,7 +118,7 @@ BENCHMARK(BM_HashAggregate)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 16);
 void BM_Sort(benchmark::State& state) {
   Db db(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    auto r = db.Run("SELECT id, v FROM a ORDER BY v DESC");
+    auto r = db.RunRow("SELECT id, v FROM a ORDER BY v DESC");
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -113,22 +128,18 @@ BENCHMARK(BM_Sort)->Arg(1 << 10)->Arg(1 << 14);
 // -- Batched-vs-row per-operator breakdown ----------------------------------
 // Same queries as the row benchmarks above, executed by the columnar
 // engine; comparing BM_<Op> with BM_<Op>Columnar at equal row counts gives
-// the per-operator speedup. The mirror is pre-warmed: base tables convert
-// once per table, not once per query (matching the serving steady state).
+// the per-operator speedup.
 
 ExecConfig ColumnarConfig(size_t batch_rows = 4096) {
   ExecConfig cfg;
-  cfg.engine = EngineKind::kColumnar;
   cfg.batch_rows = batch_rows;
   return cfg;
 }
 
 void BM_ScanFilterColumnar(benchmark::State& state) {
   Db db(static_cast<size_t>(state.range(0)));
-  db.WarmColumnar(4096);
   for (auto _ : state) {
-    auto r = db.Run("SELECT id FROM a WHERE v > 500", nullptr,
-                    ColumnarConfig());
+    auto r = db.Run("SELECT id FROM a WHERE v > 500", ColumnarConfig());
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -137,9 +148,8 @@ BENCHMARK(BM_ScanFilterColumnar)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 16);
 
 void BM_HashJoinColumnar(benchmark::State& state) {
   Db db(static_cast<size_t>(state.range(0)));
-  db.WarmColumnar(4096);
   for (auto _ : state) {
-    auto r = db.Run("SELECT a.id FROM a, b WHERE a.id = b.id", nullptr,
+    auto r = db.Run("SELECT a.id FROM a, b WHERE a.id = b.id",
                     ColumnarConfig());
     benchmark::DoNotOptimize(r);
   }
@@ -149,10 +159,9 @@ BENCHMARK(BM_HashJoinColumnar)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 16);
 
 void BM_HashAggregateColumnar(benchmark::State& state) {
   Db db(static_cast<size_t>(state.range(0)));
-  db.WarmColumnar(4096);
   for (auto _ : state) {
     auto r = db.Run("SELECT k, COUNT(*) AS c, SUM(v) AS s FROM a GROUP BY k",
-                    nullptr, ColumnarConfig());
+                    ColumnarConfig());
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -161,10 +170,8 @@ BENCHMARK(BM_HashAggregateColumnar)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 16);
 
 void BM_SortColumnar(benchmark::State& state) {
   Db db(static_cast<size_t>(state.range(0)));
-  db.WarmColumnar(4096);
   for (auto _ : state) {
-    auto r = db.Run("SELECT id, v FROM a ORDER BY v DESC", nullptr,
-                    ColumnarConfig());
+    auto r = db.Run("SELECT id, v FROM a ORDER BY v DESC", ColumnarConfig());
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -172,14 +179,14 @@ void BM_SortColumnar(benchmark::State& state) {
 BENCHMARK(BM_SortColumnar)->Arg(1 << 10)->Arg(1 << 14);
 
 // Batch-size sweep: scan+filter+project at 64k rows as the chunk size
-// varies. Too small burns per-chunk overhead; too large blows the cache.
+// (of the tables' payloads and of the engine's batches) varies. Too small
+// burns per-chunk overhead; too large blows the cache.
 void BM_FilterBatchSweep(benchmark::State& state) {
   const size_t batch = static_cast<size_t>(state.range(0));
-  Db db(1 << 16);
-  db.WarmColumnar(batch);
+  Db db(1 << 16, batch);
   for (auto _ : state) {
     auto r = db.Run("SELECT id, v FROM a WHERE v > 250 AND v < 750",
-                    nullptr, ColumnarConfig(batch));
+                    ColumnarConfig(batch));
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations() * (1 << 16));

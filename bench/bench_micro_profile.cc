@@ -1,12 +1,13 @@
 // Micro-benchmarks of the per-operator profiling stamp (EXPLAIN ANALYZE).
 //
-// Two questions, per engine: what does leaving ExecConfig::profile *off*
-// cost (it must be a single null-check branch per operator, within noise
-// of the pre-profiling engines), and what does turning it *on* cost (one
-// OperatorProfileScope snapshot + Finish per operator — tens of
-// nanoseconds per operator per batch). Per-operator figures come from
-// SetItemsProcessed(operators_executed), so the console's items/s column
-// reads directly as operators stamped per second.
+// Two questions, per engine (the production columnar engine and the
+// row-at-a-time oracle under tests/oracle): what does leaving
+// ExecConfig::profile *off* cost (it must be a single null-check branch
+// per operator, within noise of the pre-profiling engines), and what does
+// turning it *on* cost (one OperatorProfileScope snapshot + Finish per
+// operator — tens of nanoseconds per operator per batch). Per-operator
+// figures come from SetItemsProcessed(operators_executed), so the
+// console's items/s column reads directly as operators stamped per second.
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -23,6 +24,7 @@
 #include "sql/binder.h"
 #include "sql/parser.h"
 #include "storage/datagen.h"
+#include "tests/oracle/row_executor.h"
 
 namespace fedcal {
 namespace {
@@ -73,20 +75,26 @@ class Db {
     };
   }
 
-  void WarmColumnar(size_t batch_rows) {
-    a_->columnar(batch_rows);
-    b_->columnar(batch_rows);
+  /// The oracle's resolver: row views read once, before any timing.
+  oracle::RowExecutor::TableResolver row_resolver() {
+    if (a_rows_ == nullptr) {
+      a_rows_ = oracle::RowView(a_);
+      b_rows_ = oracle::RowView(b_);
+    }
+    return [this](const std::string& n) -> Result<oracle::RowTablePtr> {
+      return n == "a" ? a_rows_ : b_rows_;
+    };
   }
 
  private:
   TablePtr a_;
   TablePtr b_;
+  oracle::RowTablePtr a_rows_;
+  oracle::RowTablePtr b_rows_;
   StatsCatalog stats_;
 };
 
 /// Operators the plan executes per run — the per-operator denominator.
-/// Both engines go through Executor, which dispatches to the columnar
-/// engine itself (and owns the resolver the columnar executor borrows).
 size_t OperatorsPerRun(Db& db, const PlanNodePtr& plan,
                        const ExecConfig& config) {
   ExecStats st;
@@ -101,7 +109,7 @@ void RunRowEngine(benchmark::State& state, bool profile) {
   config.profile = profile;
   const PlanNodePtr plan = db.Plan(kPipelineSql);
   const size_t ops = OperatorsPerRun(db, plan, config);
-  Executor exec(db.resolver(), config);
+  oracle::RowExecutor exec(db.row_resolver(), config);
   for (auto _ : state) {
     ExecStats st;
     std::shared_ptr<obs::OperatorProfile> prof;
@@ -126,10 +134,8 @@ BENCHMARK(BM_RowEngineProfileOn)->Arg(1 << 10)->Arg(1 << 14);
 void RunColumnarEngine(benchmark::State& state, bool profile) {
   Db db(static_cast<size_t>(state.range(0)));
   ExecConfig config;
-  config.engine = EngineKind::kColumnar;
   config.batch_rows = 4096;
   config.profile = profile;
-  db.WarmColumnar(config.batch_rows);
   const PlanNodePtr plan = db.Plan(kPipelineSql);
   const size_t ops = OperatorsPerRun(db, plan, config);
   Executor exec(db.resolver(), config);

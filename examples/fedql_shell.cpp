@@ -270,7 +270,8 @@ int main() {
                           f.server_id.c_str(), f.estimated_seconds,
                           f.calibrated_seconds, f.statement.c_str());
             }
-            std::printf("  merge plan:\n%s\n", e->merge_plan_text.c_str());
+            std::printf("  merge plan:\n%s\n",
+                        e->merge_plan->ToString().c_str());
           } else {
             std::printf("  no explained query yet\n");
           }

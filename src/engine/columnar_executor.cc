@@ -200,9 +200,8 @@ Result<TablePtr> ColumnarExecutor::Execute(
   const bool profiling = config_.profile && profile_out != nullptr;
   ExecStats local;
   if (plan->kind == PlanKind::kScan) {
-    // A bare scan returns the resolved table itself, exactly like the row
-    // engine (same object, name, and byte accounting). The table is passed
-    // through unchunked, so its profile records one batch.
+    // A bare scan returns the resolved table itself (same object, name,
+    // and byte accounting), so its profile records one batch.
     ++local.operators_executed;
     if (profiling) {
       OperatorProfileScope scope(*plan, local);
@@ -284,9 +283,7 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecScan(const PlanNode& node,
                                                     ExecStats* stats) {
   FEDCAL_ASSIGN_OR_RETURN(TablePtr table, resolver_(node.table_name));
   ChargeScan(*table, stats);
-  // Base tables cache this mirror, so repeated scans convert once;
-  // columnar-backed tables (fragment results) return their chunks as-is.
-  return table->columnar(config_.batch_rows);
+  return table->columnar();
 }
 
 Result<ColumnarTablePtr> ColumnarExecutor::ExecIndexScan(const PlanNode& node,
@@ -299,47 +296,28 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecIndexScan(const PlanNode& node,
   }
   Row empty;
   FEDCAL_ASSIGN_OR_RETURN(Value key, node.index_value->Eval(empty));
+  const ColumnarTablePtr data = table->columnar();
   double io = config_.costs.index_probe;
-  std::vector<size_t> matches;
+  std::vector<RowRef> matches;
   for (size_t row_id : index->Probe(key)) {
-    if (row_id >= table->num_rows()) continue;
-    const Row& row = table->row(row_id);
+    if (row_id >= data->num_rows()) continue;
+    const RowRef ref = data->Locate(row_id);
+    const ColumnSlice& cell =
+        data->chunks()[ref.chunk].columns[index->column_index()];
     // Verify exact equality (the index probe is hash-based).
-    if (row[index->column_index()].is_null() ||
-        row[index->column_index()].Compare(key) != 0) {
+    if (cell.IsNull(ref.row) || cell.ValueAt(ref.row).Compare(key) != 0) {
       continue;
     }
     io += config_.costs.index_match_row;
-    matches.push_back(row_id);
+    matches.push_back(ref);
   }
   stats->rows_scanned += matches.size();
   stats->work_units += io;
   stats->io_units += io;
 
-  // Point lookups touch a handful of rows; build their columns directly
-  // from the (row-backed) base table instead of forcing a full mirror.
   auto out = std::make_shared<ColumnarTable>(node.output_schema);
-  const size_t ncols = node.output_schema.num_columns();
-  const size_t batch = config_.batch_rows == 0 ? 1 : config_.batch_rows;
-  for (size_t start = 0; start < matches.size(); start += batch) {
-    const size_t len = std::min(batch, matches.size() - start);
-    ColumnChunk chunk;
-    chunk.length = len;
-    chunk.columns.reserve(ncols);
-    size_t bytes = 0;
-    for (size_t c = 0; c < ncols; ++c) {
-      auto col =
-          std::make_shared<ColumnData>(node.output_schema.column(c).type);
-      col->Reserve(len);
-      for (size_t i = 0; i < len; ++i) {
-        const Value& v = table->row(matches[start + i])[c];
-        col->AppendValue(v);
-        bytes += v.ByteSize();
-      }
-      chunk.columns.push_back(ColumnSlice{std::move(col), 0});
-    }
-    out->AppendChunk(std::move(chunk), bytes);
-  }
+  AppendGatheredRows(*data, matches.data(), matches.size(),
+                     config_.batch_rows, AllSlots(node), out.get());
   return ColumnarTablePtr(std::move(out));
 }
 

@@ -15,22 +15,21 @@
 
 namespace fedcal {
 
-/// \brief Vectorized columnar plan executor.
+/// \brief Vectorized columnar plan executor: the production engine.
 ///
 /// One instance executes one query: Executor::Execute constructs it on the
-/// stack when the config selects EngineKind::kColumnar, so the per-query
-/// arena needs no locking even though the owning Executor is shared across
-/// serving threads.
+/// stack, so the per-query arena needs no locking even though the owning
+/// Executor is shared across serving threads.
 ///
-/// The contract with the row engine is strict equivalence: byte-identical
+/// The contract with the row-at-a-time reference executor, kept under
+/// tests/oracle as the test oracle, is strict equivalence: byte-identical
 /// result tables (cell variants included) and bit-identical ExecStats
 /// (the work-unit accounting is the simulation's clock; it must not depend
 /// on the host-side execution strategy). Every work-unit charge below
 /// mirrors the corresponding row-engine statement — same formula, same
 /// floating-point accumulation order.
-/// Results come back as columnar-backed Tables whose rows materialize only
-/// if a consumer asks for them, so fragment results can be shipped and
-/// merged without ever leaving columnar form.
+/// Results come back as Tables over their columnar payload, so fragment
+/// results are shipped and merged without ever leaving columnar form.
 ///
 /// Late materialization: each node is told which of its output slots its
 /// parent reads (a SlotMask), and Filter, HashJoin, Sort and Distinct

@@ -28,22 +28,12 @@ struct WorkCosts {
   double index_match_row = 1.2; ///< per matching row fetched (I/O)
 };
 
-/// \brief Which physical engine executes plans.
-///
-/// Both engines produce byte-identical results and identical ExecStats
-/// (the work-unit accounting is the simulation's clock; it must not depend
-/// on the host-side execution strategy). kRow is the reference
-/// implementation; kColumnar is the vectorized engine (DESIGN.md §17).
-enum class EngineKind { kRow, kColumnar };
-
 /// \brief Execution limits and pricing used by the Executor.
 struct ExecConfig {
   WorkCosts costs;
   /// Safety valve against runaway cross products; 0 disables the check.
   size_t max_intermediate_rows = 50'000'000;
-  /// Physical engine selection (results and stats are engine-invariant).
-  EngineKind engine = EngineKind::kRow;
-  /// Rows per column chunk in the columnar engine.
+  /// Rows per column chunk of intermediate results.
   size_t batch_rows = 4096;
   /// Record per-operator runtime profiles (obs::OperatorProfile) for every
   /// execution that asks for one. Off by default; the off path costs one

@@ -1,9 +1,9 @@
 #pragma once
 
-#include <functional>
 #include <memory>
 
 #include "common/result.h"
+#include "engine/columnar_executor.h"
 #include "engine/exec_config.h"
 #include "engine/plan.h"
 #include "obs/operator_profile.h"
@@ -17,18 +17,21 @@ namespace fedcal {
 /// Scan nodes reference tables by name; the executor resolves them through
 /// the caller-supplied TableResolver, so the same executor serves both
 /// simulated remote servers (resolving their own base tables) and the
-/// integrator (resolving materialized fragment results).
+/// integrator (resolving materialized fragment results). Each Execute runs
+/// the vectorized columnar engine (ColumnarExecutor, DESIGN.md §17) on the
+/// calling thread, so one Executor may serve several threads at once.
 class Executor {
  public:
-  using TableResolver =
-      std::function<Result<TablePtr>(const std::string& table_name)>;
+  using TableResolver = ColumnarExecutor::TableResolver;
 
   Executor(TableResolver resolver, ExecConfig config = {})
       : resolver_(std::move(resolver)), config_(config) {}
 
   /// Runs the plan to completion, materializing the result. `stats` (may be
   /// null) receives the work-unit accounting for the whole tree.
-  Result<TablePtr> Execute(const PlanNodePtr& plan, ExecStats* stats) const;
+  Result<TablePtr> Execute(const PlanNodePtr& plan, ExecStats* stats) const {
+    return Execute(plan, stats, nullptr);
+  }
 
   /// Like Execute, additionally recording a per-operator profile tree when
   /// `config().profile` is on and `profile_out` is non-null (otherwise
@@ -36,40 +39,14 @@ class Executor {
   /// accumulation order are identical with profiling on or off.
   Result<TablePtr> Execute(
       const PlanNodePtr& plan, ExecStats* stats,
-      std::shared_ptr<obs::OperatorProfile>* profile_out) const;
+      std::shared_ptr<obs::OperatorProfile>* profile_out) const {
+    ColumnarExecutor engine(resolver_, config_);
+    return engine.Execute(plan, stats, profile_out);
+  }
 
   const ExecConfig& config() const { return config_; }
 
  private:
-  /// `parent` null = profiling off (the hot path); non-null = append this
-  /// node's profile to parent->children.
-  Result<TablePtr> ExecuteNode(const PlanNode& node, ExecStats* stats,
-                               obs::OperatorProfile* parent) const;
-  Result<TablePtr> DispatchNode(const PlanNode& node, ExecStats* stats,
-                                obs::OperatorProfile* prof) const;
-
-  Result<TablePtr> ExecScan(const PlanNode& node, ExecStats* stats) const;
-  Result<TablePtr> ExecIndexScan(const PlanNode& node,
-                                 ExecStats* stats) const;
-  Result<TablePtr> ExecFilter(const PlanNode& node, ExecStats* stats,
-                              obs::OperatorProfile* prof) const;
-  Result<TablePtr> ExecProject(const PlanNode& node, ExecStats* stats,
-                               obs::OperatorProfile* prof) const;
-  Result<TablePtr> ExecHashJoin(const PlanNode& node, ExecStats* stats,
-                                obs::OperatorProfile* prof) const;
-  Result<TablePtr> ExecNestedLoopJoin(const PlanNode& node, ExecStats* stats,
-                                      obs::OperatorProfile* prof) const;
-  Result<TablePtr> ExecAggregate(const PlanNode& node, ExecStats* stats,
-                                 obs::OperatorProfile* prof) const;
-  Result<TablePtr> ExecSort(const PlanNode& node, ExecStats* stats,
-                            obs::OperatorProfile* prof) const;
-  Result<TablePtr> ExecDistinct(const PlanNode& node, ExecStats* stats,
-                                obs::OperatorProfile* prof) const;
-  Result<TablePtr> ExecLimit(const PlanNode& node, ExecStats* stats,
-                             obs::OperatorProfile* prof) const;
-
-  Status CheckSize(size_t rows) const;
-
   TableResolver resolver_;
   ExecConfig config_;
 };

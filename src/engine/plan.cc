@@ -292,53 +292,24 @@ PlanNodePtr PlanNode::Limit(PlanNodePtr child, int64_t limit) {
 PlanNodePtr PlanNode::SubstituteParams(const PlanNodePtr& plan,
                                        const std::vector<Value>& params) {
   if (plan == nullptr) return nullptr;
-  bool changed = false;
   auto sub_expr = [&](const BoundExprPtr& e) {
-    BoundExprPtr s = fedcal::SubstituteParams(e, params);
-    changed |= s != e;
-    return s;
+    return fedcal::SubstituteParams(e, params);
   };
-
-  PlanNodePtr left = SubstituteParams(plan->left, params);
-  PlanNodePtr right = SubstituteParams(plan->right, params);
-  changed |= left != plan->left || right != plan->right;
-
-  BoundExprPtr index_value = sub_expr(plan->index_value);
-  BoundExprPtr predicate = sub_expr(plan->predicate);
-  BoundExprPtr residual = sub_expr(plan->residual);
-  std::vector<BoundExprPtr> projections = plan->projections;
-  for (auto& p : projections) p = sub_expr(p);
-  std::vector<BoundExprPtr> group_by = plan->group_by;
-  for (auto& g : group_by) g = sub_expr(g);
-  std::vector<AggItem> aggs = plan->aggs;
-  for (auto& a : aggs) a.arg = sub_expr(a.arg);
-  std::vector<std::pair<BoundExprPtr, bool>> sort_keys = plan->sort_keys;
-  for (auto& k : sort_keys) k.first = sub_expr(k.first);
-
-  // Always clone, even when nothing in this subtree referenced a param:
-  // callers re-annotate (mutate) the substituted tree, so sharing
-  // unchanged nodes with the cached template would race concurrent
+  // Every node is cloned, even when nothing in its subtree referenced a
+  // param: callers re-annotate (mutate) the substituted tree, so sharing
+  // an unchanged node with the cached template would race concurrent
   // Route() calls on the same prepared plan and dirty the template's own
-  // estimates. Expressions stay shared — substitution never mutates them.
-  (void)changed;
+  // estimates.
   auto node = std::make_shared<PlanNode>(*plan);
-  node->left = std::move(left);
-  node->right = std::move(right);
-  node->index_value = std::move(index_value);
-  node->predicate = std::move(predicate);
-  node->residual = std::move(residual);
-  node->projections = std::move(projections);
-  node->group_by = std::move(group_by);
-  node->aggs = std::move(aggs);
-  node->sort_keys = std::move(sort_keys);
-  return node;
-}
-
-PlanNodePtr PlanNode::DeepClone(const PlanNodePtr& plan) {
-  if (plan == nullptr) return nullptr;
-  auto node = std::make_shared<PlanNode>(*plan);
-  node->left = DeepClone(plan->left);
-  node->right = DeepClone(plan->right);
+  node->left = SubstituteParams(plan->left, params);
+  node->right = SubstituteParams(plan->right, params);
+  node->index_value = sub_expr(plan->index_value);
+  node->predicate = sub_expr(plan->predicate);
+  node->residual = sub_expr(plan->residual);
+  for (auto& p : node->projections) p = sub_expr(p);
+  for (auto& g : node->group_by) g = sub_expr(g);
+  for (auto& a : node->aggs) a.arg = sub_expr(a.arg);
+  for (auto& k : node->sort_keys) k.first = sub_expr(k.first);
   return node;
 }
 

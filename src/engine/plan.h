@@ -102,19 +102,14 @@ struct PlanNode {
   /// test.
   size_t ShapeFingerprint(bool normalize_literals = true) const;
 
-  /// Clone-on-write parameter substitution over every expression in the
-  /// tree (predicates, projections, index values, aggregate args, sort
-  /// keys). Returns `plan` itself when no expression changed. Cost
-  /// annotations are copied from the template; callers that need
-  /// instance-accurate estimates re-annotate afterwards (see
-  /// GlobalOptimizer::RecostSubstituted).
+  /// Parameter substitution over every expression in the tree
+  /// (predicates, projections, index values, aggregate args, sort keys).
+  /// Returns a private copy of every node, even where nothing changed, so
+  /// callers may re-annotate it (GlobalOptimizer::RecostSubstituted)
+  /// without touching `plan`; expressions stay shared, being immutable.
+  /// Cost annotations are copied from `plan`.
   static PlanNodePtr SubstituteParams(const PlanNodePtr& plan,
                                       const std::vector<Value>& params);
-
-  /// Clones every node of the tree (expressions stay shared — they are
-  /// immutable). Needed before re-annotating a substituted plan whose
-  /// unchanged subtrees are shared with a cached template.
-  static PlanNodePtr DeepClone(const PlanNodePtr& plan);
 
   // -- Builders ------------------------------------------------------------
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/timed_mutex.h"
+#include "engine/plan.h"
 
 namespace fedcal {
 
@@ -20,7 +21,10 @@ struct ExplainEntry {
   uint64_t query_id = 0;
   std::string sql;
   double total_estimated_seconds = 0.0;  ///< calibrated global cost
-  std::string merge_plan_text;
+  /// The winner's merge plan, shared with the routed query: nothing
+  /// changes a plan tree once Route has chosen it. Readers render it
+  /// (`merge_plan->ToString()`) when they show the entry.
+  PlanNodePtr merge_plan;
 
   struct FragmentRow {
     std::string server_id;

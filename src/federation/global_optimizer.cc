@@ -145,10 +145,8 @@ Status GlobalOptimizer::RecostSubstituted(GlobalPlanOption* plan) {
     mix(std::hash<std::string>{}(choice.wrapper_plan.server_id));
     frag_stats.Put(FragmentResultStats(f, choice.wrapper_plan));
   }
-  // The substituted merge tree shares unchanged nodes with the cached
-  // template; clone it fully before re-annotating with instance
-  // cardinalities so the template's annotations are never overwritten.
-  plan->merge_plan = PlanNode::DeepClone(plan->merge_plan);
+  // The merge tree is SubstituteParams' private copy, so re-annotating it
+  // with instance cardinalities leaves the cached template's untouched.
   // Same default WorkCosts as Enumerate's merge planner.
   FEDCAL_RETURN_NOT_OK(CostModel{}.Annotate(plan->merge_plan, frag_stats));
   plan->merge_estimated_seconds =

@@ -67,7 +67,8 @@ class GlobalOptimizer {
   /// Enumerate would have computed for this instance's literals. Keeps
   /// QCC's estimate/observation pairing (and therefore calibration
   /// trajectories) identical whether a statement hit the plan cache or
-  /// compiled fresh.
+  /// compiled fresh. Annotates the plans in place, so they must be
+  /// private to `plan` (PlanNode::SubstituteParams returns such copies).
   Status RecostSubstituted(GlobalPlanOption* plan);
 
   const Decomposer& decomposer() const { return decomposer_; }

@@ -282,7 +282,7 @@ Result<CompiledQuery> Integrator::Route(const PreparedPlanPtr& prepared,
   entry.query_id = compiled.query_id;
   entry.sql = compiled.sql;
   entry.total_estimated_seconds = winner.total_calibrated_seconds;
-  entry.merge_plan_text = winner.merge_plan->ToString();
+  entry.merge_plan = winner.merge_plan;
   for (const auto& fc : winner.fragment_choices) {
     entry.fragments.push_back(ExplainEntry::FragmentRow{
         fc.wrapper_plan.server_id, fc.wrapper_plan.statement,

@@ -21,9 +21,12 @@ Status RemoteServer::Write(bool changes_data, Fn&& write) {
   {
     std::unique_lock<std::shared_mutex> lock(data_mu_);
     st = write();
-    // Even a failed write may have changed data (AppendRows stops at the
-    // first bad row), so every data write makes older runs stale.
-    if (changes_data) data_version_.fetch_add(1, std::memory_order_release);
+    // A failed write changed nothing (AppendRows checks its whole batch
+    // before it appends), so only a write that succeeded makes older runs
+    // stale.
+    if (changes_data && st.ok()) {
+      data_version_.fetch_add(1, std::memory_order_release);
+    }
   }
   writers_.fetch_sub(1);
   return st;
@@ -68,12 +71,8 @@ Status RemoteServer::AppendRows(const std::string& table,
     return Status::NotFound("no table " + table + " on server " +
                             config_.id);
   }
-  return Write(/*changes_data=*/true, [&] {
-    for (const Row& row : rows) {
-      FEDCAL_RETURN_NOT_OK(it->second->AppendRow(row));
-    }
-    return Status::OK();
-  });
+  return Write(/*changes_data=*/true,
+               [&] { return it->second->AppendRows(rows); });
 }
 
 Status RemoteServer::RefreshStats(const std::string& table) {

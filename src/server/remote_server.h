@@ -36,8 +36,8 @@ struct ServerConfig {
   double io_load_sensitivity = 0.8;
   /// Floor on effective speed under extreme load, as a fraction of nominal.
   double min_speed_fraction = 0.05;
-  /// Engine configuration for fragment execution (row vs columnar, batch
-  /// size, work-unit price list). Results and stats are engine-invariant.
+  /// Engine configuration for fragment execution (batch size, work-unit
+  /// price list, profiling).
   ExecConfig exec = {};
 };
 
@@ -106,7 +106,8 @@ class RemoteServer {
 
   /// Appends rows to a hosted table *without* recomputing statistics —
   /// like a production DBMS, the catalog stays stale until the next
-  /// RUNSTATS (RefreshStats). Rows are validated against the schema.
+  /// RUNSTATS (RefreshStats). The whole batch is validated against the
+  /// schema first: a batch with a bad row appends nothing.
   Status AppendRows(const std::string& table, const std::vector<Row>& rows);
 
   /// RUNSTATS analog: recompute statistics for one table / all tables.
@@ -235,7 +236,8 @@ class RemoteServer {
   void TryDispatch();
   void RunJob(Job job);
   /// Applies `write` with the data lock held exclusively, bumping the data
-  /// version when `changes_data`. RunAhead stays out while it waits.
+  /// version when `changes_data` and the write succeeded. RunAhead stays
+  /// out while it waits.
   template <typename Fn>
   Status Write(bool changes_data, Fn&& write);
   /// Bumps counter `server.<fate>.<id>` when telemetry is attached.

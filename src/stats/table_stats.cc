@@ -80,22 +80,24 @@ TableStats TableStats::Compute(const Table& table, size_t histogram_buckets) {
     std::unordered_set<size_t> distinct_hashes;
     std::vector<double> numeric_values;
     bool first = true;
-    for (const Row& row : table.rows()) {
-      const Value& v = row[c];
-      if (v.is_null()) {
-        ++cs.null_count;
-        continue;
-      }
-      ++cs.num_values;
-      distinct_hashes.insert(v.Hash());
-      if (v.is_numeric()) numeric_values.push_back(v.AsDouble());
-      if (first) {
-        cs.min_value = v;
-        cs.max_value = v;
-        first = false;
-      } else {
-        if (v < cs.min_value) cs.min_value = v;
-        if (cs.max_value < v) cs.max_value = v;
+    for (const ColumnChunk& chunk : table.columnar()->chunks()) {
+      for (size_t i = 0; i < chunk.length; ++i) {
+        const Value v = chunk.ValueAt(c, i);
+        if (v.is_null()) {
+          ++cs.null_count;
+          continue;
+        }
+        ++cs.num_values;
+        distinct_hashes.insert(v.Hash());
+        if (v.is_numeric()) numeric_values.push_back(v.AsDouble());
+        if (first) {
+          cs.min_value = v;
+          cs.max_value = v;
+          first = false;
+        } else {
+          if (v < cs.min_value) cs.min_value = v;
+          if (cs.max_value < v) cs.max_value = v;
+        }
       }
     }
     cs.num_distinct = distinct_hashes.size();

@@ -366,19 +366,21 @@ void ColumnarTable::AppendTableZeroCopy(const ColumnarTable& other) {
   byte_size_ += other.byte_size();
 }
 
+RowRef ColumnarTable::Locate(size_t r) const {
+  uint32_t chunk = 0;
+  while (r >= chunks_[chunk].length) r -= chunks_[chunk++].length;
+  return RowRef{chunk, static_cast<uint32_t>(r)};
+}
+
 Row ColumnarTable::MaterializeRow(size_t r) const {
-  for (const ColumnChunk& chunk : chunks_) {
-    if (r < chunk.length) {
-      Row row;
-      row.reserve(chunk.columns.size());
-      for (size_t c = 0; c < chunk.columns.size(); ++c) {
-        row.push_back(chunk.ValueAt(c, r));
-      }
-      return row;
-    }
-    r -= chunk.length;
+  const RowRef ref = Locate(r);
+  const ColumnChunk& chunk = chunks_[ref.chunk];
+  Row row;
+  row.reserve(chunk.columns.size());
+  for (size_t c = 0; c < chunk.columns.size(); ++c) {
+    row.push_back(chunk.ValueAt(c, ref.row));
   }
-  return {};
+  return row;
 }
 
 std::vector<Row> ColumnarTable::MaterializeRows() const {
@@ -397,51 +399,94 @@ std::vector<Row> ColumnarTable::MaterializeRows() const {
   return rows;
 }
 
-ColumnarTablePtr ColumnarFromRows(const Schema& schema,
-                                  const std::vector<Row>& rows,
-                                  size_t batch_rows) {
-  if (batch_rows == 0) batch_rows = 1;
-  auto out = std::make_shared<ColumnarTable>(schema);
-  const size_t n = rows.size();
-  const size_t ncols = schema.num_columns();
-  // One dictionary per string column, complete before any chunk shares
-  // it, so gathers across the table's chunks copy codes.
+ColumnarTablePtr ColumnarTable::Append(const std::vector<Row>& rows,
+                                       size_t chunk_rows) const {
+  if (chunk_rows == 0) chunk_rows = 1;
+  auto out = std::make_shared<ColumnarTable>(schema_);
+  const bool has_tail =
+      !chunks_.empty() && chunks_.back().length < chunk_rows;
+  const ColumnChunk* tail = has_tail ? &chunks_.back() : nullptr;
+  const size_t tail_len = has_tail ? tail->length : 0;
+  out->chunks_.assign(chunks_.begin(), chunks_.end() - (has_tail ? 1 : 0));
+  out->num_rows_ = num_rows_ - tail_len;
+  out->byte_size_ = byte_size_;
+  if (has_tail) {
+    for (const ColumnSlice& c : tail->columns) {
+      out->byte_size_ -= c.col->RangeBytes(c.offset, tail_len);
+    }
+  }
+
+  // One dictionary per string column: the last chunk's, or a copy of it
+  // once `rows` bring a string it lacks. Interning up front lets every
+  // new chunk share the dictionary the codes were made in.
+  const size_t ncols = schema_.num_columns();
   std::vector<StringDictPtr> dicts(ncols);
   std::vector<std::vector<uint32_t>> codes(ncols);
   for (size_t c = 0; c < ncols; ++c) {
-    if (schema.column(c).type != DataType::kString) continue;
-    dicts[c] = std::make_shared<StringDict>();
-    codes[c].resize(n);
-    for (size_t r = 0; r < n; ++r) {
-      const Value& v = rows[r][c];
-      if (v.is_string()) codes[c][r] = dicts[c]->Intern(v.AsString());
+    if (schema_.column(c).type != DataType::kString) continue;
+    StringDictPtr dict;
+    if (!chunks_.empty()) {
+      const ColumnSlice& last = chunks_.back().columns[c];
+      if (last.present() && last.col->kind() == ColumnData::Kind::kString) {
+        dict = last.col->shared_dict();
+      }
     }
+    bool own = dict == nullptr;
+    if (own) dict = std::make_shared<StringDict>();
+    codes[c].resize(rows.size());
+    for (size_t r = 0; r < rows.size(); ++r) {
+      const Value& v = rows[r][c];
+      if (!v.is_string()) continue;
+      uint32_t code = dict->Find(v.AsString());
+      if (code == StringDict::kAbsent) {
+        // Readers of this table may hold its dictionary.
+        if (!own) {
+          dict = std::make_shared<StringDict>(*dict);
+          own = true;
+        }
+        code = dict->Intern(v.AsString());
+      }
+      codes[c][r] = code;
+    }
+    dicts[c] = std::move(dict);
   }
-  for (size_t start = 0; start < n; start += batch_rows) {
-    const size_t len = std::min(batch_rows, n - start);
+
+  const size_t n = tail_len + rows.size();
+  for (size_t start = 0; start < n; start += chunk_rows) {
+    const size_t len = std::min(chunk_rows, n - start);
     ColumnChunk chunk;
     chunk.length = len;
     chunk.columns.reserve(ncols);
-    size_t bytes = 0;
     for (size_t c = 0; c < ncols; ++c) {
       auto col = dicts[c] != nullptr
                      ? std::make_shared<ColumnData>(dicts[c])
-                     : std::make_shared<ColumnData>(schema.column(c).type);
+                     : std::make_shared<ColumnData>(schema_.column(c).type);
       col->Reserve(len);
-      for (size_t r = start; r < start + len; ++r) {
+      for (size_t i = start; i < start + len; ++i) {
+        if (i < tail_len) {
+          const ColumnSlice& s = tail->columns[c];
+          col->AppendFrom(*s.col, s.offset + i);
+          continue;
+        }
+        const size_t r = i - tail_len;
         const Value& v = rows[r][c];
         if (v.is_string() && col->kind() == ColumnData::Kind::kString) {
           col->AppendCode(codes[c][r]);
         } else {
           col->AppendValue(v);
         }
-        bytes += v.ByteSize();
       }
       chunk.columns.push_back(ColumnSlice{std::move(col), 0});
     }
-    out->AppendChunk(std::move(chunk), bytes);
+    out->AppendChunk(std::move(chunk));
   }
   return out;
+}
+
+ColumnarTablePtr ColumnarFromRows(const Schema& schema,
+                                  const std::vector<Row>& rows,
+                                  size_t batch_rows) {
+  return ColumnarTable(schema).Append(rows, batch_rows);
 }
 
 }  // namespace fedcal

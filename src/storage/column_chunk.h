@@ -19,15 +19,16 @@ struct ColumnSlice;
 /// stored once and named by a dense uint32 code.
 ///
 /// Code 0 is always the empty string, and null cells hold it too, so a
-/// cell's length and truthiness need no null check. A base table's mirror
-/// builds one dictionary per string column and every chunk and every
-/// column gathered from it shares that dictionary, so gathers copy codes.
-/// A column adds strings in place only to a dictionary it made itself; it
-/// copies any other (a mirror's, or one taken over from a gather source)
-/// first (ColumnData::AppendString). Other columns reach a column's own
-/// dictionary only by gathering from that column, and a column is
-/// complete before anything reads it, so readers of a dictionary never
-/// race with a writer.
+/// cell's length and truthiness need no null check. A base table's payload
+/// codes each string column in one dictionary that its chunks, and every
+/// column gathered from them, share, so gathers copy codes. An append
+/// that brings a string the dictionary lacks codes the new chunks in a
+/// copy (ColumnarTable::Append). A column adds strings in place only to a
+/// dictionary it made itself; it copies any other (a payload's, or one
+/// taken over from a gather source) first (ColumnData::AppendString).
+/// Other columns reach a column's own dictionary only by gathering from
+/// that column, and a column is complete before anything reads it, so
+/// readers of a dictionary never race with a writer.
 class StringDict {
  public:
   static constexpr uint32_t kAbsent = UINT32_MAX;
@@ -110,6 +111,7 @@ class ColumnData {
   const double* doubles() const { return dbls_.data(); }
   const uint32_t* codes() const { return codes_.data(); }
   const StringDict& dict() const { return *dict_; }
+  const StringDictPtr& shared_dict() const { return dict_; }
   const std::vector<Value>& mixed() const { return vals_; }
   const uint8_t* nulls() const { return nulls_.data(); }
 
@@ -249,6 +251,19 @@ class ColumnarTable {
   size_t byte_size() const { return byte_size_; }
   const std::vector<ColumnChunk>& chunks() const { return chunks_; }
 
+  /// A new table holding this one's rows followed by `rows` (each of the
+  /// schema's arity; not validated). Every chunk but the tail, a last
+  /// chunk shorter than `chunk_rows`, is shared as it is; the tail's rows
+  /// and `rows` are encoded into new chunks of `chunk_rows` rows, the last
+  /// of which may be shorter. String columns code into the last chunk's
+  /// dictionary, or into a copy of it when `rows` bring a string it lacks,
+  /// so no chunk or dictionary this table holds changes.
+  std::shared_ptr<const ColumnarTable> Append(const std::vector<Row>& rows,
+                                              size_t chunk_rows) const;
+
+  /// Where global row `r` (< num_rows) lives.
+  RowRef Locate(size_t r) const;
+
   /// Appends a chunk, taking ownership of its (possibly shared) columns.
   /// `bytes` is the chunk's payload per the row-engine accounting; pass
   /// SIZE_MAX to have it recomputed from each present column's RangeBytes.
@@ -273,7 +288,7 @@ class ColumnarTable {
 
 using ColumnarTablePtr = std::shared_ptr<const ColumnarTable>;
 
-/// Converts a row table into columnar chunks of at most `batch_rows` rows.
+/// Encodes `rows` into columnar chunks of at most `batch_rows` rows.
 ColumnarTablePtr ColumnarFromRows(const Schema& schema,
                                   const std::vector<Row>& rows,
                                   size_t batch_rows);

@@ -138,7 +138,6 @@ Result<TablePtr> ReadCsv(const std::string& csv_text,
                          CsvOptions options) {
   FEDCAL_ASSIGN_OR_RETURN(auto records,
                           SplitRecords(csv_text, options.delimiter));
-  auto table = std::make_shared<Table>(table_name, schema);
   size_t start = 0;
   if (options.header) {
     if (records.empty()) {
@@ -159,7 +158,8 @@ Result<TablePtr> ReadCsv(const std::string& csv_text,
     }
     start = 1;
   }
-  table->Reserve(records.size() - start);
+  std::vector<Row> rows;
+  rows.reserve(records.size() - start);
   for (size_t r = start; r < records.size(); ++r) {
     const auto& record = records[r];
     // Skip completely blank trailing records.
@@ -178,9 +178,9 @@ Result<TablePtr> ReadCsv(const std::string& csv_text,
           Value v, ParseCell(record[c], schema.column(c).type, options));
       row.push_back(std::move(v));
     }
-    table->AppendRowUnchecked(std::move(row));
+    rows.push_back(std::move(row));
   }
-  return table;
+  return Table::FromRows(table_name, std::move(schema), rows);
 }
 
 Result<TablePtr> ReadCsvFile(const std::string& path,

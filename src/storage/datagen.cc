@@ -1,5 +1,6 @@
 #include "storage/datagen.h"
 
+#include "common/macros.h"
 #include "common/string_util.h"
 
 namespace fedcal {
@@ -59,7 +60,7 @@ const char* ScalePresetName(ScalePreset preset) {
   return "?";
 }
 
-Result<TablePtr> GenerateTable(const TableGenSpec& spec, Rng* rng) {
+Result<std::vector<Row>> GenerateRows(const TableGenSpec& spec, Rng* rng) {
   if (spec.columns.size() != spec.generators.size()) {
     return Status::InvalidArgument(StringFormat(
         "table %s: %zu columns but %zu generators", spec.name.c_str(),
@@ -79,17 +80,23 @@ Result<TablePtr> GenerateTable(const TableGenSpec& spec, Rng* rng) {
     }
   }
 
-  auto table = std::make_shared<Table>(spec.name, Schema(spec.columns));
-  table->Reserve(spec.num_rows);
+  std::vector<Row> rows;
+  rows.reserve(spec.num_rows);
   for (size_t r = 0; r < spec.num_rows; ++r) {
     Row row;
     row.reserve(spec.columns.size());
     for (size_t c = 0; c < spec.columns.size(); ++c) {
       row.push_back(GenerateCell(spec.generators[c], r, rng));
     }
-    table->AppendRowUnchecked(std::move(row));
+    rows.push_back(std::move(row));
   }
-  return table;
+  return rows;
+}
+
+Result<TablePtr> GenerateTable(const TableGenSpec& spec, Rng* rng,
+                               size_t chunk_rows) {
+  FEDCAL_ASSIGN_OR_RETURN(std::vector<Row> rows, GenerateRows(spec, rng));
+  return Table::FromRows(spec.name, Schema(spec.columns), rows, chunk_rows);
 }
 
 }  // namespace fedcal

@@ -105,7 +105,12 @@ struct TableGenSpec {
   std::vector<ColumnGenSpec> generators;  ///< parallel to `columns`
 };
 
-/// \brief Generates a table per the spec. Deterministic given the Rng state.
-Result<TablePtr> GenerateTable(const TableGenSpec& spec, Rng* rng);
+/// \brief Generates the spec's rows. Deterministic given the Rng state.
+Result<std::vector<Row>> GenerateRows(const TableGenSpec& spec, Rng* rng);
+
+/// \brief Generates a table per the spec, its payload cut into chunks of
+/// `chunk_rows` rows. Deterministic given the Rng state.
+Result<TablePtr> GenerateTable(const TableGenSpec& spec, Rng* rng,
+                               size_t chunk_rows = Table::kDefaultChunkRows);
 
 }  // namespace fedcal

@@ -2,9 +2,7 @@
 
 namespace fedcal {
 
-void HashIndex::Insert(const Row& row, size_t row_id) {
-  if (column_index_ >= row.size()) return;
-  const Value& key = row[column_index_];
+void HashIndex::Insert(const Value& key, size_t row_id) {
   if (key.is_null()) return;
   entries_.emplace(key.Hash(), row_id);
 }

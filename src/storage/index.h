@@ -25,14 +25,13 @@ class HashIndex {
   size_t column_index() const { return column_index_; }
   size_t num_entries() const { return entries_.size(); }
 
-  /// Indexes one row (called by Table on append).
-  void Insert(const Row& row, size_t row_id);
+  /// Indexes row `row_id`, whose cell in the indexed column is `key`
+  /// (called by Table on append).
+  void Insert(const Value& key, size_t row_id);
 
   /// Row ids whose key equals `key` (hash probe + exact verification by
   /// the caller via the table; hash collisions are possible here).
   std::vector<size_t> Probe(const Value& key) const;
-
-  void Clear() { entries_.clear(); }
 
  private:
   std::string column_name_;

@@ -1,46 +1,38 @@
 #include "storage/table.h"
 
+#include "common/macros.h"
 #include "common/string_util.h"
 
 namespace fedcal {
 
-size_t Table::RowBytes(const Row& row) {
-  size_t n = 0;
-  for (const Value& v : row) n += v.ByteSize();
-  return n;
+Table::Table(std::string name, Schema schema, size_t chunk_rows)
+    : name_(std::move(name)),
+      schema_(std::move(schema)),
+      chunk_rows_(chunk_rows),
+      data_(std::make_shared<ColumnarTable>(schema_)) {}
+
+Table::Table(std::string name, ColumnarTablePtr data, size_t chunk_rows)
+    : name_(std::move(name)),
+      schema_(data->schema()),
+      chunk_rows_(chunk_rows),
+      data_(std::move(data)) {}
+
+std::shared_ptr<Table> Table::FromRows(std::string name, Schema schema,
+                                       const std::vector<Row>& rows,
+                                       size_t chunk_rows) {
+  auto t = std::make_shared<Table>(std::move(name), std::move(schema),
+                                   chunk_rows);
+  t->data_ = t->data_->Append(rows, t->chunk_rows_);
+  return t;
 }
 
 std::shared_ptr<Table> Table::FromColumnar(std::string name,
                                            ColumnarTablePtr data) {
-  auto t = std::make_shared<Table>(std::move(name), data->schema());
-  t->bytes_ = data->byte_size();
-  t->backing_ = std::move(data);
-  t->rows_ready_.store(false, std::memory_order_release);
-  return t;
+  return std::shared_ptr<Table>(
+      new Table(std::move(name), std::move(data), kDefaultChunkRows));
 }
 
-void Table::EnsureRows() const {
-  if (rows_ready_.load(std::memory_order_acquire)) return;
-  std::lock_guard<std::mutex> lock(lazy_mu_);
-  if (rows_ready_.load(std::memory_order_relaxed)) return;
-  rows_ = backing_->MaterializeRows();
-  rows_ready_.store(true, std::memory_order_release);
-}
-
-ColumnarTablePtr Table::columnar(size_t batch_rows) const {
-  std::lock_guard<std::mutex> lock(lazy_mu_);
-  if (backing_ != nullptr) return backing_;
-  if (columnar_cache_ != nullptr && columnar_cache_batch_ == batch_rows) {
-    return columnar_cache_;
-  }
-  // Row-backed: rows_ is authoritative (EnsureRows is a no-op), build the
-  // mirror. rows_ cannot change concurrently — appends are single-writer.
-  columnar_cache_ = ColumnarFromRows(schema_, rows_, batch_rows);
-  columnar_cache_batch_ = batch_rows;
-  return columnar_cache_;
-}
-
-Status Table::AppendRow(Row row) {
+Status Table::Validate(const Row& row) const {
   if (row.size() != schema_.num_columns()) {
     return Status::InvalidArgument(StringFormat(
         "table %s: row arity %zu != schema arity %zu", name_.c_str(),
@@ -60,17 +52,25 @@ Status Table::AppendRow(Row row) {
           v.ToString().c_str(), DataTypeName(t)));
     }
   }
-  AppendRowUnchecked(std::move(row));
+  return Status::OK();
+}
+
+Status Table::AppendRows(const std::vector<Row>& rows) {
+  for (const Row& row : rows) FEDCAL_RETURN_NOT_OK(Validate(row));
+  if (rows.empty()) return Status::OK();
+  const size_t base = data_->num_rows();
+  data_ = data_->Append(rows, chunk_rows_);
+  for (auto& [name, index] : indexes_) {
+    for (size_t i = 0; i < rows.size(); ++i) {
+      index.Insert(rows[i][index.column_index()], base + i);
+    }
+  }
   return Status::OK();
 }
 
 std::shared_ptr<Table> Table::CloneAs(const std::string& new_name) const {
-  auto copy = std::make_shared<Table>(new_name, schema_);
-  copy->rows_ = rows();
-  copy->bytes_ = bytes_;
-  for (const auto& [name, index] : indexes_) {
-    (void)copy->CreateIndex(name);
-  }
+  auto copy = std::shared_ptr<Table>(new Table(new_name, data_, chunk_rows_));
+  copy->indexes_ = indexes_;
   return copy;
 }
 
@@ -80,13 +80,14 @@ Status Table::CreateIndex(const std::string& column_name) {
     return Status::NotFound("table " + name_ + " has no column " +
                             column_name);
   }
-  EnsureRows();
-  indexes_.erase(column_name);
-  auto [it, inserted] =
-      indexes_.emplace(column_name, HashIndex(column_name, *col));
-  for (size_t r = 0; r < rows_.size(); ++r) {
-    it->second.Insert(rows_[r], r);
+  HashIndex index(column_name, *col);
+  size_t row_id = 0;
+  for (const ColumnChunk& chunk : data_->chunks()) {
+    for (size_t i = 0; i < chunk.length; ++i) {
+      index.Insert(chunk.ValueAt(*col, i), row_id++);
+    }
   }
+  indexes_.insert_or_assign(column_name, std::move(index));
   return Status::OK();
 }
 

@@ -1,9 +1,7 @@
 #pragma once
 
-#include <atomic>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -15,95 +13,60 @@
 
 namespace fedcal {
 
-/// \brief An in-memory relational table.
+/// \brief An in-memory relational table: a name, a schema, optional hash
+/// indexes and one immutable columnar payload.
 ///
 /// Tables are owned by simulated remote servers; the execution engine scans
-/// them through this interface. Appends validate arity and type against the
-/// schema (nulls are accepted in any column).
-///
-/// A table is backed by rows, by a columnar payload, or by both:
-///  - Row-backed (the default): `rows_` is authoritative; `columnar()`
-///    builds and caches a columnar mirror on first use (invalidated by
-///    appends), so repeated columnar scans of a base table pay the
-///    row-to-column conversion once.
-///  - Columnar-backed (`FromColumnar`): the columnar engine's results wrap
-///    their chunks directly; rows materialize lazily on first `rows()` /
-///    `row()` access, so a fragment result that is only ever scanned
-///    columnar (shipped to the integrator and merged) never materializes a
-///    single Row.
-/// Both lazy conversions are guarded by an internal mutex; all other state
-/// follows the engine's usual single-writer discipline.
+/// their payload (`columnar()`). A base table's payload is sealed chunks of
+/// `chunk_rows` rows plus a shorter tail chunk, with one StringDict per
+/// string column. An append publishes a new payload that shares every
+/// sealed chunk and re-encodes only the tail plus the new rows; a payload
+/// already handed out never changes (ColumnarTable::Append). The table
+/// itself follows the engine's single-writer discipline: a server appends
+/// under its writer lock, which keeps readers of `columnar()` out.
 class Table {
  public:
-  Table(std::string name, Schema schema)
-      : name_(std::move(name)), schema_(std::move(schema)) {}
+  static constexpr size_t kDefaultChunkRows = 4096;
 
-  /// Wraps a columnar result without materializing rows. `byte_size` and
-  /// `num_rows` come from the columnar payload.
+  /// An empty table whose payload is cut into chunks of `chunk_rows` rows.
+  Table(std::string name, Schema schema,
+        size_t chunk_rows = kDefaultChunkRows);
+
+  /// Builds a table from `rows` in one pass, without validation: for
+  /// generator, parser and test-fixture output.
+  static std::shared_ptr<Table> FromRows(std::string name, Schema schema,
+                                         const std::vector<Row>& rows,
+                                         size_t chunk_rows = kDefaultChunkRows);
+  /// Wraps a columnar result; `byte_size` and `num_rows` come from it.
   static std::shared_ptr<Table> FromColumnar(std::string name,
                                              ColumnarTablePtr data);
 
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
 
-  size_t num_rows() const {
-    return rows_ready_.load(std::memory_order_acquire)
-               ? rows_.size()
-               : backing_->num_rows();
-  }
-  const Row& row(size_t i) const {
-    EnsureRows();
-    return rows_[i];
-  }
-  const std::vector<Row>& rows() const {
-    EnsureRows();
-    return rows_;
-  }
-
-  /// Appends a row after checking arity and per-column type.
-  Status AppendRow(Row row);
-
-  /// Appends without validation (used by the generator on its own output).
-  void AppendRowUnchecked(Row row) {
-    EnsureRows();
-    InvalidateColumnar();
-    bytes_ += RowBytes(row);
-    for (auto& [name, index] : indexes_) {
-      index.Insert(row, rows_.size());
-    }
-    rows_.push_back(std::move(row));
-  }
-
-  /// Reserves capacity for `n` rows (materialization hint on hot append
-  /// paths).
-  void Reserve(size_t n) {
-    EnsureRows();
-    rows_.reserve(n);
-  }
-
-  void Clear() {
-    EnsureRows();
-    InvalidateColumnar();
-    rows_.clear();
-    bytes_ = 0;
-    for (auto& [name, index] : indexes_) index.Clear();
-  }
-
+  size_t num_rows() const { return data_->num_rows(); }
   /// Approximate total payload bytes (drives network-transfer costs).
-  size_t byte_size() const { return bytes_; }
+  size_t byte_size() const { return data_->byte_size(); }
   double avg_row_bytes() const {
     const size_t n = num_rows();
-    return n == 0 ? 0.0 : static_cast<double>(bytes_) / n;
+    return n == 0 ? 0.0 : static_cast<double>(byte_size()) / n;
   }
 
-  /// Columnar view of this table, built in chunks of `batch_rows` rows.
-  /// Columnar-backed tables return their payload directly (whatever its
-  /// chunking); row-backed tables build the mirror once and cache it until
-  /// the next append. Thread-safe.
-  ColumnarTablePtr columnar(size_t batch_rows) const;
+  /// The current payload. A copy of this pointer keeps reading the same
+  /// rows after later appends, which replace the table's pointer.
+  const ColumnarTablePtr& columnar() const { return data_; }
 
-  /// Deep copy with a new name (replica creation). Indexes are rebuilt on
-  /// the clone.
+  /// Row `i` and all rows, decoded from the payload on every call.
+  Row row(size_t i) const { return data_->MaterializeRow(i); }
+  std::vector<Row> rows() const { return data_->MaterializeRows(); }
+
+  /// Checks every row's arity and per-column types (nulls are accepted in
+  /// any column; a DOUBLE column takes int64 values too), then appends
+  /// them all; on a bad row nothing is appended.
+  Status AppendRows(const std::vector<Row>& rows);
+
+  /// A table with a new name over the same payload (replica creation);
+  /// the two diverge only when one is written. Indexes are copied.
   std::shared_ptr<Table> CloneAs(const std::string& new_name) const;
 
   // -- Indexes ---------------------------------------------------------------
@@ -116,34 +79,15 @@ class Table {
   std::vector<std::string> indexed_columns() const;
 
  private:
-  static size_t RowBytes(const Row& row);
+  Table(std::string name, ColumnarTablePtr data, size_t chunk_rows);
 
-  /// Materializes rows from the columnar backing on first access.
-  void EnsureRows() const;
-  /// Drops the cached columnar mirror (and the backing's authority) after
-  /// a mutation; rows are authoritative from then on.
-  void InvalidateColumnar() {
-    if (backing_ != nullptr || columnar_cache_ != nullptr) {
-      std::lock_guard<std::mutex> lock(lazy_mu_);
-      backing_ = nullptr;
-      columnar_cache_ = nullptr;
-    }
-  }
+  Status Validate(const Row& row) const;
 
   std::string name_;
   Schema schema_;
-  mutable std::vector<Row> rows_;
-  size_t bytes_ = 0;
+  size_t chunk_rows_;
+  ColumnarTablePtr data_;
   std::map<std::string, HashIndex> indexes_;
-
-  /// Columnar payload this table was created from (FromColumnar), if any.
-  ColumnarTablePtr backing_;
-  /// True once `rows_` is authoritative (always true for row-backed).
-  mutable std::atomic<bool> rows_ready_{true};
-  /// Cached row->column mirror for row-backed tables, and its chunking.
-  mutable ColumnarTablePtr columnar_cache_;
-  mutable size_t columnar_cache_batch_ = 0;
-  mutable std::mutex lazy_mu_;
 };
 
 using TablePtr = std::shared_ptr<Table>;

@@ -93,10 +93,7 @@ void Scenario::BuildServers() {
                   .min_speed_fraction = 0.05,
                   .exec = {}};
   for (auto cfg : {s1, s2, s3}) {
-    if (config_.columnar_engine) {
-      cfg.exec.engine = EngineKind::kColumnar;
-      cfg.exec.batch_rows = config_.batch_rows;
-    }
+    cfg.exec.batch_rows = config_.batch_rows;
     cfg.exec.profile = config_.profile;
     servers_[cfg.id] =
         std::make_unique<RemoteServer>(cfg, ctx_, rng_.Fork());
@@ -168,7 +165,7 @@ void Scenario::BuildData() {
                                  "delhi", "austin"})};
 
   for (const auto& spec : {employee, sales, department}) {
-    auto table = GenerateTable(spec, &datagen_rng);
+    auto table = GenerateTable(spec, &datagen_rng, config_.batch_rows);
     assert(table.ok());
     TablePtr t = table.MoveValue();
 
@@ -209,10 +206,7 @@ void Scenario::BuildFederation() {
   ii_config.configured_speed = 400'000;
   ii_config.actual_cpu_speed = 400'000;
   ii_config.actual_io_speed = 400'000;
-  if (config_.columnar_engine) {
-    ii_config.exec.engine = EngineKind::kColumnar;
-    ii_config.exec.batch_rows = config_.batch_rows;
-  }
+  ii_config.exec.batch_rows = config_.batch_rows;
   ii_config.exec.profile = config_.profile;
   ii_ = std::make_unique<Integrator>(&catalog_, mw_.get(), ctx_, ii_config);
 }

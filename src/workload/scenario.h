@@ -54,12 +54,12 @@ struct ScenarioConfig {
   /// Serving-mode wall seconds per virtual second of timer gap; 0 fires
   /// events as fast as possible (see ServingConfig::time_scale).
   double serving_time_scale = 0.0;
-  /// Run every engine in the testbed (remote-server fragments and the
-  /// integrator's merge) on the vectorized columnar executor instead of
-  /// the row-at-a-time reference engine. Results, stats, and simulated
-  /// timings are engine-invariant — only wall-clock speed changes.
+  /// No effect: every engine in the testbed runs the columnar executor.
+  /// Kept only because the repository benchmark (perfbench/) still sets
+  /// it; remove it with the next change to the benchmark.
   bool columnar_engine = false;
-  /// Columnar batch size (rows per chunk) when columnar_engine is set.
+  /// Rows per chunk of the base tables' payloads and of every engine's
+  /// intermediate results.
   size_t batch_rows = 4096;
   /// Record per-operator runtime profiles (EXPLAIN ANALYZE) on every
   /// server and the integrator's merge. Off by default: profiling is

@@ -33,14 +33,14 @@ void UpdateLoadDriver::Stop() {
 void UpdateLoadDriver::InsertBatch() {
   TableGenSpec batch = row_spec_;
   batch.num_rows = config_.rows_per_batch;
-  auto rows = GenerateTable(batch, &rng_);
+  auto rows = GenerateRows(batch, &rng_);
   if (!rows.ok()) {
     FEDCAL_LOG_WARN << "update driver on " << server_->id()
                     << ": generation failed: "
                     << rows.status().ToString();
     return;
   }
-  const Status st = server_->AppendRows(table_, (*rows)->rows());
+  const Status st = server_->AppendRows(table_, *rows);
   if (!st.ok()) {
     FEDCAL_LOG_WARN << "update driver on " << server_->id() << ": "
                     << st.ToString();

@@ -1,59 +1,28 @@
+// Differential oracle for the production engine: every query runs through
+// the columnar engine, over base tables chunked at two batch sizes, and
+// through the row-at-a-time oracle (tests/oracle); results must be
+// byte-identical and ExecStats bit-identical.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
 #include "engine/executor.h"
 #include "storage/datagen.h"
+#include "tests/oracle/row_executor.h"
 #include "tests/test_util.h"
 
 namespace fedcal {
 namespace {
 
 using testing::D;
+using testing::ExpectIdenticalStats;
 using testing::I;
 using testing::MakeTable;
 using testing::MiniDb;
 using testing::N;
 using testing::S;
-
-/// Asserts byte-identical tables: same schema, same row order, and the
-/// exact same Value variant in every cell (1 as int64 != 1.0 as double
-/// here, even though they compare equal).
-void ExpectIdenticalTables(const Table& row_t, const Table& col_t,
-                           const std::string& label) {
-  ASSERT_EQ(row_t.num_rows(), col_t.num_rows()) << label;
-  ASSERT_EQ(row_t.schema().num_columns(), col_t.schema().num_columns())
-      << label;
-  EXPECT_EQ(row_t.byte_size(), col_t.byte_size()) << label;
-  for (size_t r = 0; r < row_t.num_rows(); ++r) {
-    const Row& a = row_t.row(r);
-    const Row& b = col_t.row(r);
-    ASSERT_EQ(a.size(), b.size()) << label << " row " << r;
-    for (size_t c = 0; c < a.size(); ++c) {
-      EXPECT_EQ(a[c], b[c]) << label << " cell " << r << "," << c;
-      EXPECT_EQ(a[c].is_null(), b[c].is_null())
-          << label << " cell " << r << "," << c;
-      EXPECT_EQ(a[c].is_int64(), b[c].is_int64())
-          << label << " cell " << r << "," << c;
-      EXPECT_EQ(a[c].is_double(), b[c].is_double())
-          << label << " cell " << r << "," << c;
-    }
-  }
-}
-
-/// Bit-identical stats: the work-unit accounting is the simulation clock,
-/// so even floating-point totals must match exactly (same accumulation
-/// order), not approximately.
-void ExpectIdenticalStats(const ExecStats& a, const ExecStats& b,
-                          const std::string& label) {
-  EXPECT_EQ(a.work_units, b.work_units) << label;
-  EXPECT_EQ(a.io_units, b.io_units) << label;
-  EXPECT_EQ(a.rows_scanned, b.rows_scanned) << label;
-  EXPECT_EQ(a.rows_output, b.rows_output) << label;
-  EXPECT_EQ(a.bytes_output, b.bytes_output) << label;
-  EXPECT_EQ(a.operators_executed, b.operators_executed) << label;
-}
 
 class ColumnarDifferentialTest : public ::testing::Test {
  protected:
@@ -100,7 +69,7 @@ class ColumnarDifferentialTest : public ::testing::Test {
     for (const auto& spec : {emp, dept, sales}) {
       auto t = GenerateTable(spec, &rng);
       ASSERT_TRUE(t.ok()) << t.status().ToString();
-      db_.AddTable(t.MoveValue());
+      AddTable(t.MoveValue());
     }
 
     // A tiny table with mixed variants (int64 stored in a DOUBLE column)
@@ -115,7 +84,7 @@ class ColumnarDifferentialTest : public ::testing::Test {
                               {N(), D(-3.0), N()},
                               {I(4), I(0), S("y")}});
     ASSERT_TRUE(odd->CreateIndex("k").ok());
-    db_.AddTable(odd);
+    AddTable(odd);
 
     // Nullable string keys whose later groups first appear past row 200
     // (chunk 3 at batch 64) and nullable int64/double columns. At batch 64
@@ -133,7 +102,7 @@ class ColumnarDifferentialTest : public ::testing::Test {
                          i < 64 ? I(i) : D(0.5 * static_cast<double>(i)),
                          i == 3 ? D(2.5) : I(i)});
     }
-    db_.AddTable(MakeTable("ev",
+    AddTable(MakeTable("ev",
                            {{"id", DataType::kInt64},
                             {"key", DataType::kString},
                             {"n", DataType::kInt64},
@@ -150,17 +119,40 @@ class ColumnarDifferentialTest : public ::testing::Test {
           {I(i % 30), i % 6 == 0 ? N() : Value("l" + std::to_string(i % 4)),
            i % 5 == 2 ? N() : D(1.5 * static_cast<double>(i))});
     }
-    db_.AddTable(MakeTable("evd",
+    AddTable(MakeTable("evd",
                            {{"did", DataType::kInt64},
                             {"label", DataType::kString},
                             {"w", DataType::kDouble}},
                            evd_rows));
   }
 
-  /// Runs `sql` under both engines (columnar at several batch sizes) and
-  /// asserts identical results and stats.
+  /// Adds a copy of `t` to the database of every batch size, its payload
+  /// cut into chunks of that size, with the same indexes. At batch 64 the
+  /// scans then feed the engine many chunks, as they do at 4096 only at
+  /// scale.
+  void AddTable(const TablePtr& t) {
+    for (auto& [batch, db] : dbs_) {
+      TablePtr copy = Table::FromRows(t->name(), t->schema(), t->rows(), batch);
+      for (const std::string& column : t->indexed_columns()) {
+        ASSERT_TRUE(copy->CreateIndex(column).ok());
+      }
+      db.AddTable(copy);
+    }
+  }
+
+  MiniDb& db() { return dbs_.at(4096); }
+
+  /// The oracle over this fixture's tables, read into row form on first
+  /// use.
+  oracle::RowExecutor Oracle() {
+    return oracle::RowExecutor(oracle::RowExecutor::Caching(
+        [this](const std::string& n) { return db().Resolve(n); }));
+  }
+
+  /// Runs `sql` through the oracle and the columnar engine (at several
+  /// batch sizes) and asserts identical results and stats.
   void RunBoth(const std::string& sql) {
-    auto plan = db_.Plan(sql);
+    auto plan = db().Plan(sql);
     ASSERT_TRUE(plan.ok()) << sql << ": " << plan.status().ToString();
     RunPlanBoth(plan.value(), sql);
   }
@@ -168,31 +160,30 @@ class ColumnarDifferentialTest : public ::testing::Test {
   /// RunBoth for a plan built by hand, for shapes the planner never
   /// emits (a Sort or Distinct below a Project, a Filter above a join).
   void RunPlanBoth(const PlanNodePtr& plan, const std::string& label) {
-    const auto resolve = [this](const std::string& n) {
-      return db_.Resolve(n);
-    };
     ExecStats row_stats;
-    auto row_res = Executor(resolve, ExecConfig{}).Execute(plan, &row_stats);
+    auto row_res = Oracle().Execute(plan, &row_stats);
     ASSERT_TRUE(row_res.ok()) << label << ": " << row_res.status().ToString();
-    TablePtr row_t = row_res.MoveValue();
+    const oracle::RowTablePtr row_t = row_res.MoveValue();
 
-    for (size_t batch : {64u, 4096u}) {
+    for (auto& [batch, db] : dbs_) {
       ExecConfig cfg;
-      cfg.engine = EngineKind::kColumnar;
       cfg.batch_rows = batch;
       ExecStats col_stats;
-      auto col_res = Executor(resolve, cfg).Execute(plan, &col_stats);
+      auto col_res =
+          Executor([&db](const std::string& n) { return db.Resolve(n); }, cfg)
+              .Execute(plan, &col_stats);
       ASSERT_TRUE(col_res.ok())
           << label << ": " << col_res.status().ToString();
       const std::string batch_label =
           label + " [batch=" + std::to_string(batch) + "]";
-      ExpectIdenticalTables(*row_t, *col_res.value(), batch_label);
+      EXPECT_EQ(oracle::FirstDifference(*row_t, *col_res.value()), "")
+          << batch_label;
       ExpectIdenticalStats(row_stats, col_stats, batch_label);
     }
   }
 
   PlanNodePtr ScanOf(const std::string& table) {
-    return PlanNode::Scan(table, db_.Resolve(table).value()->schema());
+    return PlanNode::Scan(table, db().Resolve(table).value()->schema());
   }
 
   /// ev JOIN evd ON ev.n = evd.did. Slots 0-5 are ev's (id, key, n, x, m,
@@ -202,7 +193,8 @@ class ColumnarDifferentialTest : public ::testing::Test {
                               std::move(residual));
   }
 
-  MiniDb db_;
+  /// One database per batch size, holding the same tables.
+  std::map<size_t, MiniDb> dbs_ = {{64, MiniDb()}, {4096, MiniDb()}};
 };
 
 BoundExprPtr Col(const PlanNode& node, size_t slot) {
@@ -418,7 +410,8 @@ TEST_F(ColumnarDifferentialTest, StringGroupKeysAcrossDictionaries) {
     auto merged = std::make_shared<ColumnarTable>(schema);
     merged->AppendTableZeroCopy(*ColumnarFromRows(schema, first, batch));
     merged->AppendTableZeroCopy(*ColumnarFromRows(schema, second, batch));
-    db_.AddTable(Table::FromColumnar("two_dicts", merged));
+    const TablePtr two_dicts = Table::FromColumnar("two_dicts", merged);
+    for (auto& [batch_rows, db] : dbs_) db.AddTable(two_dicts);
     RunBoth("SELECT k, COUNT(*), SUM(v), MIN(v) FROM two_dicts GROUP BY k");
     RunBoth("SELECT k, COUNT(*) FROM two_dicts WHERE v > 100 GROUP BY k");
     RunBoth("SELECT k, v FROM two_dicts WHERE v < 5 OR v > 145");
@@ -436,13 +429,13 @@ TEST_F(ColumnarDifferentialTest, ErrorsFailBothEngines) {
   // first-cell message may differ only when several rows are bad).
   const std::string sql = "SELECT id FROM emp WHERE tag > 5";
   ExecStats s;
-  auto row_res = db_.Run(sql, &s);
-  ASSERT_FALSE(row_res.ok());
-  ExecConfig cfg;
-  cfg.engine = EngineKind::kColumnar;
-  auto col_res = db_.Run(sql, &s, cfg);
+  auto col_res = db().Run(sql, &s);
   ASSERT_FALSE(col_res.ok());
-  EXPECT_EQ(row_res.status().ToString(), col_res.status().ToString());
+  auto plan = db().Plan(sql);
+  const Status row_status =
+      plan.ok() ? Oracle().Execute(plan.value(), &s).status() : plan.status();
+  ASSERT_FALSE(row_status.ok());
+  EXPECT_EQ(row_status.ToString(), col_res.status().ToString());
 }
 
 }  // namespace

@@ -57,7 +57,7 @@ TEST(HashIndexTest, NullKeysNotIndexed) {
 TEST(HashIndexTest, MaintainedAcrossAppends) {
   TablePtr t = IndexedTable(100, 10);
   const size_t before = t->GetIndex("k")->Probe(Value(int64_t{3})).size();
-  t->AppendRowUnchecked({I(3), D(1.0), S("x")});
+  ASSERT_OK(t->AppendRows({{I(3), D(1.0), S("x")}}));
   EXPECT_EQ(t->GetIndex("k")->Probe(Value(int64_t{3})).size(), before + 1);
 }
 

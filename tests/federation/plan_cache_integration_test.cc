@@ -10,6 +10,7 @@
 #include <string>
 
 #include "obs/export.h"
+#include "sql/fingerprint.h"
 #include "tests/test_util.h"
 #include "workload/scenario.h"
 
@@ -272,6 +273,91 @@ TEST(PlanCacheIntegrationTest, SubstitutedHitCostsMatchFreshCompile) {
                        f.fragment_choices[j].cost.raw_estimated_seconds)
           << "option " << i << " fragment " << j;
     }
+  }
+}
+
+/// Every node's estimated_rows and estimated_work, in preorder.
+void CollectAnnotations(const PlanNodePtr& node, std::vector<double>* out) {
+  if (node == nullptr) return;
+  out->push_back(node->estimated_rows);
+  out->push_back(node->estimated_work);
+  CollectAnnotations(node->left, out);
+  CollectAnnotations(node->right, out);
+}
+
+/// The annotations of every merge and fragment plan of `options`.
+std::vector<double> Annotations(const std::vector<GlobalPlanOption>& options) {
+  std::vector<double> out;
+  for (const GlobalPlanOption& option : options) {
+    CollectAnnotations(option.merge_plan, &out);
+    for (const FragmentOption& fc : option.fragment_choices) {
+      CollectAnnotations(fc.wrapper_plan.plan, &out);
+    }
+  }
+  return out;
+}
+
+TEST(PlanCacheIntegrationTest, SubstitutedRouteLeavesTemplateAnnotations) {
+  // Route re-costs a substituted instance's plans in place. They must be
+  // private copies, or the cached template's estimates would drift to
+  // whichever instance was routed last.
+  ScenarioConfig cfg = TinyConfig();
+  cfg.full_replication = false;  // merges with more than a passthrough
+  Scenario sc(cfg);
+  bool recosted = false;
+  for (QueryType type : AllQueryTypes()) {
+    const std::string sql = sc.MakeQueryInstance(type, 0);
+    ASSERT_OK(sc.integrator().Compile(sql).status());
+    const PreparedPlanPtr prepared =
+        sc.integrator().plan_cache().Lookup(FingerprintSql(sql).canonical_sql);
+    ASSERT_NE(prepared, nullptr) << QueryTypeName(type);
+    const std::vector<double> before = Annotations(prepared->options);
+    for (int instance : {3, 5, 8}) {
+      auto compiled =
+          sc.integrator().Compile(sc.MakeQueryInstance(type, instance));
+      ASSERT_OK(compiled.status());
+      ASSERT_TRUE(compiled->cache_hit) << QueryTypeName(type);
+      recosted |= Annotations(compiled->options) != before;
+    }
+    EXPECT_EQ(Annotations(prepared->options), before) << QueryTypeName(type);
+  }
+  // Some instance was estimated differently from its template, so a
+  // shared node would have shown.
+  EXPECT_TRUE(recosted);
+}
+
+TEST(PlanCacheIntegrationTest, ExplainRendersTheMergePlanAsRouted) {
+  // The explain table keeps each winner's merge plan, not its text:
+  // rendering it later, after more routes of the same statement, must
+  // give what rendering it right after its own Route gave.
+  ScenarioConfig cfg = TinyConfig();
+  cfg.full_replication = false;
+  Scenario sc(cfg);
+  struct Routed {
+    uint64_t query_id;
+    std::string text;
+  };
+  std::vector<Routed> routed;
+  // A cold compile, a cache hit with the same literals, a substituted hit.
+  for (int instance : {0, 0, 3}) {
+    auto compiled = sc.integrator().Compile(
+        sc.MakeQueryInstance(QueryType::kQT2, instance));
+    ASSERT_OK(compiled.status());
+    EXPECT_EQ(compiled->cache_hit, !routed.empty());
+    const ExplainEntry* e = sc.integrator().explain().Find(compiled->query_id);
+    ASSERT_NE(e, nullptr);
+    ASSERT_NE(e->merge_plan, nullptr);
+    routed.push_back({compiled->query_id, e->merge_plan->ToString()});
+  }
+  for (int instance : {1, 5, 7, 0, 3}) {
+    ASSERT_OK(sc.integrator()
+                  .Compile(sc.MakeQueryInstance(QueryType::kQT2, instance))
+                  .status());
+  }
+  for (const Routed& r : routed) {
+    const ExplainEntry* e = sc.integrator().explain().Find(r.query_id);
+    ASSERT_NE(e, nullptr);
+    EXPECT_EQ(e->merge_plan->ToString(), r.text) << "query " << r.query_id;
   }
 }
 

@@ -293,7 +293,7 @@ TEST_F(RemoteServerTest, JobTakesItsRunsTableAndStatsWithoutTheEngine) {
   run->data_version = server_->data_version();
   auto marker = std::make_shared<Table>(
       "marker", Schema({{"m", DataType::kInt64}}));
-  ASSERT_OK(marker->AppendRow({Value(int64_t{7})}));
+  ASSERT_OK(marker->AppendRows({{Value(int64_t{7})}}));
   run->table = TablePtr(marker);
   run->exec_stats.work_units = 300.0;
   run->exec_stats.io_units = 100.0;
@@ -313,6 +313,23 @@ TEST_F(RemoteServerTest, JobTakesItsRunsTableAndStatsWithoutTheEngine) {
   EXPECT_DOUBLE_EQ(reply->server_seconds, 0.003);
   EXPECT_EQ(server_->fragments_completed(), 1u);
   EXPECT_EQ(server_->fragments_completed_from_runs(), 1u);
+}
+
+TEST_F(RemoteServerTest, AppendRowsWithABadRowAppendsNothing) {
+  TablePtr data = server_->GetTable("data").MoveValue();
+  ASSERT_OK(data->CreateIndex("k"));
+  const size_t rows = data->num_rows();
+  const size_t bytes = data->byte_size();
+  const size_t entries = data->GetIndex("k")->num_entries();
+  const uint64_t version = server_->data_version();
+  // Two good rows ahead of the bad one: none of the batch may land.
+  std::vector<Row> batch = FiveRows();
+  batch.insert(batch.begin() + 2, Row{Value("not a key"), Value(1.0)});
+  EXPECT_FALSE(server_->AppendRows("data", batch).ok());
+  EXPECT_EQ(data->num_rows(), rows);
+  EXPECT_EQ(data->byte_size(), bytes);
+  EXPECT_EQ(data->GetIndex("k")->num_entries(), entries);
+  EXPECT_EQ(server_->data_version(), version);
 }
 
 TEST_F(RemoteServerTest, AppendRowsBeforeTheJobStartsMakesItRunAgain) {

@@ -525,18 +525,17 @@ TEST(ColumnarTableTest, RoundTripFromRows) {
   }
 }
 
-TEST(TableColumnarTest, MirrorIsCachedAndInvalidatedByAppend) {
-  TablePtr t = MakeTable("t", {{"a", DataType::kInt64}},
-                         {{I(1)}, {I(2)}});
-  ColumnarTablePtr c1 = t->columnar(1024);
-  ColumnarTablePtr c2 = t->columnar(1024);
-  EXPECT_EQ(c1.get(), c2.get());  // cached
+TEST(TableColumnarTest, AppendPublishesANewPayload) {
+  TablePtr t = MakeTable("t", {{"a", DataType::kInt64}}, {{I(1)}, {I(2)}});
+  ColumnarTablePtr c1 = t->columnar();
+  EXPECT_EQ(t->columnar().get(), c1.get());  // reads share the payload
   EXPECT_EQ(c1->num_rows(), 2u);
 
-  t->AppendRowUnchecked({I(3)});
-  ColumnarTablePtr c3 = t->columnar(1024);
-  EXPECT_NE(c1.get(), c3.get());  // invalidated
-  EXPECT_EQ(c3->num_rows(), 3u);
+  ASSERT_OK(t->AppendRows({{I(3)}}));
+  ColumnarTablePtr c2 = t->columnar();
+  EXPECT_NE(c1.get(), c2.get());
+  EXPECT_EQ(c1->num_rows(), 2u);  // the old payload is unchanged
+  EXPECT_EQ(c2->num_rows(), 3u);
 }
 
 TEST(TableColumnarTest, FromColumnarMaterializesRowsLazily) {
@@ -548,20 +547,33 @@ TEST(TableColumnarTest, FromColumnarMaterializesRowsLazily) {
   // Metadata comes straight from the columnar payload.
   EXPECT_EQ(t->num_rows(), 2u);
   EXPECT_EQ(t->byte_size(), ct->byte_size());
-  // The columnar view is the payload itself, not a rebuilt mirror.
-  EXPECT_EQ(t->columnar(7).get(), ct.get());
+  // The columnar view is the payload itself.
+  EXPECT_EQ(t->columnar().get(), ct.get());
 
-  // Row access materializes on demand and matches.
+  // Rows are decoded only when asked for, and match.
   EXPECT_EQ(t->rows(), rows);
+  EXPECT_EQ(t->row(1), rows[1]);
 }
 
 TEST(TableColumnarTest, ByteSizeMatchesRowAccounting) {
+  const std::vector<Row> rows = {
+      {I(1), S("hello")}, {N(), S("")}, {I(3), N()}};
+  const std::vector<Row> more = {{I(4), S("hi")}, {N(), N()}};
+  auto row_bytes = [](const std::vector<Row>& rs) {
+    size_t bytes = 0;
+    for (const Row& r : rs) {
+      for (const Value& v : r) bytes += v.ByteSize();
+    }
+    return bytes;
+  };
   TablePtr t = MakeTable("t",
                          {{"a", DataType::kInt64},
                           {"s", DataType::kString}},
-                         {{I(1), S("hello")}, {N(), S("")}, {I(3), N()}});
-  ColumnarTablePtr ct = t->columnar(2);
-  EXPECT_EQ(ct->byte_size(), t->byte_size());
+                         rows, /*chunk_rows=*/2);
+  EXPECT_EQ(t->byte_size(), row_bytes(rows));
+  // An append re-encodes the tail chunk: its bytes leave and return.
+  ASSERT_OK(t->AppendRows(more));
+  EXPECT_EQ(t->byte_size(), row_bytes(rows) + row_bytes(more));
 }
 
 }  // namespace

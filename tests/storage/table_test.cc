@@ -33,44 +33,129 @@ TEST(SchemaTest, ToString) {
 
 TEST(TableTest, AppendRowValidatesArity) {
   Table t("t", TwoColSchema());
-  EXPECT_FALSE(t.AppendRow({I(1)}).ok());
-  EXPECT_TRUE(t.AppendRow({I(1), S("a")}).ok());
+  EXPECT_FALSE(t.AppendRows({{I(1)}}).ok());
+  EXPECT_TRUE(t.AppendRows({{I(1), S("a")}}).ok());
   EXPECT_EQ(t.num_rows(), 1u);
 }
 
 TEST(TableTest, AppendRowValidatesTypes) {
   Table t("t", TwoColSchema());
-  EXPECT_FALSE(t.AppendRow({S("oops"), S("a")}).ok());
-  EXPECT_FALSE(t.AppendRow({I(1), I(2)}).ok());
+  EXPECT_FALSE(t.AppendRows({{S("oops"), S("a")}}).ok());
+  EXPECT_FALSE(t.AppendRows({{I(1), I(2)}}).ok());
   // Nulls are allowed in any column.
-  EXPECT_TRUE(t.AppendRow({N(), N()}).ok());
+  EXPECT_TRUE(t.AppendRows({{N(), N()}}).ok());
 }
 
 TEST(TableTest, DoubleColumnAcceptsIntValues) {
   Table t("t", Schema({{"v", DataType::kDouble}}));
-  EXPECT_TRUE(t.AppendRow({I(5)}).ok());
-  EXPECT_TRUE(t.AppendRow({D(5.5)}).ok());
+  EXPECT_TRUE(t.AppendRows({{I(5)}}).ok());
+  EXPECT_TRUE(t.AppendRows({{D(5.5)}}).ok());
 }
 
 TEST(TableTest, ByteSizeTracksAppends) {
   Table t("t", TwoColSchema());
   EXPECT_EQ(t.byte_size(), 0u);
-  t.AppendRowUnchecked({I(1), S("abcd")});
+  ASSERT_OK(t.AppendRows({{I(1), S("abcd")}}));
   EXPECT_GT(t.byte_size(), 8u);
   const size_t after_one = t.byte_size();
-  t.AppendRowUnchecked({I(2), S("abcd")});
+  ASSERT_OK(t.AppendRows({{I(2), S("abcd")}}));
   EXPECT_EQ(t.byte_size(), 2 * after_one);
   EXPECT_DOUBLE_EQ(t.avg_row_bytes(), static_cast<double>(after_one));
 }
 
-TEST(TableTest, CloneAsDeepCopies) {
-  Table t("orig", TwoColSchema());
-  t.AppendRowUnchecked({I(1), S("a")});
-  auto copy = t.CloneAs("copy");
+/// Rows from, ..., from + n - 1 of TwoColSchema; row i names "s<i % 5>".
+std::vector<Row> NumberedRows(int64_t from, int64_t n) {
+  std::vector<Row> rows;
+  for (int64_t i = from; i < from + n; ++i) {
+    rows.push_back({I(i), Value("s" + std::to_string(i % 5))});
+  }
+  return rows;
+}
+
+TEST(TableTest, AppendSharesEverySealedChunk) {
+  // 10 rows in chunks of 4: two sealed chunks and a tail of 2.
+  TablePtr t = Table::FromRows("t", TwoColSchema(), NumberedRows(0, 10), 4);
+  const ColumnarTablePtr before = t->columnar();
+  ASSERT_EQ(before->chunks().size(), 3u);
+  ASSERT_OK(t->AppendRows(NumberedRows(10, 5)));
+  const ColumnarTablePtr after = t->columnar();
+  ASSERT_NE(after.get(), before.get());
+  // The tail's 2 rows and the 5 new ones make one more sealed chunk and a
+  // tail of 3.
+  ASSERT_EQ(after->chunks().size(), 4u);
+  EXPECT_EQ(after->chunks()[2].length, 4u);
+  EXPECT_EQ(after->chunks()[3].length, 3u);
+  for (size_t k = 0; k < 2; ++k) {
+    for (size_t c = 0; c < 2; ++c) {
+      EXPECT_EQ(after->chunks()[k].columns[c].col.get(),
+                before->chunks()[k].columns[c].col.get())
+          << "chunk " << k << " column " << c;
+    }
+  }
+  EXPECT_EQ(t->rows(), NumberedRows(0, 15));
+}
+
+TEST(TableTest, PayloadTakenBeforeAnAppendKeepsItsRows) {
+  TablePtr t = Table::FromRows("t", TwoColSchema(), NumberedRows(0, 6), 4);
+  const ColumnarTablePtr before = t->columnar();
+  const size_t bytes = before->byte_size();
+  ASSERT_OK(t->AppendRows(NumberedRows(6, 7)));
+  EXPECT_EQ(before->num_rows(), 6u);
+  EXPECT_EQ(before->byte_size(), bytes);
+  EXPECT_EQ(before->MaterializeRows(), NumberedRows(0, 6));
+  EXPECT_EQ(t->num_rows(), 13u);
+}
+
+TEST(TableTest, NewStringGoesIntoACopyOfTheDictionary) {
+  TablePtr t = Table::FromRows("t", TwoColSchema(), NumberedRows(0, 6), 4);
+  const ColumnarTablePtr before = t->columnar();
+  const ColumnData& old_tail = *before->chunks().back().columns[1].col;
+  const StringDict* old_dict = &old_tail.dict();
+  const size_t old_size = old_dict->size();
+  ASSERT_OK(t->AppendRows({{I(6), S("brand new")}}));
+  // The dictionary the old payload codes in is unchanged...
+  EXPECT_EQ(&old_tail.dict(), old_dict);
+  EXPECT_EQ(old_dict->size(), old_size);
+  EXPECT_EQ(old_dict->Find("brand new"), StringDict::kAbsent);
+  // ...and the new tail codes in a copy that holds the new string.
+  const ColumnData& new_tail = *t->columnar()->chunks().back().columns[1].col;
+  EXPECT_NE(&new_tail.dict(), old_dict);
+  EXPECT_NE(new_tail.dict().Find("brand new"), StringDict::kAbsent);
+  EXPECT_EQ(t->row(6)[1].AsString(), "brand new");
+  EXPECT_EQ(t->row(5)[1].AsString(), "s0");
+}
+
+TEST(TableTest, AppendOfKnownStringsKeepsOneDictionary) {
+  TablePtr t = Table::FromRows("t", TwoColSchema(), NumberedRows(0, 6), 4);
+  ASSERT_OK(t->AppendRows(NumberedRows(6, 9)));
+  const ColumnarTablePtr data = t->columnar();
+  for (const ColumnChunk& chunk : data->chunks()) {
+    EXPECT_EQ(&chunk.columns[1].col->dict(),
+              &data->chunks()[0].columns[1].col->dict());
+  }
+}
+
+TEST(TableTest, BadRowAppendsNothing) {
+  TablePtr t = Table::FromRows("t", TwoColSchema(), NumberedRows(0, 6), 4);
+  ASSERT_OK(t->CreateIndex("id"));
+  const ColumnarTablePtr before = t->columnar();
+  std::vector<Row> batch = NumberedRows(6, 3);
+  batch.push_back({S("not an id"), S("x")});
+  EXPECT_FALSE(t->AppendRows(batch).ok());
+  EXPECT_EQ(t->columnar().get(), before.get());
+  EXPECT_EQ(t->num_rows(), 6u);
+  EXPECT_TRUE(t->GetIndex("id")->Probe(I(6)).empty());
+}
+
+TEST(TableTest, CloneAsSharesPayload) {
+  TablePtr t = Table::FromRows("orig", TwoColSchema(), NumberedRows(0, 6), 4);
+  auto copy = t->CloneAs("copy");
   EXPECT_EQ(copy->name(), "copy");
-  EXPECT_EQ(copy->num_rows(), 1u);
-  t.Clear();
-  EXPECT_EQ(copy->num_rows(), 1u);  // unaffected by source mutation
+  EXPECT_EQ(copy->columnar().get(), t->columnar().get());
+  ASSERT_OK(copy->AppendRows(NumberedRows(6, 3)));
+  EXPECT_EQ(copy->num_rows(), 9u);
+  EXPECT_EQ(t->num_rows(), 6u);  // unaffected by the clone's append
+  EXPECT_EQ(t->rows(), NumberedRows(0, 6));
 }
 
 TEST(DatagenTest, GeneratesRequestedShape) {

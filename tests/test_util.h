@@ -54,7 +54,7 @@ class MiniDb {
 
   const StatsCatalog& stats() const { return stats_; }
 
-  /// Parse + bind + plan + execute (on the engine `config` selects).
+  /// Parse + bind + plan + execute.
   Result<TablePtr> Run(const std::string& sql, ExecStats* stats = nullptr,
                        ExecConfig config = {}) {
     FEDCAL_ASSIGN_OR_RETURN(PlanNodePtr plan, Plan(sql));
@@ -81,13 +81,13 @@ class MiniDb {
   StatsCatalog stats_;
 };
 
-/// Builds a table from a compact spec for tests.
+/// Builds a table from a compact spec for tests, in one bulk load (rows
+/// are not validated, so fixtures can hold any Value variant).
 inline TablePtr MakeTable(const std::string& name,
                           std::vector<ColumnDef> cols,
-                          std::vector<Row> rows) {
-  auto t = std::make_shared<Table>(name, Schema(std::move(cols)));
-  for (auto& r : rows) t->AppendRowUnchecked(std::move(r));
-  return t;
+                          const std::vector<Row>& rows,
+                          size_t chunk_rows = Table::kDefaultChunkRows) {
+  return Table::FromRows(name, Schema(std::move(cols)), rows, chunk_rows);
 }
 
 inline Value I(int64_t v) { return Value(v); }
@@ -106,6 +106,19 @@ inline std::vector<Row> SortedRows(const Table& t) {
     return a.size() < b.size();
   });
   return rows;
+}
+
+/// Bit-identical stats: the work-unit accounting is the simulation clock,
+/// so even floating-point totals must match exactly (same accumulation
+/// order), not approximately.
+inline void ExpectIdenticalStats(const ExecStats& a, const ExecStats& b,
+                                 const std::string& label) {
+  EXPECT_EQ(a.work_units, b.work_units) << label;
+  EXPECT_EQ(a.io_units, b.io_units) << label;
+  EXPECT_EQ(a.rows_scanned, b.rows_scanned) << label;
+  EXPECT_EQ(a.rows_output, b.rows_output) << label;
+  EXPECT_EQ(a.bytes_output, b.bytes_output) << label;
+  EXPECT_EQ(a.operators_executed, b.operators_executed) << label;
 }
 
 }  // namespace fedcal::testing

@@ -23,7 +23,6 @@ TEST(ColumnarServingTest, MultiWorkerServingCompletesEveryQuery) {
   cfg.exec_mode = ExecMode::kServing;
   cfg.serving_workers = 4;
   cfg.serving_time_scale = 0.0;
-  cfg.columnar_engine = true;
   cfg.batch_rows = 256;  // many chunks -> more allocator traffic under TSan
   Scenario sc(cfg);
 
@@ -53,7 +52,6 @@ TEST(ColumnarServingTest, ClientsReadStringsWhileDispatcherGathers) {
   cfg.exec_mode = ExecMode::kServing;
   cfg.serving_workers = 4;
   cfg.serving_time_scale = 0.0;
-  cfg.columnar_engine = true;
   cfg.batch_rows = 256;
   Scenario sc(cfg);
   QccConfig qcc;
@@ -89,7 +87,7 @@ TEST(ColumnarServingTest, ClientsReadStringsWhileDispatcherGathers) {
           ++failures;
           continue;
         }
-        const ColumnarTablePtr result = table->columnar(cfg.batch_rows);
+        const ColumnarTablePtr result = table->columnar();
         for (const Row& row : result->MaterializeRows()) {
           for (const Value& v : row) {
             if (!v.is_string()) continue;
@@ -128,7 +126,6 @@ TEST(ColumnarServingTest, SingleWorkerServingMatchesSimExactly) {
     cfg.small_rows = 200;
     cfg.exec_mode = mode;
     cfg.serving_workers = 1;
-    cfg.columnar_engine = true;
     cfg.batch_rows = 512;
     return std::make_unique<Scenario>(cfg);
   };

@@ -4,19 +4,23 @@
 // on, result rows, routing decisions, and bit-identical simulated timings
 // must match the unprofiled run on the full query corpus.
 //
-// Invariants: for a multi-fragment partial-replication query, in both
-// engines and both exec modes (sim + serving), every operator carries a
-// populated cardinality estimate and observation, children's cumulative
-// cost nests under their parent's, and the merge consumed exactly the rows
-// the fragments produced.
+// Invariants: for a multi-fragment partial-replication query, in both exec
+// modes (sim + serving), every operator carries a populated cardinality
+// estimate and observation, children's cumulative cost nests under their
+// parent's, and the merge consumed exactly the rows the fragments
+// produced. The row oracle's own profiles of the same executed plans keep
+// the same invariants.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "federation/decomposer.h"
 #include "obs/flight_recorder.h"
 #include "obs/operator_profile.h"
+#include "tests/oracle/row_executor.h"
 #include "tests/test_util.h"
 #include "workload/scenario.h"
 
@@ -27,13 +31,12 @@ using namespace fedcal::testing;  // NOLINT
 
 constexpr double kEps = 1e-9;
 
-ScenarioConfig BaseConfig(bool profile, bool columnar, ExecMode mode) {
+ScenarioConfig BaseConfig(bool profile, ExecMode mode) {
   ScenarioConfig cfg;
   cfg.seed = 17;
   cfg.large_rows = 2'000;
   cfg.small_rows = 200;
   cfg.full_replication = false;  // joins decompose across servers
-  cfg.columnar_engine = columnar;
   cfg.batch_rows = 256;
   cfg.profile = profile;
   cfg.exec_mode = mode;
@@ -51,9 +54,9 @@ void ExpectIdenticalTables(const Table& a, const Table& b,
 
 TEST(ProfileDifferentialTest, ProfilingChangesNoResultOrRouting) {
   auto off_sc = std::make_unique<Scenario>(
-      BaseConfig(false, false, ExecMode::kSimulation));
+      BaseConfig(false, ExecMode::kSimulation));
   auto on_sc = std::make_unique<Scenario>(
-      BaseConfig(true, false, ExecMode::kSimulation));
+      BaseConfig(true, ExecMode::kSimulation));
   off_sc->qcc().AttachTo(&off_sc->integrator());
   on_sc->qcc().AttachTo(&on_sc->integrator());
 
@@ -124,10 +127,68 @@ void CheckTree(const obs::OperatorProfile& node, const std::string& label) {
       << label << " " << node.op;
 }
 
-void RunInvariantCase(bool columnar, ExecMode mode) {
-  const std::string label = std::string(columnar ? "columnar" : "row") +
+/// Rows that the leaves of a merge tree read: each leaf scans one
+/// fragment result table.
+uint64_t LeafRowsIn(const obs::OperatorProfile& merge) {
+  uint64_t rows = 0;
+  std::vector<const obs::OperatorProfile*> stack{&merge};
+  while (!stack.empty()) {
+    const obs::OperatorProfile* node = stack.back();
+    stack.pop_back();
+    if (node->children.empty()) {
+      rows += node->rows_in;
+    } else {
+      for (const auto& child : node->children) stack.push_back(child.get());
+    }
+  }
+  return rows;
+}
+
+/// Runs `out`'s executed fragment and merge plans through the row oracle
+/// with profiling on, and checks its profile trees.
+void CheckOracleProfiles(Scenario& sc, const QueryOutcome& out,
+                         const std::string& label) {
+  ExecConfig config;
+  config.profile = true;
+  std::map<std::string, oracle::RowTablePtr> fragments;
+  uint64_t fragment_rows = 0;
+  const GlobalPlanOption& plan = out.executed_plan;
+  for (size_t f = 0; f < plan.fragment_choices.size(); ++f) {
+    const WrapperPlan& wp = plan.fragment_choices[f].wrapper_plan;
+    RemoteServer& server = sc.server(wp.server_id);
+    std::shared_ptr<obs::OperatorProfile> prof;
+    auto table = oracle::RowExecutor(oracle::RowExecutor::Caching(
+                                         [&server](const std::string& n) {
+                                           return server.GetTable(n);
+                                         }),
+                                     config)
+                     .Execute(wp.plan, nullptr, &prof);
+    ASSERT_TRUE(table.ok()) << label << ": " << table.status().ToString();
+    ASSERT_NE(prof, nullptr) << label;
+    CheckTree(*prof, label + " oracle frag@" + wp.server_id);
+    EXPECT_EQ(prof->rows_out, (*table)->num_rows()) << label;
+    fragment_rows += (*table)->num_rows();
+    fragments[Decomposition::FragmentTableName(f)] = table.MoveValue();
+  }
+  std::shared_ptr<obs::OperatorProfile> merge;
+  auto merged =
+      oracle::RowExecutor(
+          [&](const std::string& n) -> Result<oracle::RowTablePtr> {
+            return fragments.at(n);
+          },
+          config)
+          .Execute(plan.merge_plan, nullptr, &merge);
+  ASSERT_TRUE(merged.ok()) << label << ": " << merged.status().ToString();
+  ASSERT_NE(merge, nullptr) << label;
+  CheckTree(*merge, label + " oracle merge");
+  EXPECT_EQ(LeafRowsIn(*merge), fragment_rows) << label;
+}
+
+/// `row_oracle` adds CheckOracleProfiles for every query.
+void RunInvariantCase(bool row_oracle, ExecMode mode) {
+  const std::string label = std::string(row_oracle ? "row oracle" : "engine") +
                             "/" + ExecModeName(mode);
-  Scenario sc(BaseConfig(true, columnar, mode));
+  Scenario sc(BaseConfig(true, mode));
   sc.qcc().AttachTo(&sc.integrator());
 
   bool saw_multi_fragment = false;
@@ -159,23 +220,12 @@ void RunInvariantCase(bool columnar, ExecMode mode) {
       // The merge consumed exactly the rows the fragments produced.
       ASSERT_NE(profile.merge, nullptr) << label;
       CheckTree(*profile.merge, label + " merge");
-      uint64_t merge_leaf_rows = 0;
-      // Sum rows over the merge tree's leaves: each leaf scans one
-      // fragment result table.
-      std::vector<const obs::OperatorProfile*> stack{profile.merge.get()};
-      while (!stack.empty()) {
-        const obs::OperatorProfile* node = stack.back();
-        stack.pop_back();
-        if (node->children.empty()) {
-          merge_leaf_rows += node->rows_in;
-        } else {
-          for (const auto& child : node->children) {
-            stack.push_back(child.get());
-          }
-        }
-      }
-      EXPECT_EQ(merge_leaf_rows, profile.FragmentOutputRows())
+      EXPECT_EQ(LeafRowsIn(*profile.merge), profile.FragmentOutputRows())
           << label << " " << QueryTypeName(type);
+    }
+    if (row_oracle) {
+      CheckOracleProfiles(sc, *out,
+                          label + " " + QueryTypeName(type));
     }
   }
   EXPECT_TRUE(saw_multi_fragment)
@@ -184,19 +234,19 @@ void RunInvariantCase(bool columnar, ExecMode mode) {
 }
 
 TEST(ProfileInvariantsTest, RowEngineSimulation) {
-  RunInvariantCase(/*columnar=*/false, ExecMode::kSimulation);
+  RunInvariantCase(/*row_oracle=*/true, ExecMode::kSimulation);
 }
 
 TEST(ProfileInvariantsTest, ColumnarEngineSimulation) {
-  RunInvariantCase(/*columnar=*/true, ExecMode::kSimulation);
+  RunInvariantCase(/*row_oracle=*/false, ExecMode::kSimulation);
 }
 
 TEST(ProfileInvariantsTest, RowEngineServing) {
-  RunInvariantCase(/*columnar=*/false, ExecMode::kServing);
+  RunInvariantCase(/*row_oracle=*/true, ExecMode::kServing);
 }
 
 TEST(ProfileInvariantsTest, ColumnarEngineServing) {
-  RunInvariantCase(/*columnar=*/true, ExecMode::kServing);
+  RunInvariantCase(/*row_oracle=*/false, ExecMode::kServing);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Serving workers run QT1–QT4 while an exclusive-section loop writes to
-// every server: rows no statement selects (as the benchmark's writes are)
-// and one new replica. In serving mode Route runs each chosen fragment on
+// every server: rows no statement selects (as the benchmark's writes are),
+// some with strings new to their column's dictionary, and one new
+// replica. In serving mode Route runs each chosen fragment on
 // its client thread (RemoteServer::RunAhead) while the dispatcher and the
 // writer keep going, so this is the test the TSan CI job leans on for
 // client-thread runs against writes. It must be free of data races and
@@ -67,13 +68,20 @@ bool SameRows(const std::vector<Row>& a, const std::vector<Row>& b) {
 
 /// Rows no statement selects: sales with negative amounts (every
 /// predicate keeps amount > 500 or more), employees in no department and
-/// with no sales.
+/// with no sales, departments with a negative budget (every predicate
+/// keeps budget > 200,000 or more) and no employees. Half the sales rows
+/// and every department row carry a string new to the column's
+/// dictionary, so their append codes into a copy of it. No statement reads
+/// sales.region, but QT2 and QT4 read department.location, so client
+/// threads read the old location dictionary while the copy is made.
 std::vector<Row> SalesBatch(int64_t* key, size_t large_rows) {
   std::vector<Row> rows;
   for (int i = 0; i < 8; ++i) {
     const int64_t empno = int64_t{i} * 37 % static_cast<int64_t>(large_rows);
-    rows.push_back({Value((*key)++), Value(empno), Value(-1.0 - i),
-                    Value("north")});
+    const int64_t id = (*key)++;
+    rows.push_back({Value(id), Value(empno), Value(-1.0 - i),
+                    i % 2 == 0 ? Value("north")
+                               : Value("region " + std::to_string(id))});
   }
   return rows;
 }
@@ -85,6 +93,15 @@ std::vector<Row> EmployeeBatch(int64_t* key) {
   }
   return rows;
 }
+std::vector<Row> DepartmentBatch(int64_t* key) {
+  std::vector<Row> rows;
+  for (int i = 0; i < 2; ++i) {
+    const int64_t id = (*key)++;
+    rows.push_back({Value(id), Value(int64_t{0}), Value(-1.0 - i),
+                    Value("location " + std::to_string(id))});
+  }
+  return rows;
+}
 
 TEST(ServingWriteConcurrencyTest, ClientRunsNeverRaceWrites) {
   ScenarioConfig cfg;
@@ -92,7 +109,6 @@ TEST(ServingWriteConcurrencyTest, ClientRunsNeverRaceWrites) {
   cfg.large_rows = 3'000;
   cfg.small_rows = 300;
   cfg.full_replication = true;
-  cfg.columnar_engine = true;
   cfg.exec_mode = ExecMode::kServing;
   cfg.serving_workers = kWorkers;
   cfg.serving_time_scale = 0.0;
@@ -185,6 +201,8 @@ TEST(ServingWriteConcurrencyTest, ClientRunsNeverRaceWrites) {
         ASSERT_OK(sc.server(id).AppendRows(
             "sales", SalesBatch(&key, cfg.large_rows)));
         ASSERT_OK(sc.server(id).AppendRows("employee", EmployeeBatch(&key)));
+        ASSERT_OK(
+            sc.server(id).AppendRows("department", DepartmentBatch(&key)));
       }
       if (++batches == 3) {
         ASSERT_OK(advisor.Apply(replica));
