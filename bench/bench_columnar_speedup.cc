@@ -16,7 +16,7 @@
 //
 // JSON scalars end in the `/wall_s` and `/ratio_x` label classes that
 // tools/check_bench_regression.py treats as wall-clock (loose bound) and
-// positivity-only respectively; the speedup floors (QT3 >= 10x, QT2 >= 5x,
+// positivity-only respectively; the speedup floors (QT3 >= 10x, QT2 >= 60x,
 // corpus >= 6x) live in this harness's own shape checks.
 #include <chrono>
 #include <cstdio>
@@ -227,12 +227,13 @@ int main() {
   reporter.AddScalar("corpus/speedup/ratio_x", total_ratio);
 
   // The acceptance gate: the federated QT3 query (the BM_FederatedExecute
-  // workload) must clear 10x at this scale. QT2, whose ~13M-row join
-  // output feeds a string GROUP BY, bounds the corpus total; its join
-  // gathers only the two columns the aggregate reads, the string one as
-  // dictionary codes, and gets its own floor.
+  // workload) must clear 10x at this scale. QT2's ~13M join pairs feed a
+  // string GROUP BY straight from the join's probe (the accumulate sink),
+  // with nothing gathered; its floor lies between the ratios measured
+  // with the sink (96-107x) and with the pairs gathered first (41-43x),
+  // so a QT2 plan that falls back to gathering fails here.
   check.Expect(qt3_ratio >= 10.0, "QT3 columnar speedup >= 10x");
-  check.Expect(qt2_ratio >= 5.0, "QT2 columnar speedup >= 5x");
+  check.Expect(qt2_ratio >= 60.0, "QT2 columnar speedup >= 60x");
   check.Expect(total_ratio >= 6.0, "corpus columnar speedup >= 6x");
 
   return reporter.Finish(check);

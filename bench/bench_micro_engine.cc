@@ -115,6 +115,21 @@ void BM_HashAggregate(benchmark::State& state) {
 }
 BENCHMARK(BM_HashAggregate)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 16);
 
+/// A fan-out join feeding a GROUP BY: about rows² / 1000 pairs.
+constexpr char kJoinAggregate[] =
+    "SELECT a.k, COUNT(*) AS c, SUM(b.v) AS s FROM a, b WHERE a.k = b.k "
+    "GROUP BY a.k";
+
+void BM_HashJoinAggregate(benchmark::State& state) {
+  Db db(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    auto r = db.RunRow(kJoinAggregate);
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_HashJoinAggregate)->Arg(1 << 10)->Arg(1 << 14);
+
 void BM_Sort(benchmark::State& state) {
   Db db(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
@@ -167,6 +182,16 @@ void BM_HashAggregateColumnar(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_HashAggregateColumnar)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 16);
+
+void BM_HashJoinAggregateColumnar(benchmark::State& state) {
+  Db db(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    auto r = db.Run(kJoinAggregate, ColumnarConfig());
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_HashJoinAggregateColumnar)->Arg(1 << 10)->Arg(1 << 14);
 
 void BM_SortColumnar(benchmark::State& state) {
   Db db(static_cast<size_t>(state.range(0)));

@@ -1,6 +1,7 @@
 #include "engine/columnar_executor.h"
 
 #include <algorithm>
+#include <optional>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
@@ -113,22 +114,23 @@ bool AllChunksInt64(const ColumnarTable& t, size_t slot) {
   return true;
 }
 
+bool TypedFunc(const AggItem& item) {
+  return item.func == AggFunc::kCount || item.func == AggFunc::kSum ||
+         item.func == AggFunc::kAvg;
+}
+
 /// Feeds rows [0, n) of one aggregate's argument into the accumulators
-/// `states[gids[i] * stride]`. COUNT, SUM and AVG over a pure int64 or
-/// double column read the typed array; COUNT(*), MIN, MAX, constants and
-/// kMixed columns go through AggState::Update with per-row Values.
+/// `states[gids[i] * stride]`. COUNT(*) counts; COUNT, SUM and AVG over a
+/// pure int64 or double column read the typed array; MIN, MAX, constants
+/// and kMixed columns go through AggState::Update with per-row Values.
 void UpdateAggregate(const AggItem& item, const VectorResult& arg,
-                     const size_t* gids, size_t n, AggState* states,
+                     const uint32_t* gids, size_t n, AggState* states,
                      size_t stride) {
   if (item.count_star) {
-    const Value none;
-    for (size_t i = 0; i < n; ++i) states[gids[i] * stride].Update(item, none);
+    for (size_t i = 0; i < n; ++i) ++states[gids[i] * stride].count;
     return;
   }
-  const bool typed_func = item.func == AggFunc::kCount ||
-                          item.func == AggFunc::kSum ||
-                          item.func == AggFunc::kAvg;
-  if (typed_func && !arg.constant) {
+  if (TypedFunc(item) && !arg.constant) {
     const ColumnData& col = *arg.col;
     const uint8_t* nulls =
         col.has_nulls() ? col.nulls() + arg.offset : nullptr;
@@ -152,6 +154,298 @@ void UpdateAggregate(const AggItem& item, const VectorResult& arg,
   for (size_t i = 0; i < n; ++i) {
     states[gids[i] * stride].Update(item, arg.At(i));
   }
+}
+
+/// \brief Column `slot` of every chunk of one hash-join side, for reads
+/// by RowRef: base pointers with each slice's offset applied, and the kind
+/// every non-empty chunk shares (kMixed when they differ).
+struct SideColumn {
+  struct Chunk {
+    const ColumnSlice* slice = nullptr;
+    const int64_t* ints = nullptr;  ///< kInt64 only
+    const double* doubles = nullptr;  ///< kDouble only
+    const uint32_t* codes = nullptr;  ///< kString only
+    const uint8_t* nulls = nullptr;  ///< null when there is no null bitmap
+  };
+  ColumnData::Kind kind = ColumnData::Kind::kMixed;
+  std::vector<Chunk> chunks;
+
+  static Chunk Of(const ColumnSlice& s) {
+    Chunk c;
+    c.slice = &s;
+    if (!s.present()) return c;
+    const ColumnData& col = *s.col;
+    switch (col.kind()) {
+      case ColumnData::Kind::kInt64:
+        c.ints = col.ints() + s.offset;
+        break;
+      case ColumnData::Kind::kDouble:
+        c.doubles = col.doubles() + s.offset;
+        break;
+      case ColumnData::Kind::kString:
+        c.codes = col.codes() + s.offset;
+        break;
+      case ColumnData::Kind::kMixed:
+        break;
+    }
+    if (col.has_nulls()) c.nulls = col.nulls() + s.offset;
+    return c;
+  }
+
+  SideColumn(const ColumnarTable& side, size_t slot) {
+    bool first = true;
+    chunks.reserve(side.chunks().size());
+    for (const ColumnChunk& chunk : side.chunks()) {
+      const ColumnSlice& s = chunk.columns[slot];
+      chunks.push_back(Of(s));
+      if (chunk.length == 0) continue;
+      if (first) kind = s.col->kind();
+      if (s.col->kind() != kind) kind = ColumnData::Kind::kMixed;
+      first = false;
+    }
+  }
+
+  /// For typed kinds only: kMixed cells hold their nulls as Values.
+  bool IsNull(RowRef r) const {
+    const Chunk& c = chunks[r.chunk];
+    return c.nulls != nullptr && c.nulls[r.row] != 0;
+  }
+  Value ValueAt(RowRef r) const {
+    return chunks[r.chunk].slice->ValueAt(r.row);
+  }
+};
+
+/// Calls f(i, build row, probe row) for pair i of a batch of runs.
+template <typename F>
+void ForEachPair(const RowRef* matches, const MatchRun* runs, size_t n,
+                 F&& f) {
+  size_t i = 0;
+  for (size_t k = 0; k < n; ++k) {
+    for (uint32_t j = runs[k].begin; j < runs[k].end; ++j) {
+      f(i++, matches[j], runs[k].probe);
+    }
+  }
+}
+
+/// Feeds pair i of a batch of runs to `states[gids[i] * stride]` through
+/// `update(state, cell)`, T being the typed cells that `cells` points to
+/// in each chunk of `arg`. A probe-side cell is read once per run.
+template <typename T, typename Update>
+void FeedTyped(const SideColumn& arg, const T* SideColumn::Chunk::*cells,
+               bool build, const RowRef* matches, const MatchRun* runs,
+               size_t n, const uint32_t* gids, AggState* states,
+               size_t stride, Update update) {
+  size_t i = 0;
+  for (size_t k = 0; k < n; ++k) {
+    const MatchRun& run = runs[k];
+    if (!build) {
+      const SideColumn::Chunk& c = arg.chunks[run.probe.chunk];
+      const size_t end = i + (run.end - run.begin);
+      if (c.nulls == nullptr || c.nulls[run.probe.row] == 0) {
+        const T v = (c.*cells)[run.probe.row];
+        for (; i < end; ++i) update(states[gids[i] * stride], v);
+      }
+      i = end;
+      continue;
+    }
+    for (uint32_t j = run.begin; j < run.end; ++j, ++i) {
+      const RowRef r = matches[j];
+      const SideColumn::Chunk& c = arg.chunks[r.chunk];
+      if (c.nulls == nullptr || c.nulls[r.row] == 0) {
+        update(states[gids[i] * stride], (c.*cells)[r.row]);
+      }
+    }
+  }
+}
+
+/// How the accumulate sink feeds one aggregate, a batch of pairs at a
+/// time in emission order: COUNT(*) counts; COUNT, SUM and AVG over a
+/// side column whose every chunk is pure int64 (or double) read the typed
+/// arrays; MIN, MAX, strings and kMixed columns go through Values.
+struct PairFeed {
+  enum Kind { kCountStar, kInt64, kDouble, kValue };
+  Kind kind = kCountStar;
+  bool build = false;  ///< the argument is a column of the build side
+  std::optional<SideColumn> arg;
+
+  /// Feeds the `len` pairs of `runs[0..n)` to `states[gids[i] * stride]`.
+  void Update(const AggItem& item, const RowRef* matches,
+              const MatchRun* runs, size_t n, size_t len,
+              const uint32_t* gids, AggState* states, size_t stride) const {
+    switch (kind) {
+      case kCountStar:
+        for (size_t i = 0; i < len; ++i) ++states[gids[i] * stride].count;
+        return;
+      case kInt64:
+        FeedTyped(*arg, &SideColumn::Chunk::ints, build, matches, runs, n,
+                  gids, states, stride, [&](AggState& s, int64_t v) {
+                    s.UpdateInt64(item, v);
+                  });
+        return;
+      case kDouble:
+        FeedTyped(*arg, &SideColumn::Chunk::doubles, build, matches, runs, n,
+                  gids, states, stride, [&](AggState& s, double v) {
+                    s.UpdateDouble(item, v);
+                  });
+        return;
+      case kValue:
+        ForEachPair(matches, runs, n, [&](size_t i, RowRef b, RowRef p) {
+          states[gids[i] * stride].Update(item, arg->ValueAt(build ? b : p));
+        });
+        return;
+    }
+  }
+};
+
+/// \brief The groups of one Aggregate in first-seen order: each group's
+/// key and its accumulators, `naggs` per group, group-major.
+///
+/// Each lookup gives a key it has not seen the next id, so ids follow the
+/// order in which the input first shows each key, as in the row engine.
+class Groups {
+ public:
+  static constexpr uint32_t kNone = Int64KeyIndex::kNone;
+
+  explicit Groups(size_t naggs) : naggs_(naggs) {}
+
+  size_t size() const { return keys_.size(); }
+  const Row& key(size_t g) const { return keys_[g]; }
+  AggState* states() { return states_.data(); }
+  const AggState& state(size_t g, size_t a) const {
+    return states_[g * naggs_ + a];
+  }
+
+  /// The one group of an aggregate without keys.
+  uint32_t Global() { return size() == 0 ? Add(Row{}) : 0; }
+  /// NULL keys form a regular group in the row engine (Compare treats null
+  /// == null); the typed indexes cannot hold them, so they get this slot.
+  uint32_t Null() {
+    if (null_group_ == kNone) null_group_ = Add(Row{Value()});
+    return null_group_;
+  }
+  /// Readies Int64() for the non-null keys in `keys`, out of `rows` rows.
+  void IndexInt64(const Int64Range& keys, size_t rows) {
+    int_index_.emplace(keys, rows);
+    int_groups_.assign(int_index_->size(), kNone);
+  }
+  uint32_t Int64(int64_t k) {
+    const uint32_t n = int_index_->Insert(k);
+    if (n >= int_groups_.size()) int_groups_.resize(n + 1, kNone);
+    uint32_t& g = int_groups_[n];
+    if (g == kNone) g = Add(Row{Value(k)});
+    return g;
+  }
+  /// The group ids of `dict`'s codes, kNone until first seen: string keys
+  /// resolve through one array per dictionary, so each (dictionary, code)
+  /// hashes its string once, and a string coded in two dictionaries still
+  /// names one group. The array stays put while the groups live.
+  uint32_t* DictGroups(const StringDict* dict) {
+    auto it = std::find_if(dict_groups_.begin(), dict_groups_.end(),
+                           [&](const auto& e) { return e.first == dict; });
+    if (it == dict_groups_.end()) {
+      dict_groups_.emplace_back(dict,
+                                std::vector<uint32_t>(dict->size(), kNone));
+      it = dict_groups_.end() - 1;
+    }
+    return it->second.data();
+  }
+  /// `dict` must outlive the groups: the index holds views into it.
+  uint32_t Code(const StringDict& dict, uint32_t* lut, uint32_t code) {
+    uint32_t& g = lut[code];
+    if (g == kNone) {
+      const std::string_view k = dict.at(code);
+      auto [it, inserted] = str_index_.try_emplace(k, kNone);
+      if (inserted) it->second = Add(Row{Value(std::string(k))});
+      g = it->second;
+    }
+    return g;
+  }
+  /// Any other key, compared as Values.
+  uint32_t Key(Row key) {
+    auto [it, inserted] = row_index_.try_emplace(RowKey(key), kNone);
+    if (inserted) it->second = Add(std::move(key));
+    return it->second;
+  }
+
+ private:
+  uint32_t Add(Row key) {
+    keys_.push_back(std::move(key));
+    states_.resize(states_.size() + naggs_);
+    return static_cast<uint32_t>(keys_.size() - 1);
+  }
+
+  size_t naggs_;
+  std::vector<Row> keys_;
+  std::vector<AggState> states_;
+  uint32_t null_group_ = kNone;
+  std::optional<Int64KeyIndex> int_index_;
+  std::vector<uint32_t> int_groups_;  ///< by key number
+  std::unordered_map<std::string_view, uint32_t> str_index_;
+  std::vector<std::pair<const StringDict*, std::vector<uint32_t>>>
+      dict_groups_;
+  std::unordered_map<RowKey, uint32_t, RowKeyHash> row_index_;
+};
+
+/// True when an Aggregate runs its hash-join child itself and feeds each
+/// matched pair straight into its accumulators: the join has no residual,
+/// and every group key and argument is a bare column (or COUNT(*)).
+bool AccumulatesJoinPairs(const PlanNode& node) {
+  const PlanNode& join = *node.left;
+  if (join.kind != PlanKind::kHashJoin || join.residual != nullptr) {
+    return false;
+  }
+  const size_t width = join.output_schema.num_columns();
+  auto bare = [width](const BoundExprPtr& e) {
+    return e != nullptr && e->kind() == BoundExpr::Kind::kColumn &&
+           e->column_index() < width;
+  };
+  for (const BoundExprPtr& g : node.group_by) {
+    if (!bare(g)) return false;
+  }
+  for (const AggItem& a : node.aggs) {
+    if (!a.count_star && !bare(a.arg)) return false;
+  }
+  return true;
+}
+
+/// An Aggregate's output: per group in id order, its key columns then its
+/// finalized aggregates, in chunks of `batch_rows`, charged agg_group per
+/// group. A global aggregate over no input still yields one row.
+ColumnarTablePtr EmitGroups(const PlanNode& node, const ExecConfig& config,
+                            Groups* groups, ExecStats* stats) {
+  if (groups->size() == 0 && node.group_by.empty()) {
+    groups->Global();
+    stats->work_units += config.costs.agg_group;
+  } else {
+    stats->work_units +=
+        config.costs.agg_group * static_cast<double>(groups->size());
+  }
+  auto out = std::make_shared<ColumnarTable>(node.output_schema);
+  const size_t ncols = node.output_schema.num_columns();
+  const size_t nkeys = node.group_by.size();
+  const size_t batch = config.batch_rows == 0 ? 1 : config.batch_rows;
+  for (size_t start = 0; start < groups->size(); start += batch) {
+    const size_t len = std::min(batch, groups->size() - start);
+    ColumnChunk chunk;
+    chunk.length = len;
+    chunk.columns.reserve(ncols);
+    for (size_t c = 0; c < ncols; ++c) {
+      auto col =
+          std::make_shared<ColumnData>(node.output_schema.column(c).type);
+      col->Reserve(len);
+      for (size_t g = start; g < start + len; ++g) {
+        if (c < nkeys) {
+          col->AppendValue(groups->key(g)[c]);
+        } else {
+          col->AppendValue(
+              groups->state(g, c - nkeys).Finalize(node.aggs[c - nkeys]));
+        }
+      }
+      chunk.columns.push_back(ColumnSlice{std::move(col), 0});
+    }
+    out->AppendChunk(std::move(chunk));
+  }
+  return out;
 }
 
 /// Materializes a broadcast constant as a column of `n` cells.
@@ -378,73 +672,224 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecProject(
   return ColumnarTablePtr(std::move(out));
 }
 
-Result<ColumnarTablePtr> ColumnarExecutor::ExecHashJoin(
-    const PlanNode& node, const SlotMask& needed, ExecStats* stats,
+Result<ColumnarExecutor::JoinInputs> ColumnarExecutor::RunJoinInputs(
+    const PlanNode& node, const SlotMask& keep, ExecStats* stats,
     obs::OperatorProfile* prof) {
-  // Matched pairs gather what the parent reads plus the residual's
-  // inputs (slots of the [build, probe] row); each side also produces its
-  // join keys.
-  SlotMask keep = needed;
-  AddSlots(node.residual, &keep);
+  // Each side produces its own slots of the [build, probe] row in `keep`,
+  // and its join keys.
   const auto split = keep.begin() + node.left->output_schema.num_columns();
   SlotMask lmask(keep.begin(), split);
   SlotMask rmask(split, keep.end());
   for (size_t s : node.left_keys) lmask[s] = true;
   for (size_t s : node.right_keys) rmask[s] = true;
-  FEDCAL_ASSIGN_OR_RETURN(ColumnarTablePtr build,
-                          ExecNode(*node.left, lmask, stats, prof));
-  FEDCAL_ASSIGN_OR_RETURN(ColumnarTablePtr probe,
-                          ExecNode(*node.right, rmask, stats, prof));
+  JoinInputs in;
+  FEDCAL_ASSIGN_OR_RETURN(in.build, ExecNode(*node.left, lmask, stats, prof));
+  FEDCAL_ASSIGN_OR_RETURN(in.probe, ExecNode(*node.right, rmask, stats, prof));
   stats->work_units +=
-      config_.costs.hash_build_row * static_cast<double>(build->num_rows());
+      config_.costs.hash_build_row * static_cast<double>(in.build->num_rows());
   stats->work_units +=
-      config_.costs.hash_probe_row * static_cast<double>(probe->num_rows());
+      config_.costs.hash_probe_row * static_cast<double>(in.probe->num_rows());
+  return in;
+}
 
-  // Candidate (build, probe) pairs stream out in probe order, matches
-  // ascending — exactly the row engine's deterministic emission order — in
-  // batches of `batch` pairs. Each batch is gathered into a concatenated
-  // [build, probe] chunk, filtered by the residual predicate, charged and
-  // appended.
-  auto out = std::make_shared<ColumnarTable>(node.output_schema);
-  const std::vector<std::vector<ColumnSlice>> bsrc = GatherSources(*build);
-  const std::vector<std::vector<ColumnSlice>> psrc = GatherSources(*probe);
+Status ColumnarExecutor::ChargeJoinOutput(size_t k, size_t* emitted,
+                                          ExecStats* stats) const {
+  // One add per row, as the row engine charges (k adds of a price that a
+  // double cannot hold exactly do not sum to k times the price). Past the
+  // cap, the row engine stops at the first row over it, once charged.
+  const size_t cap = config_.max_intermediate_rows;
+  const bool over = cap > 0 && *emitted + k > cap;
+  const size_t rows = over ? cap + 1 - *emitted : k;
+  stats->work_units =
+      AddRepeated(stats->work_units, config_.costs.join_output_row, rows);
+  *emitted += rows;
+  return over ? CheckSize(*emitted) : Status::OK();
+}
+
+Status ColumnarExecutor::ProbeHashJoin(const PlanNode& node,
+                                       const JoinInputs& in,
+                                       const PairSink& sink) const {
+  const ColumnarTable& build = *in.build;
+  const ColumnarTable& probe = *in.probe;
+  constexpr uint32_t kNone = Int64KeyIndex::kNone;
+
+  // Number the distinct non-NULL build keys in first-seen order: through
+  // an Int64KeyIndex when both key columns are pure int64 (Value equality
+  // then degenerates to int64 equality, and no Row/Value key is made), as
+  // row-engine Rows otherwise. NULL join keys never match.
+  const bool typed = node.left_keys.size() == 1 &&
+                     node.right_keys.size() == 1 &&
+                     AllChunksInt64(build, node.left_keys[0]) &&
+                     AllChunksInt64(probe, node.right_keys[0]);
+  auto key_at = [](const ColumnChunk& chunk, const std::vector<size_t>& slots,
+                   size_t i, Row* key) {
+    key->clear();
+    for (size_t s : slots) {
+      if (chunk.IsNull(s, i)) return false;
+      key->push_back(chunk.ValueAt(s, i));
+    }
+    return true;
+  };
+  // `row_key[r]` is build row r's key number, kNone for a NULL key.
+  std::vector<uint32_t> row_key(build.num_rows(), kNone);
+  std::optional<Int64KeyIndex> int_keys;
+  std::unordered_map<RowKey, uint32_t, RowKeyHash> row_keys;
+  size_t row = 0;
+  Row key;
+  if (typed) {
+    Int64Range range;
+    for (const ColumnChunk& chunk : build.chunks()) {
+      const SideColumn::Chunk c =
+          SideColumn::Of(chunk.columns[node.left_keys[0]]);
+      range.AddAll(c.ints, c.nulls, chunk.length);
+    }
+    int_keys.emplace(range, build.num_rows());
+    for (const ColumnChunk& chunk : build.chunks()) {
+      const SideColumn::Chunk c =
+          SideColumn::Of(chunk.columns[node.left_keys[0]]);
+      for (size_t i = 0; i < chunk.length; ++i, ++row) {
+        if (c.nulls == nullptr || c.nulls[i] == 0) {
+          row_key[row] = int_keys->Insert(c.ints[i]);
+        }
+      }
+    }
+  } else {
+    row_keys.reserve(build.num_rows());
+    for (const ColumnChunk& chunk : build.chunks()) {
+      for (size_t i = 0; i < chunk.length; ++i, ++row) {
+        if (!key_at(chunk, node.left_keys, i, &key)) continue;
+        row_key[row] =
+            row_keys
+                .try_emplace(RowKey(key), static_cast<uint32_t>(row_keys.size()))
+                .first->second;
+      }
+    }
+  }
+  // Lay the build rows out key by key, each key's rows ascending (the
+  // emission order), so a probe row's matches are one run of `matches`.
+  // start[k + 1] counts key k's rows; summed, start[k] is where key k's
+  // run ends, and filling from the last row down moves it to where the
+  // run begins.
+  const size_t nkeys = typed ? int_keys->size() : row_keys.size();
+  std::vector<uint32_t> start(nkeys + 1, 0);
+  for (uint32_t k : row_key) {
+    if (k != kNone) ++start[k + 1];
+  }
+  uint32_t total = 0;
+  for (size_t k = 0; k < nkeys; ++k) {
+    total += start[k + 1];
+    start[k] = total;
+  }
+  start[nkeys] = total;
+  std::vector<RowRef> matches(start[nkeys]);
+  for (size_t c = build.chunks().size(); c-- > 0;) {
+    for (size_t i = build.chunks()[c].length; i-- > 0;) {
+      const uint32_t k = row_key[--row];
+      if (k == kNone) continue;
+      matches[--start[k]] =
+          RowRef{static_cast<uint32_t>(c), static_cast<uint32_t>(i)};
+    }
+  }
+
+  // Probe in order; each probe row's run is cut where a batch fills.
   const size_t batch = config_.batch_rows == 0 ? 1 : config_.batch_rows;
+  std::vector<MatchRun> runs;
+  size_t len = 0;
+  auto flush = [&]() -> Status {
+    if (len == 0) return Status::OK();
+    const Status st = sink(matches.data(), runs.data(), runs.size(), len);
+    runs.clear();
+    len = 0;
+    return st;
+  };
+  auto emit = [&](RowRef p, uint32_t k) -> Status {
+    for (uint32_t b = start[k]; b < start[k + 1];) {
+      const auto take =
+          static_cast<uint32_t>(std::min<size_t>(start[k + 1] - b, batch - len));
+      runs.push_back(MatchRun{p, b, b + take});
+      b += take;
+      len += take;
+      if (len == batch) FEDCAL_RETURN_NOT_OK(flush());
+    }
+    return Status::OK();
+  };
+  for (size_t c = 0; c < probe.chunks().size(); ++c) {
+    const ColumnChunk& chunk = probe.chunks()[c];
+    const auto ref = [c](size_t i) {
+      return RowRef{static_cast<uint32_t>(c), static_cast<uint32_t>(i)};
+    };
+    if (typed) {
+      const SideColumn::Chunk pc =
+          SideColumn::Of(chunk.columns[node.right_keys[0]]);
+      for (size_t i = 0; i < chunk.length; ++i) {
+        if (pc.nulls != nullptr && pc.nulls[i] != 0) continue;
+        const uint32_t k = int_keys->Find(pc.ints[i]);
+        if (k != kNone && start[k] != start[k + 1]) {
+          FEDCAL_RETURN_NOT_OK(emit(ref(i), k));
+        }
+      }
+      continue;
+    }
+    for (size_t i = 0; i < chunk.length; ++i) {
+      if (!key_at(chunk, node.right_keys, i, &key)) continue;
+      auto it = row_keys.find(RowKey(key));
+      if (it != row_keys.end()) FEDCAL_RETURN_NOT_OK(emit(ref(i), it->second));
+    }
+  }
+  return flush();
+}
+
+Result<ColumnarTablePtr> ColumnarExecutor::ExecHashJoin(
+    const PlanNode& node, const SlotMask& needed, ExecStats* stats,
+    obs::OperatorProfile* prof) {
+  // Matched pairs gather what the parent reads plus the residual's
+  // inputs (slots of the [build, probe] row).
+  SlotMask keep = needed;
+  AddSlots(node.residual, &keep);
+  FEDCAL_ASSIGN_OR_RETURN(JoinInputs in,
+                          RunJoinInputs(node, keep, stats, prof));
+
+  // The materialize sink: each batch of pairs is gathered into a
+  // concatenated [build, probe] chunk, filtered by the residual predicate,
+  // charged and appended.
+  auto out = std::make_shared<ColumnarTable>(node.output_schema);
+  const std::vector<std::vector<ColumnSlice>> bsrc = GatherSources(*in.build);
+  const std::vector<std::vector<ColumnSlice>> psrc = GatherSources(*in.probe);
   std::vector<RowRef> bsel;
   std::vector<RowRef> psel;
-  bsel.reserve(batch);
-  psel.reserve(batch);
   size_t emitted = 0;
-  auto flush = [&]() -> Status {
-    const size_t len = bsel.size();
-    if (len == 0) return Status::OK();
+  auto gather = [&](const RowRef* matches, const MatchRun* runs, size_t n,
+                    size_t len) -> Status {
+    bsel.clear();
+    psel.clear();
+    ForEachPair(matches, runs, n, [&](size_t, RowRef b, RowRef p) {
+      bsel.push_back(b);
+      psel.push_back(p);
+    });
     ColumnChunk cand;
     cand.length = len;
     cand.columns.resize(bsrc.size() + psrc.size());
     for (size_t c = 0; c < bsrc.size(); ++c) {
       if (!keep[c]) continue;
-      auto col = std::make_shared<ColumnData>(build->schema().column(c).type);
+      auto col =
+          std::make_shared<ColumnData>(in.build->schema().column(c).type);
       col->AppendGather(bsrc[c], bsel.data(), len);
       cand.columns[c] = ColumnSlice{std::move(col), 0};
     }
     for (size_t c = 0; c < psrc.size(); ++c) {
       if (!keep[bsrc.size() + c]) continue;
-      auto col = std::make_shared<ColumnData>(probe->schema().column(c).type);
+      auto col =
+          std::make_shared<ColumnData>(in.probe->schema().column(c).type);
       col->AppendGather(psrc[c], psel.data(), len);
       cand.columns[bsrc.size() + c] = ColumnSlice{std::move(col), 0};
     }
-    bsel.clear();
-    psel.clear();
     const uint32_t* sel = nullptr;
     size_t k = len;
     if (node.residual) {
       FEDCAL_ASSIGN_OR_RETURN(sel,
                               eval_.EvalSelection(*node.residual, cand, &k));
     }
-    for (size_t j = 0; j < k; ++j) {
-      stats->work_units += config_.costs.join_output_row;
-      ++emitted;
-      FEDCAL_RETURN_NOT_OK(CheckSize(emitted));
-    }
+    FEDCAL_RETURN_NOT_OK(ChargeJoinOutput(k, &emitted, stats));
     if (k == len) {
       out->AppendChunk(std::move(cand));
     } else if (k > 0) {
@@ -452,169 +897,7 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecHashJoin(
     }
     return Status::OK();
   };
-
-  if (node.left_keys.size() == 1 && node.right_keys.size() == 1 &&
-      AllChunksInt64(*build, node.left_keys[0]) &&
-      AllChunksInt64(*probe, node.right_keys[0])) {
-    // Typed fast path: both key columns are pure int64, so Value equality
-    // degenerates to int64 equality and the per-row Row/Value key
-    // materialization disappears. Matching rows chain through a single
-    // `next` array (built in reverse so each chain lists build rows in
-    // ascending order — the required emission order) instead of one heap
-    // vector per distinct key; when the build keys span a compact range
-    // (serial ids do) the chain heads live in a direct-address array and
-    // the hash table disappears entirely.
-    struct KeyCol {
-      const int64_t* vals;
-      const uint8_t* nulls;  // null => skip (NULL keys never join)
-      size_t len;
-      uint32_t base;
-    };
-    auto key_cols = [](const ColumnarTable& t, size_t slot) {
-      std::vector<KeyCol> cols;
-      cols.reserve(t.chunks().size());
-      uint32_t base = 0;
-      for (const ColumnChunk& chunk : t.chunks()) {
-        const ColumnSlice& s = chunk.columns[slot];
-        cols.push_back(KeyCol{
-            s.col->ints() + s.offset,
-            s.col->has_nulls() ? s.col->nulls() + s.offset : nullptr,
-            chunk.length, base});
-        base += static_cast<uint32_t>(chunk.length);
-      }
-      return cols;
-    };
-    const std::vector<KeyCol> bcols = key_cols(*build, node.left_keys[0]);
-    const std::vector<KeyCol> pcols = key_cols(*probe, node.right_keys[0]);
-
-    const size_t bn = build->num_rows();
-    constexpr uint32_t kNone = UINT32_MAX;
-    int64_t kmin = 0;
-    int64_t kmax = 0;
-    size_t nonnull = 0;
-    for (const KeyCol& kc : bcols) {
-      for (size_t i = 0; i < kc.len; ++i) {
-        if (kc.nulls != nullptr && kc.nulls[i] != 0) continue;
-        const int64_t k = kc.vals[i];
-        if (nonnull == 0) {
-          kmin = kmax = k;
-        } else {
-          if (k < kmin) kmin = k;
-          if (k > kmax) kmax = k;
-        }
-        ++nonnull;
-      }
-    }
-    // Unsigned subtraction is overflow-safe for any int64 pair.
-    const uint64_t range =
-        static_cast<uint64_t>(kmax) - static_cast<uint64_t>(kmin);
-    // Direct addressing pays one uint32 slot per key in [kmin, kmax]. The
-    // absolute floor matters: a small build side probed by a large input
-    // (selective filter joined against a big table) is worth a few MB of
-    // head array to turn every probe into an array index.
-    const bool dense =
-        nonnull > 0 &&
-        range < std::max<uint64_t>(4 * static_cast<uint64_t>(bn) + 1024,
-                                   uint64_t{1} << 22);
-
-    // Chains link build rows by their table-wide index; `bref` maps that
-    // index back to the row's chunk for the gather.
-    std::vector<uint32_t> next(bn, kNone);
-    std::vector<RowRef> bref(bn);
-    std::vector<uint32_t> head;
-    std::unordered_map<int64_t, uint32_t> head_map;
-    if (dense) {
-      head.assign(static_cast<size_t>(range) + 1, kNone);
-    } else {
-      head_map.reserve(nonnull);
-    }
-    for (size_t c = bcols.size(); c-- > 0;) {
-      const KeyCol& kc = bcols[c];
-      for (size_t i = kc.len; i-- > 0;) {
-        if (kc.nulls != nullptr && kc.nulls[i] != 0) continue;
-        const uint32_t row = kc.base + static_cast<uint32_t>(i);
-        bref[row] = RowRef{static_cast<uint32_t>(c), static_cast<uint32_t>(i)};
-        if (dense) {
-          uint32_t& h = head[static_cast<size_t>(
-              static_cast<uint64_t>(kc.vals[i]) -
-              static_cast<uint64_t>(kmin))];
-          next[row] = h;
-          h = row;
-        } else {
-          uint32_t& h = head_map.try_emplace(kc.vals[i], kNone).first->second;
-          next[row] = h;
-          h = row;
-        }
-      }
-    }
-    for (size_t c = 0; c < pcols.size(); ++c) {
-      const KeyCol& kc = pcols[c];
-      for (size_t i = 0; i < kc.len; ++i) {
-        if (kc.nulls != nullptr && kc.nulls[i] != 0) continue;
-        const int64_t k = kc.vals[i];
-        uint32_t h = kNone;
-        if (dense) {
-          if (k >= kmin && k <= kmax) {
-            h = head[static_cast<size_t>(static_cast<uint64_t>(k) -
-                                         static_cast<uint64_t>(kmin))];
-          }
-        } else {
-          auto it = head_map.find(k);
-          if (it != head_map.end()) h = it->second;
-        }
-        for (uint32_t b = h; b != kNone; b = next[b]) {
-          bsel.push_back(bref[b]);
-          psel.push_back(
-              RowRef{static_cast<uint32_t>(c), static_cast<uint32_t>(i)});
-          if (bsel.size() == batch) FEDCAL_RETURN_NOT_OK(flush());
-        }
-      }
-    }
-  } else {
-    // Generic path: composite or non-int64 keys hash as row-engine Rows.
-    std::unordered_map<RowKey, std::vector<RowRef>, RowKeyHash> table;
-    table.reserve(build->num_rows());
-    for (size_t c = 0; c < build->chunks().size(); ++c) {
-      const ColumnChunk& chunk = build->chunks()[c];
-      for (size_t i = 0; i < chunk.length; ++i) {
-        Row key;
-        key.reserve(node.left_keys.size());
-        bool has_null = false;
-        for (size_t s : node.left_keys) {
-          Value v = chunk.ValueAt(s, i);
-          has_null |= v.is_null();
-          key.push_back(std::move(v));
-        }
-        // NULL join keys never match; skip them at build time.
-        if (has_null) continue;
-        table[RowKey(std::move(key))].push_back(
-            RowRef{static_cast<uint32_t>(c), static_cast<uint32_t>(i)});
-      }
-    }
-    for (size_t c = 0; c < probe->chunks().size(); ++c) {
-      const ColumnChunk& chunk = probe->chunks()[c];
-      for (size_t i = 0; i < chunk.length; ++i) {
-        Row key;
-        key.reserve(node.right_keys.size());
-        bool has_null = false;
-        for (size_t s : node.right_keys) {
-          Value v = chunk.ValueAt(s, i);
-          has_null |= v.is_null();
-          key.push_back(std::move(v));
-        }
-        if (has_null) continue;
-        auto it = table.find(RowKey(std::move(key)));
-        if (it == table.end()) continue;
-        for (const RowRef& b : it->second) {
-          bsel.push_back(b);
-          psel.push_back(
-              RowRef{static_cast<uint32_t>(c), static_cast<uint32_t>(i)});
-          if (bsel.size() == batch) FEDCAL_RETURN_NOT_OK(flush());
-        }
-      }
-    }
-  }
-  FEDCAL_RETURN_NOT_OK(flush());
+  FEDCAL_RETURN_NOT_OK(ProbeHashJoin(node, in, gather));
   return ColumnarTablePtr(std::move(out));
 }
 
@@ -654,6 +937,9 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecNestedLoopJoin(
 
 Result<ColumnarTablePtr> ColumnarExecutor::ExecAggregate(
     const PlanNode& node, ExecStats* stats, obs::OperatorProfile* prof) {
+  if (AccumulatesJoinPairs(node)) {
+    return ExecAggregateOverJoin(node, stats, prof);
+  }
   SlotMask child(node.left->output_schema.num_columns(), false);
   for (const BoundExprPtr& g : node.group_by) AddSlots(g, &child);
   for (const AggItem& a : node.aggs) AddSlots(a.arg, &child);
@@ -703,32 +989,19 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecAggregate(
     evaluated.push_back(std::move(cv));
   }
 
-  // Groups in first-seen order, matching the row engine: their keys, and
-  // node.aggs.size() accumulators per group, group-major.
   const size_t naggs = node.aggs.size();
-  std::vector<Row> keys;
-  std::vector<AggState> states;
-  auto add_group = [&](Row key) {
-    keys.push_back(std::move(key));
-    states.resize(states.size() + naggs);
-    return keys.size() - 1;
-  };
-  std::unordered_map<RowKey, size_t, RowKeyHash> group_index;
-  std::unordered_map<int64_t, size_t> int_index;
-  // Views into the key columns' dictionaries, which `evaluated` keeps
-  // alive.
-  std::unordered_map<std::string_view, size_t> str_index;
-  // String keys resolve through one array per dictionary, indexed by code:
-  // each (dictionary, code) pair hashes its string into `str_index` once,
-  // the first time a row carries it, so group ids keep first-seen order
-  // and a string coded in two dictionaries still names one group.
-  constexpr size_t kNoGroup = SIZE_MAX;
-  std::vector<std::pair<const StringDict*, std::vector<size_t>>> dict_groups;
-  // NULL group keys form a regular group in the row engine (Compare treats
-  // null == null); the typed maps can't hold them, so they get a dedicated
-  // slot that still respects first-seen ordering.
-  size_t null_group = kNoGroup;
-  std::vector<size_t> gids;
+  Groups groups(naggs);
+  if (int64_keys) {
+    Int64Range range;
+    for (const ChunkVals& cv : evaluated) {
+      const VectorResult& gv = cv.group_vals[0];
+      range.AddAll(gv.col->ints() + gv.offset,
+                   gv.col->has_nulls() ? gv.col->nulls() + gv.offset : nullptr,
+                   cv.length);
+    }
+    groups.IndexInt64(range, in->num_rows());
+  }
+  std::vector<uint32_t> gids;
   for (const ChunkVals& cv : evaluated) {
     const size_t n = cv.length;
     gids.resize(n);
@@ -737,47 +1010,24 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecAggregate(
       const uint8_t* key_nulls =
           gv.col->has_nulls() ? gv.col->nulls() + gv.offset : nullptr;
       const StringDict* dict = string_keys ? &gv.col->dict() : nullptr;
-      size_t* lut = nullptr;
-      if (dict != nullptr) {
-        auto it = std::find_if(dict_groups.begin(), dict_groups.end(),
-                               [&](const auto& e) { return e.first == dict; });
-        if (it == dict_groups.end()) {
-          dict_groups.emplace_back(dict,
-                                   std::vector<size_t>(dict->size(), kNoGroup));
-          it = dict_groups.end() - 1;
-        }
-        lut = it->second.data();
-      }
+      uint32_t* lut = dict != nullptr ? groups.DictGroups(dict) : nullptr;
       for (size_t i = 0; i < n; ++i) {
         if (key_nulls != nullptr && key_nulls[i] != 0) {
-          if (null_group == kNoGroup) null_group = add_group(Row{Value()});
-          gids[i] = null_group;
+          gids[i] = groups.Null();
         } else if (int64_keys) {
-          const int64_t k = gv.col->ints()[gv.offset + i];
-          auto [it, inserted] = int_index.try_emplace(k, keys.size());
-          if (inserted) add_group(Row{Value(k)});
-          gids[i] = it->second;
+          gids[i] = groups.Int64(gv.col->ints()[gv.offset + i]);
         } else {
-          const uint32_t code = gv.col->codes()[gv.offset + i];
-          size_t& g = lut[code];
-          if (g == kNoGroup) {
-            const std::string_view k = dict->at(code);
-            auto [it, inserted] = str_index.try_emplace(k, keys.size());
-            if (inserted) add_group(Row{Value(std::string(k))});
-            g = it->second;
-          }
-          gids[i] = g;
+          gids[i] = groups.Code(*dict, lut, gv.col->codes()[gv.offset + i]);
         }
       }
+    } else if (node.group_by.empty()) {
+      std::fill(gids.begin(), gids.end(), groups.Global());
     } else {
       for (size_t i = 0; i < n; ++i) {
         Row key;
         key.reserve(cv.group_vals.size());
         for (const VectorResult& gv : cv.group_vals) key.push_back(gv.At(i));
-        RowKey rk(key);
-        auto [it, inserted] = group_index.emplace(std::move(rk), keys.size());
-        if (inserted) add_group(std::move(key));
-        gids[i] = it->second;
+        gids[i] = groups.Key(std::move(key));
       }
     }
     // Each (group, aggregate) accumulator sees its rows in input order,
@@ -785,44 +1035,153 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecAggregate(
     // row-at-a-time sequence exactly.
     for (size_t a = 0; a < naggs; ++a) {
       UpdateAggregate(node.aggs[a], cv.agg_vals[a], gids.data(), n,
-                      states.data() + a, naggs);
+                      groups.states() + a, naggs);
+    }
+  }
+  return EmitGroups(node, config_, &groups, stats);
+}
+
+Result<ColumnarTablePtr> ColumnarExecutor::ExecAggregateOverJoin(
+    const PlanNode& node, ExecStats* stats, obs::OperatorProfile* prof) {
+  const PlanNode& join = *node.left;
+  SlotMask keep(join.output_schema.num_columns(), false);
+  for (const BoundExprPtr& g : node.group_by) AddSlots(g, &keep);
+  for (const AggItem& a : node.aggs) AddSlots(a.arg, &keep);
+
+  // The join's own node, as ExecNode runs it: counted, and profiled with
+  // its children below it.
+  ++stats->operators_executed;
+  std::optional<OperatorProfileScope> scope;
+  if (prof != nullptr) scope.emplace(join, *stats);
+  const size_t arena0 = arena_.bytes_allocated();
+  FEDCAL_ASSIGN_OR_RETURN(
+      JoinInputs in,
+      RunJoinInputs(join, keep, stats, scope ? scope->prof() : nullptr));
+
+  // Every key and argument is a bare column of the [build, probe] row:
+  // read it from its side, by the RowRef the pair carries for that side.
+  const size_t build_width = join.left->output_schema.num_columns();
+  auto on_build = [&](const BoundExprPtr& e) {
+    return e->column_index() < build_width;
+  };
+  auto side_column = [&](const BoundExprPtr& e) {
+    return on_build(e) ? SideColumn(*in.build, e->column_index())
+                       : SideColumn(*in.probe, e->column_index() - build_width);
+  };
+  std::vector<SideColumn> keys;
+  for (const BoundExprPtr& g : node.group_by) keys.push_back(side_column(g));
+  const size_t naggs = node.aggs.size();
+  std::vector<PairFeed> feeds(naggs);
+  for (size_t a = 0; a < naggs; ++a) {
+    const AggItem& item = node.aggs[a];
+    if (item.count_star) continue;
+    PairFeed& f = feeds[a];
+    f.build = on_build(item.arg);
+    f.arg.emplace(side_column(item.arg));
+    f.kind = PairFeed::kValue;
+    if (TypedFunc(item) && f.arg->kind == ColumnData::Kind::kInt64) {
+      f.kind = PairFeed::kInt64;
+    } else if (TypedFunc(item) && f.arg->kind == ColumnData::Kind::kDouble) {
+      f.kind = PairFeed::kDouble;
     }
   }
 
-  auto out = std::make_shared<ColumnarTable>(node.output_schema);
-  const size_t ncols = node.output_schema.num_columns();
-  const size_t nkeys = node.group_by.size();
-  // Global aggregation over empty input still yields one row.
-  if (keys.empty() && node.group_by.empty()) {
-    add_group(Row{});
-    stats->work_units += config_.costs.agg_group;
-  } else {
-    stats->work_units +=
-        config_.costs.agg_group * static_cast<double>(keys.size());
+  // A single int64 or string key is resolved the first time a pair
+  // carries its row, so ids keep first-seen order: a build row's id is
+  // kept by the row's place in the join's build layout, a probe row's,
+  // whose pairs are adjacent, until the next probe row. Other keys
+  // (several columns, or kinds that differ across chunks) are compared as
+  // Values per pair.
+  Groups groups(naggs);
+  constexpr uint32_t kNone = Groups::kNone;
+  const bool per_row =
+      keys.size() == 1 && (keys[0].kind == ColumnData::Kind::kInt64 ||
+                           keys[0].kind == ColumnData::Kind::kString);
+  const bool key_on_build = !keys.empty() && on_build(node.group_by[0]);
+  std::vector<uint32_t> build_gid;
+  if (per_row) {
+    const ColumnarTable& side = key_on_build ? *in.build : *in.probe;
+    if (keys[0].kind == ColumnData::Kind::kInt64) {
+      Int64Range range;
+      for (size_t c = 0; c < side.chunks().size(); ++c) {
+        const SideColumn::Chunk& kc = keys[0].chunks[c];
+        range.AddAll(kc.ints, kc.nulls, side.chunks()[c].length);
+      }
+      groups.IndexInt64(range, side.num_rows());
+    }
+    if (key_on_build) build_gid.assign(side.num_rows(), kNone);
   }
-  const size_t batch = config_.batch_rows == 0 ? 1 : config_.batch_rows;
-  for (size_t start = 0; start < keys.size(); start += batch) {
-    const size_t len = std::min(batch, keys.size() - start);
-    ColumnChunk chunk;
-    chunk.length = len;
-    chunk.columns.reserve(ncols);
-    for (size_t c = 0; c < ncols; ++c) {
-      auto col =
-          std::make_shared<ColumnData>(node.output_schema.column(c).type);
-      col->Reserve(len);
-      for (size_t g = start; g < start + len; ++g) {
-        if (c < nkeys) {
-          col->AppendValue(keys[g][c]);
-        } else {
-          col->AppendValue(states[g * naggs + (c - nkeys)].Finalize(
-              node.aggs[c - nkeys]));
+  auto resolve = [&](RowRef r) {
+    const SideColumn& key = keys[0];
+    if (key.IsNull(r)) return groups.Null();
+    const SideColumn::Chunk& c = key.chunks[r.chunk];
+    if (key.kind == ColumnData::Kind::kInt64) {
+      return groups.Int64(c.ints[r.row]);
+    }
+    const StringDict& dict = c.slice->col->dict();
+    return groups.Code(dict, groups.DictGroups(&dict), c.codes[r.row]);
+  };
+  RowRef last_probe{UINT32_MAX, UINT32_MAX};
+  uint32_t last_gid = kNone;
+
+  // The accumulate sink: the batch is charged as the join charges it and
+  // each pair's group resolved; then each aggregate takes the batch, so
+  // every accumulator sees its pairs in emission order.
+  size_t pairs = 0;
+  std::vector<uint32_t> gids;
+  auto accumulate = [&](const RowRef* matches, const MatchRun* runs,
+                        size_t n, size_t len) -> Status {
+    FEDCAL_RETURN_NOT_OK(ChargeJoinOutput(len, &pairs, stats));
+    gids.resize(len);
+    if (keys.empty()) {
+      std::fill(gids.begin(), gids.end(), groups.Global());
+    } else if (per_row && key_on_build) {
+      uint32_t* cached = build_gid.data();
+      size_t i = 0;
+      for (size_t k = 0; k < n; ++k) {
+        for (uint32_t j = runs[k].begin; j < runs[k].end; ++j) {
+          if (cached[j] == kNone) cached[j] = resolve(matches[j]);
+          gids[i++] = cached[j];
         }
       }
-      chunk.columns.push_back(ColumnSlice{std::move(col), 0});
+    } else if (per_row) {
+      size_t i = 0;
+      for (size_t k = 0; k < n; ++k) {
+        const RowRef p = runs[k].probe;
+        if (p.chunk != last_probe.chunk || p.row != last_probe.row) {
+          last_probe = p;
+          last_gid = resolve(p);
+        }
+        const size_t end = i + (runs[k].end - runs[k].begin);
+        std::fill(gids.begin() + i, gids.begin() + end, last_gid);
+        i = end;
+      }
+    } else {
+      ForEachPair(matches, runs, n, [&](size_t i, RowRef b, RowRef p) {
+        Row key;
+        key.reserve(keys.size());
+        for (size_t k = 0; k < keys.size(); ++k) {
+          key.push_back(keys[k].ValueAt(on_build(node.group_by[k]) ? b : p));
+        }
+        gids[i] = groups.Key(std::move(key));
+      });
     }
-    out->AppendChunk(std::move(chunk));
+    for (size_t a = 0; a < naggs; ++a) {
+      feeds[a].Update(node.aggs[a], matches, runs, n, len, gids.data(),
+                      groups.states() + a, naggs);
+    }
+    return Status::OK();
+  };
+  FEDCAL_RETURN_NOT_OK(ProbeHashJoin(join, in, accumulate));
+  if (scope) {
+    // What the materializing join reports: its rows and its chunks.
+    const size_t batch = config_.batch_rows == 0 ? 1 : config_.batch_rows;
+    scope->Finish(*stats, pairs, (pairs + batch - 1) / batch,
+                  arena_.bytes_allocated() - arena0, prof);
   }
-  return ColumnarTablePtr(std::move(out));
+  stats->work_units +=
+      config_.costs.agg_update_row * static_cast<double>(pairs);
+  return EmitGroups(node, config_, &groups, stats);
 }
 
 Result<ColumnarTablePtr> ColumnarExecutor::ExecSort(

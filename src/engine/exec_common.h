@@ -4,7 +4,9 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -120,6 +122,153 @@ struct RowKey {
 };
 struct RowKeyHash {
   size_t operator()(const RowKey& k) const { return k.hash; }
+};
+
+/// `w` after `n` sequential `w += c`, each rounded to nearest: the same
+/// double bit for bit, without n dependent adds. While w stays in one
+/// binade [2^(e-1), 2^e), its doubles are the multiples of its ulp u, so
+/// an add whose exact sum w + c = (W + q) * u + r (0 <= r < u) stays below
+/// the binade's top rounds to (W + q) * u for r < u / 2 and to
+/// (W + q + 1) * u for r > u / 2: every add moves w by the same step, and
+/// a run of them is one multiply. Ties, sums near the top of a binade,
+/// zero, subnormal, negative or non-finite operands and c >= w take one
+/// plain add at a time.
+inline double AddRepeated(double w, double c, size_t n) {
+  constexpr uint64_t kTop = uint64_t{1} << 53;  // 2^e in units of u
+  while (n > 0) {
+    if (!(w >= std::numeric_limits<double>::min()) || !(c > 0.0) ||
+        !(c < w) || !std::isfinite(w)) {
+      w += c;
+      --n;
+      continue;
+    }
+    int e = 0;
+    std::frexp(w, &e);
+    const double u = std::ldexp(1.0, e - 53);
+    const double q = std::floor(c / u);  // c < w < 2^e, so q < 2^53
+    const double r = c - q * u;          // exact: the low bits of c
+    if (r == 0.5 * u) {
+      w += c;
+      --n;
+      continue;
+    }
+    const auto big_w = static_cast<uint64_t>(w / u);  // in [2^52, 2^53)
+    const auto big_q = static_cast<uint64_t>(q);
+    const uint64_t step = r < 0.5 * u ? big_q : big_q + 1;
+    // An add from W is safe while W + q + 2 <= 2^53: the exact sum then
+    // lies below (2^53 - 1) * u, where the grid is still u.
+    uint64_t safe = 0;
+    if (big_w + big_q + 2 <= kTop) {
+      safe = step == 0 ? n : (kTop - big_q - 2 - big_w) / step + 1;
+    }
+    if (safe == 0) {
+      w += c;
+      --n;
+      continue;
+    }
+    const uint64_t k = std::min<uint64_t>(safe, n);
+    w = static_cast<double>(big_w + k * step) * u;
+    n -= static_cast<size_t>(k);
+  }
+  return w;
+}
+
+/// The smallest and largest of a set of int64 keys, and how many there are.
+struct Int64Range {
+  int64_t lo = 0;
+  int64_t hi = 0;
+  size_t count = 0;
+
+  void Add(int64_t k) {
+    if (count == 0) {
+      lo = hi = k;
+    } else {
+      lo = std::min(lo, k);
+      hi = std::max(hi, k);
+    }
+    ++count;
+  }
+  /// Adds the keys v[i], i < n, whose `nulls[i]` is 0 (all when `nulls` is
+  /// null).
+  void AddAll(const int64_t* v, const uint8_t* nulls, size_t n) {
+    if (nulls != nullptr || n == 0) {
+      for (size_t i = 0; i < n; ++i) {
+        if (nulls == nullptr || nulls[i] == 0) Add(v[i]);
+      }
+      return;
+    }
+    int64_t l = count == 0 ? v[0] : lo;
+    int64_t h = count == 0 ? v[0] : hi;
+    for (size_t i = 0; i < n; ++i) {
+      l = std::min(l, v[i]);
+      h = std::max(h, v[i]);
+    }
+    lo = l;
+    hi = h;
+    count += n;
+  }
+};
+
+/// \brief Dense numbers for int64 keys, by which the hash join lays out
+/// its build rows and the columnar Aggregate finds its group ids.
+///
+/// Keys that span a compact range (serial ids and small codes do) are
+/// numbered by their offset from the smallest, so numbering costs no
+/// lookup; others are numbered in the order first inserted, through a
+/// hash map.
+class Int64KeyIndex {
+ public:
+  static constexpr uint32_t kNone = UINT32_MAX;
+
+  /// Sized for the keys in `keys`, drawn from `rows` input rows. A direct
+  /// index numbers every key in [lo, hi], so its users keep that many
+  /// slots. The absolute floor matters: a small build side probed by a
+  /// large input (a selective filter joined against a big table) is worth
+  /// a few MB of slots to turn every probe into an array index.
+  Int64KeyIndex(const Int64Range& keys, size_t rows) : lo_(keys.lo) {
+    // Unsigned subtraction is overflow-safe for any int64 pair.
+    const uint64_t range =
+        static_cast<uint64_t>(keys.hi) - static_cast<uint64_t>(keys.lo);
+    direct_ =
+        keys.count > 0 &&
+        range < std::max<uint64_t>(4 * static_cast<uint64_t>(rows) + 1024,
+                                   uint64_t{1} << 22);
+    if (direct_) {
+      span_ = static_cast<size_t>(range) + 1;
+    } else {
+      map_.reserve(keys.count);
+    }
+  }
+
+  /// How many numbers there are: every key in the range of a direct
+  /// index, the keys inserted so far otherwise.
+  size_t size() const { return direct_ ? span_ : map_.size(); }
+  /// The number of `k`, which must lie in the range the index was sized
+  /// for.
+  uint32_t Insert(int64_t k) {
+    if (direct_) return static_cast<uint32_t>(Offset(k));
+    return map_.try_emplace(k, static_cast<uint32_t>(map_.size()))
+        .first->second;
+  }
+  /// The number of `k`, or kNone for a key never inserted.
+  uint32_t Find(int64_t k) const {
+    if (direct_) {
+      const uint64_t off = Offset(k);
+      return off < span_ ? static_cast<uint32_t>(off) : kNone;
+    }
+    auto it = map_.find(k);
+    return it == map_.end() ? kNone : it->second;
+  }
+
+ private:
+  uint64_t Offset(int64_t k) const {
+    return static_cast<uint64_t>(k) - static_cast<uint64_t>(lo_);
+  }
+
+  int64_t lo_;
+  bool direct_ = false;
+  size_t span_ = 0;
+  std::unordered_map<int64_t, uint32_t> map_;
 };
 
 /// \brief Accumulator for one aggregate function instance in one group.

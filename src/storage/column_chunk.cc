@@ -182,6 +182,42 @@ void ColumnData::AppendFrom(const ColumnData& src, size_t i) {
   AppendValue(src.GetValue(i));
 }
 
+void ColumnData::AppendRange(const ColumnData& src, size_t from, size_t n) {
+  if (src.kind_ != kind_ || kind_ == Kind::kMixed) {
+    for (size_t i = from; i < from + n; ++i) AppendFrom(src, i);
+    return;
+  }
+  auto copy = [from, n](const auto& in, auto* out) {
+    out->insert(out->end(), in.begin() + from, in.begin() + from + n);
+  };
+  switch (kind_) {
+    case Kind::kInt64:
+      copy(src.ints_, &ints_);
+      break;
+    case Kind::kDouble:
+      copy(src.dbls_, &dbls_);
+      break;
+    case Kind::kString:
+      copy(src.codes_, &codes_);
+      break;
+    case Kind::kMixed:
+      break;
+  }
+  // Null cells already hold the default value AppendNull writes; the
+  // bitmap is made, as by AppendNull, only once a null arrives.
+  const bool nulls =
+      src.has_nulls() &&
+      std::any_of(src.nulls_.begin() + from, src.nulls_.begin() + from + n,
+                  [](uint8_t b) { return b != 0; });
+  if (nulls) {
+    if (nulls_.empty()) nulls_.assign(size_, 0);
+    copy(src.nulls_, &nulls_);
+  } else if (!nulls_.empty()) {
+    nulls_.resize(size_ + n, 0);
+  }
+  size_ += n;
+}
+
 namespace {
 
 /// Appends base[rows[i]] for i < n to `dst`.
@@ -409,12 +445,9 @@ ColumnarTablePtr ColumnarTable::Append(const std::vector<Row>& rows,
   const size_t tail_len = has_tail ? tail->length : 0;
   out->chunks_.assign(chunks_.begin(), chunks_.end() - (has_tail ? 1 : 0));
   out->num_rows_ = num_rows_ - tail_len;
+  // Still counts the tail, whose cells move into the first new chunk as
+  // they are.
   out->byte_size_ = byte_size_;
-  if (has_tail) {
-    for (const ColumnSlice& c : tail->columns) {
-      out->byte_size_ -= c.col->RangeBytes(c.offset, tail_len);
-    }
-  }
 
   // One dictionary per string column: the last chunk's, or a copy of it
   // once `rows` bring a string it lacks. Interning up front lets every
@@ -462,12 +495,15 @@ ColumnarTablePtr ColumnarTable::Append(const std::vector<Row>& rows,
                      ? std::make_shared<ColumnData>(dicts[c])
                      : std::make_shared<ColumnData>(schema_.column(c).type);
       col->Reserve(len);
-      for (size_t i = start; i < start + len; ++i) {
-        if (i < tail_len) {
-          const ColumnSlice& s = tail->columns[c];
-          col->AppendFrom(*s.col, s.offset + i);
-          continue;
-        }
+      size_t i = start;
+      if (i < tail_len) {
+        // The tail is shorter than a chunk, so it fits in the first one.
+        // Its string codes hold: `dicts[c]` is its dictionary or a copy.
+        const ColumnSlice& s = tail->columns[c];
+        col->AppendRange(*s.col, s.offset, tail_len);
+        i = tail_len;
+      }
+      for (; i < start + len; ++i) {
         const size_t r = i - tail_len;
         const Value& v = rows[r][c];
         if (v.is_string() && col->kind() == ColumnData::Kind::kString) {
@@ -478,7 +514,13 @@ ColumnarTablePtr ColumnarTable::Append(const std::vector<Row>& rows,
       }
       chunk.columns.push_back(ColumnSlice{std::move(col), 0});
     }
-    out->AppendChunk(std::move(chunk));
+    // Only the cells after the tail add bytes.
+    size_t bytes = 0;
+    const size_t from = start < tail_len ? tail_len - start : 0;
+    for (const ColumnSlice& c : chunk.columns) {
+      bytes += c.col->RangeBytes(from, len - from);
+    }
+    out->AppendChunk(std::move(chunk), bytes);
   }
   return out;
 }

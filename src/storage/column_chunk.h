@@ -144,6 +144,12 @@ class ColumnData {
   }
   /// Appends cell `i` of `src` (any kinds; preserves exact variant).
   void AppendFrom(const ColumnData& src, size_t i);
+  /// Appends cells [from, from + n) of `src`, equal to n AppendFrom calls
+  /// when a kString `src` codes as this column's dictionary does: `src`'s
+  /// own, or a copy of it (a copy keeps the codes). A typed source of this
+  /// column's kind copies its values (codes) and null flags in one pass;
+  /// other sources go through AppendFrom.
+  void AppendRange(const ColumnData& src, size_t from, size_t n);
 
   /// Appends the cells of `src` at rows `rows[0..n)` (relative to
   /// `src.offset`); `src` must not be this column. The result equals n

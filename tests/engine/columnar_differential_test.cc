@@ -4,10 +4,14 @@
 // byte-identical and ExecStats bit-identical.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
+#include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "common/rng.h"
 #include "engine/executor.h"
 #include "storage/datagen.h"
 #include "tests/oracle/row_executor.h"
@@ -124,6 +128,35 @@ class ColumnarDifferentialTest : public ::testing::Test {
                             {"label", DataType::kString},
                             {"w", DataType::kDouble}},
                            evd_rows));
+
+    // int64 keys at both ends of the type, negative keys, NULL keys
+    // between non-NULL ones, and keys too sparse for direct addressing.
+    const int64_t kMin = std::numeric_limits<int64_t>::min();
+    const int64_t kMax = std::numeric_limits<int64_t>::max();
+    const std::vector<Value> ends = {I(kMin), I(kMax), I(-5), N(), I(0),
+                                     I(kMax), I(-3),   N(), I(kMin), I(7)};
+    std::vector<Row> ik_rows;
+    std::vector<Row> ik2_rows;
+    for (int64_t i = 0; i < 150; ++i) {
+      ik_rows.push_back({ends[i % ends.size()],
+                         i % 9 == 4 ? N() : I(-(i % 6)),
+                         D(0.5 * static_cast<double>(i)),
+                         I(i * 10'000'019)});
+      ik2_rows.push_back({ends[(i * 7) % ends.size()],
+                          I(i % 11 == 0 ? -1 : i),
+                          I((i % 40) * 10'000'019)});
+    }
+    AddTable(MakeTable("ik",
+                       {{"k", DataType::kInt64},
+                        {"g", DataType::kInt64},
+                        {"v", DataType::kDouble},
+                        {"sp", DataType::kInt64}},
+                       ik_rows));
+    AddTable(MakeTable("ik2",
+                       {{"k", DataType::kInt64},
+                        {"w", DataType::kInt64},
+                        {"sp", DataType::kInt64}},
+                       ik2_rows));
   }
 
   /// Adds a copy of `t` to the database of every batch size, its payload
@@ -436,6 +469,198 @@ TEST_F(ColumnarDifferentialTest, ErrorsFailBothEngines) {
       plan.ok() ? Oracle().Execute(plan.value(), &s).status() : plan.status();
   ASSERT_FALSE(row_status.ok());
   EXPECT_EQ(row_status.ToString(), col_res.status().ToString());
+}
+
+TEST_F(ColumnarDifferentialTest, Int64KeysAtTheExtremes) {
+  // Group ids: keys spanning the whole int64 range (hash side), a dense
+  // negative range with NULLs between its keys, and sparse keys.
+  RunBoth("SELECT k, COUNT(*), SUM(v), MIN(g) FROM ik GROUP BY k");
+  RunBoth("SELECT g, COUNT(*), SUM(v), MAX(k) FROM ik GROUP BY g");
+  RunBoth("SELECT sp, COUNT(*) FROM ik WHERE g < 0 GROUP BY sp");
+  // Join keys at the extremes, materialized and accumulated, with the
+  // group key on either side and equal to the join key.
+  RunBoth("SELECT ik.k, ik.g, ik2.w FROM ik, ik2 WHERE ik.k = ik2.k");
+  RunBoth(
+      "SELECT ik.g, COUNT(*), SUM(ik2.w), AVG(ik.v) FROM ik, ik2 "
+      "WHERE ik.k = ik2.k GROUP BY ik.g");
+  RunBoth(
+      "SELECT ik2.k, COUNT(*), MIN(ik.v) FROM ik, ik2 WHERE ik.k = ik2.k "
+      "GROUP BY ik2.k");
+  // Sparse join keys (hash side) and a dense negative join key.
+  RunBoth(
+      "SELECT ik2.w, COUNT(*), SUM(ik.v) FROM ik, ik2 WHERE ik.sp = ik2.sp "
+      "GROUP BY ik2.w");
+  RunBoth(
+      "SELECT ik.g, COUNT(*) FROM ik, ik2 WHERE ik.g = ik2.w GROUP BY ik.g");
+}
+
+/// The columns of the seeded aggregate-over-join tables.
+Schema CaseSchema() {
+  return Schema({{"k", DataType::kInt64},
+                 {"i", DataType::kInt64},
+                 {"d", DataType::kDouble},
+                 {"s", DataType::kString}});
+}
+
+/// `n` seeded rows of CaseSchema: nullable columns, int64 cells in the
+/// DOUBLE column (kMixed chunks), doubles whose sums depend on their
+/// order, and strings from `pool`.
+std::vector<Row> CaseRows(Rng* rng, size_t n, int64_t key_lo, int64_t key_hi,
+                          const std::vector<std::string>& pool) {
+  const std::vector<double> scales = {1.0, 0.1, 1e16, -1e16, 1.0 / 3.0};
+  std::vector<Row> rows;
+  for (size_t r = 0; r < n; ++r) {
+    auto null = [&] { return rng->Bernoulli(0.1); };
+    Value k = null() ? N() : I(rng->UniformInt(key_lo, key_hi));
+    Value i = null() ? N() : I(rng->UniformInt(-1'000'000, 1'000'000));
+    Value d = null() ? N()
+              : rng->Bernoulli(0.15)
+                  ? I(rng->UniformInt(-3, 3))
+                  : D(scales[rng->UniformInt(0, 4)] *
+                      static_cast<double>(rng->UniformInt(1, 9)));
+    Value s = null() ? N() : Value(pool[rng->UniformInt(0, pool.size() - 1)]);
+    rows.push_back({std::move(k), std::move(i), std::move(d), std::move(s)});
+  }
+  return rows;
+}
+
+/// Every HashJoin node under `node`, depth first.
+void HashJoinNodes(const obs::OperatorProfile& node,
+                   std::vector<const obs::OperatorProfile*>* out) {
+  if (node.op == "HashJoin") out->push_back(&node);
+  for (const auto& child : node.children) HashJoinNodes(*child, out);
+}
+
+TEST_F(ColumnarDifferentialTest, SeededAggregatesOverJoins) {
+  // Each case joins two seeded tables, built from rows plus an append
+  // whose new string codes the later chunks in a second dictionary, and
+  // aggregates over the join. The seed picks the sides, the join keys
+  // (int64, string or both), one or two group keys or none, every AggFunc
+  // with arguments from either side, the edge cases (an empty side, no
+  // matches) and the two shapes that keep the materializing join (a
+  // residual, an expression argument).
+  const std::vector<std::string> pool = {"a", "b", "c", "d"};
+  const std::vector<std::string> wider = {"a", "b", "c", "d", "new"};
+  for (uint64_t seed = 0; seed < 300; ++seed) {
+    Rng rng(seed);
+    const std::string label = "case " + std::to_string(seed);
+    const std::string lname = "l" + std::to_string(seed);
+    const std::string rname = "r" + std::to_string(seed);
+    const bool no_matches = seed % 10 == 1;
+    const size_t ln = seed % 20 == 0 ? 0 : rng.UniformInt(1, 150);
+    const size_t rn = seed % 20 == 10 ? 0 : rng.UniformInt(1, 150);
+    const std::vector<Row> lbase = CaseRows(&rng, ln, 0, 9, pool);
+    const std::vector<Row> lmore = CaseRows(&rng, ln / 3, 0, 9, wider);
+    const int64_t r_lo = no_matches ? 100 : 0;
+    const std::vector<Row> rbase = CaseRows(&rng, rn, r_lo, r_lo + 9, pool);
+    const std::vector<Row> rmore = CaseRows(&rng, rn / 3, r_lo, r_lo + 9, wider);
+    for (auto& [batch, db] : dbs_) {
+      for (const auto& [name, base, more] :
+           {std::tuple{lname, &lbase, &lmore}, std::tuple{rname, &rbase, &rmore}}) {
+        TablePtr t = Table::FromRows(name, CaseSchema(), *base, batch);
+        ASSERT_TRUE(t->AppendRows(*more).ok());
+        db.AddTable(t);
+      }
+    }
+
+    const bool left_first = seed % 2 == 0;
+    const PlanNodePtr build = ScanOf(left_first ? lname : rname);
+    const PlanNodePtr probe = ScanOf(left_first ? rname : lname);
+    std::vector<size_t> bkeys = {0};
+    std::vector<size_t> pkeys = {0};
+    if (seed % 6 == 4) bkeys = pkeys = {3};
+    if (seed % 6 == 5) bkeys = pkeys = {0, 3};
+    BoundExprPtr residual;
+    if (seed % 5 == 2) {
+      residual = Cmp(BinaryOp::kLt, BoundExpr::Column(1, "i", DataType::kInt64),
+                     BoundExpr::Column(5, "i", DataType::kInt64));
+    }
+    const PlanNodePtr join = PlanNode::HashJoin(build, probe, bkeys, pkeys,
+                                                residual);
+
+    // Slots 0-3 are the build side's (k, i, d, s), 4-7 the probe side's.
+    const std::vector<DataType> types = {DataType::kInt64, DataType::kInt64,
+                                         DataType::kDouble, DataType::kString};
+    auto col = [&](size_t slot) {
+      return BoundExpr::Column(slot, "c" + std::to_string(slot),
+                               types[slot % 4]);
+    };
+    std::vector<BoundExprPtr> group_by;
+    Schema out;
+    const size_t nkeys = seed % 7 == 0 ? 0 : rng.UniformInt(1, 2);
+    for (size_t g = 0; g < nkeys; ++g) {
+      const size_t slot = rng.UniformInt(0, 7);
+      group_by.push_back(col(slot));
+      out.AddColumn({"g" + std::to_string(g), types[slot % 4]});
+    }
+    std::vector<AggItem> aggs;
+    for (AggFunc func : {AggFunc::kCount, AggFunc::kCount, AggFunc::kSum,
+                         AggFunc::kAvg, AggFunc::kMin, AggFunc::kMax}) {
+      AggItem item;
+      item.func = func;
+      const bool numeric = func == AggFunc::kSum || func == AggFunc::kAvg;
+      size_t slot = rng.UniformInt(0, 7);
+      if (numeric && slot % 4 == 3) slot -= 1;  // no SUM/AVG of strings
+      item.count_star = func == AggFunc::kCount && aggs.empty();
+      if (!item.count_star) item.arg = col(slot);
+      item.result_type = func == AggFunc::kCount  ? DataType::kInt64
+                         : func == AggFunc::kAvg ? DataType::kDouble
+                                                  : types[slot % 4];
+      item.name = "a" + std::to_string(aggs.size());
+      aggs.push_back(std::move(item));
+    }
+    if (seed % 5 == 3) {
+      // An expression argument keeps the materializing join.
+      aggs[2].arg = BoundExpr::Binary(BinaryOp::kAdd, col(1), col(5));
+      aggs[2].result_type = DataType::kInt64;
+    }
+    for (const AggItem& a : aggs) out.AddColumn({a.name, a.result_type});
+    const PlanNodePtr plan =
+        PlanNode::Aggregate(join, std::move(group_by), aggs, std::move(out));
+
+    ExecConfig profiled;
+    profiled.profile = true;
+    ExecStats row_stats;
+    std::shared_ptr<obs::OperatorProfile> row_prof;
+    auto row_res = oracle::RowExecutor(
+                       oracle::RowExecutor::Caching([this](const std::string& n) {
+                         return db().Resolve(n);
+                       }),
+                       profiled)
+                       .Execute(plan, &row_stats, &row_prof);
+    ASSERT_TRUE(row_res.ok()) << label << ": " << row_res.status().ToString();
+    std::vector<const obs::OperatorProfile*> row_joins;
+    HashJoinNodes(*row_prof, &row_joins);
+    ASSERT_EQ(row_joins.size(), 1u) << label;
+    const uint64_t pairs = row_joins[0]->rows_out;
+
+    for (auto& [batch, db] : dbs_) {
+      ExecConfig cfg = profiled;
+      cfg.batch_rows = batch;
+      ExecStats col_stats;
+      std::shared_ptr<obs::OperatorProfile> col_prof;
+      auto col_res =
+          Executor([&db](const std::string& n) { return db.Resolve(n); }, cfg)
+              .Execute(plan, &col_stats, &col_prof);
+      const std::string batch_label =
+          label + " [batch=" + std::to_string(batch) + "]";
+      ASSERT_TRUE(col_res.ok()) << batch_label << ": "
+                                << col_res.status().ToString();
+      EXPECT_EQ(oracle::FirstDifference(*row_res.value(), *col_res.value()),
+                "")
+          << batch_label;
+      ExpectIdenticalStats(row_stats, col_stats, batch_label);
+      std::vector<const obs::OperatorProfile*> col_joins;
+      HashJoinNodes(*col_prof, &col_joins);
+      ASSERT_EQ(col_joins.size(), 1u) << batch_label;
+      EXPECT_EQ(col_joins[0]->rows_out, pairs) << batch_label;
+      EXPECT_EQ(col_joins[0]->rows_in, row_joins[0]->rows_in) << batch_label;
+      if (residual == nullptr) {
+        EXPECT_EQ(col_joins[0]->batches, (pairs + batch - 1) / batch)
+            << batch_label;
+      }
+    }
+  }
 }
 
 }  // namespace

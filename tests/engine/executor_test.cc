@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cstring>
+#include <limits>
+
+#include "common/rng.h"
+#include "engine/exec_common.h"
 #include "tests/test_util.h"
 
 namespace fedcal {
@@ -191,6 +197,103 @@ TEST_F(ExecutorEndToEndTest, UnknownColumnFails) {
   auto r = db_.Run("SELECT bogus FROM emp");
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kBindError);
+}
+
+/// n sequential adds, the reference AddRepeated must equal bit for bit.
+double AddOneByOne(double w, double c, size_t n) {
+  for (size_t i = 0; i < n; ++i) w += c;
+  return w;
+}
+
+uint64_t Bits(double v) {
+  uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+TEST(AddRepeatedTest, EqualsOneAddAtATime) {
+  // The join-output price, other prices, and operands that cross binades,
+  // sit on ties (0.1's low bits tie below w = 0.5), start at zero, or are
+  // subnormal, negative or tiny next to w.
+  const std::vector<double> prices = {0.1, 0.3, 1.0 / 3.0, 0.75, 1e-20,
+                                      5e-324, 2.5, 1e6};
+  const std::vector<double> starts = {0.0,   0.25,  0.3,    0.5,
+                                      1.0,   7.9,   1023.9, 4095.95,
+                                      1e15,  9e15,  -3.0,   DBL_MIN,
+                                      1e-310};
+  for (double c : prices) {
+    for (double w : starts) {
+      for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{17},
+                       size_t{4096}, size_t{70001}}) {
+        EXPECT_EQ(Bits(AddRepeated(w, c, n)), Bits(AddOneByOne(w, c, n)))
+            << "w=" << w << " c=" << c << " n=" << n;
+      }
+    }
+  }
+  Rng rng(7);
+  for (int t = 0; t < 300; ++t) {
+    const double w = rng.UniformDouble(0, 1e4) * (rng.Bernoulli(0.5) ? 1 : 1e-3);
+    const double c = rng.UniformDouble(0, 2) * (rng.Bernoulli(0.5) ? 1 : 1e-6);
+    const auto n = static_cast<size_t>(rng.UniformInt(0, 20000));
+    EXPECT_EQ(Bits(AddRepeated(w, c, n)), Bits(AddOneByOne(w, c, n)))
+        << "w=" << w << " c=" << c << " n=" << n;
+  }
+}
+
+TEST(AddRepeatedTest, DiffersFromOneMultiply) {
+  // What one add per pair buys: 0.1 is not a double, so n adds of it are
+  // not n times it.
+  EXPECT_NE(Bits(AddRepeated(0.0, 0.1, 1000)), Bits(1000 * 0.1));
+}
+
+TEST(Int64KeyIndexTest, NumbersCompactKeysByOffset) {
+  Int64Range range;
+  for (int64_t k : {-3, 5, -1}) range.Add(k);
+  Int64KeyIndex index(range, 3);
+  EXPECT_EQ(index.size(), 9u);  // every key in [-3, 5]
+  EXPECT_EQ(index.Insert(5), 8u);
+  EXPECT_EQ(index.Insert(-3), 0u);
+  EXPECT_EQ(index.Find(-1), 2u);
+  EXPECT_EQ(index.Find(6), Int64KeyIndex::kNone);
+  EXPECT_EQ(index.Find(-4), Int64KeyIndex::kNone);
+  EXPECT_EQ(index.Find(std::numeric_limits<int64_t>::min()),
+            Int64KeyIndex::kNone);
+}
+
+TEST(Int64KeyIndexTest, NumbersSparseKeysInInsertOrder) {
+  const int64_t lo = std::numeric_limits<int64_t>::min();
+  const int64_t hi = std::numeric_limits<int64_t>::max();
+  Int64Range range;
+  range.AddAll(std::vector<int64_t>{hi, lo, 0}.data(), nullptr, 3);
+  EXPECT_EQ(range.lo, lo);
+  EXPECT_EQ(range.hi, hi);
+  Int64KeyIndex index(range, 3);
+  EXPECT_EQ(index.size(), 0u);
+  EXPECT_EQ(index.Insert(hi), 0u);
+  EXPECT_EQ(index.Insert(lo), 1u);
+  EXPECT_EQ(index.Insert(hi), 0u);
+  EXPECT_EQ(index.size(), 2u);
+  EXPECT_EQ(index.Find(lo), 1u);
+  EXPECT_EQ(index.Find(0), Int64KeyIndex::kNone);
+  // A range just past the direct floor of 2^22 slots takes the hash map.
+  Int64Range wide;
+  wide.Add(0);
+  wide.Add(int64_t{1} << 22);
+  EXPECT_EQ(Int64KeyIndex(wide, 2).size(), 0u);
+  Int64Range narrow;
+  narrow.Add(0);
+  narrow.Add((int64_t{1} << 22) - 1);
+  EXPECT_EQ(Int64KeyIndex(narrow, 2).size(), size_t{1} << 22);
+}
+
+TEST(Int64KeyIndexTest, RangeSkipsNulls) {
+  const std::vector<int64_t> keys = {100, -7, 3, 50};
+  const std::vector<uint8_t> nulls = {1, 0, 0, 1};
+  Int64Range range;
+  range.AddAll(keys.data(), nulls.data(), keys.size());
+  EXPECT_EQ(range.count, 2u);
+  EXPECT_EQ(range.lo, -7);
+  EXPECT_EQ(range.hi, 3);
 }
 
 }  // namespace

@@ -135,6 +135,72 @@ TEST(TableTest, AppendOfKnownStringsKeepsOneDictionary) {
   }
 }
 
+/// Cell-by-cell equality that also tells an int64 cell from a double one.
+void ExpectSameCells(const std::vector<Row>& got,
+                     const std::vector<Row>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t r = 0; r < got.size(); ++r) {
+    ASSERT_EQ(got[r].size(), want[r].size()) << "row " << r;
+    for (size_t c = 0; c < got[r].size(); ++c) {
+      const Value& a = got[r][c];
+      const Value& b = want[r][c];
+      EXPECT_TRUE(a.is_null() == b.is_null() && a.is_int64() == b.is_int64() &&
+                  a.is_double() == b.is_double() && a == b)
+          << "cell " << r << "," << c << " is " << a.ToString() << ", want "
+          << b.ToString();
+    }
+  }
+}
+
+TEST(TableTest, AppendCopiesTheTailByKind) {
+  const Schema schema({{"id", DataType::kInt64},
+                       {"name", DataType::kString},
+                       {"v", DataType::kDouble},
+                       {"n", DataType::kInt64}});
+  // Chunks of 8: rows 8-12 are the tail. It holds a NULL in each typed
+  // column and an int64 cell in the DOUBLE column `v` (row 11), which
+  // demotes that column to kMixed.
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 13; ++i) {
+    rows.push_back({I(i), i == 9 ? N() : Value("s" + std::to_string(i % 3)),
+                    i == 10 ? N() : (i == 11 ? I(i) : D(0.5 * i)),
+                    i == 12 ? N() : I(-i)});
+  }
+  for (const bool new_string : {false, true}) {
+    TablePtr t = Table::FromRows("t", schema, rows, 8);
+    const ColumnarTablePtr before = t->columnar();
+    ASSERT_EQ(before->chunks().size(), 2u);
+    ASSERT_EQ(before->chunks()[1].columns[2].col->kind(),
+              ColumnData::Kind::kMixed);
+    std::vector<Row> batch;
+    for (int64_t i = 13; i < 19; ++i) {
+      batch.push_back({I(i),
+                       Value(new_string && i == 15 ? "fresh"
+                                                   : "s" + std::to_string(i % 3)),
+                       D(0.5 * i), i == 17 ? N() : I(-i)});
+    }
+    ASSERT_OK(t->AppendRows(batch));
+    std::vector<Row> all = rows;
+    all.insert(all.end(), batch.begin(), batch.end());
+    const TablePtr rebuilt = Table::FromRows("t", schema, all, 8);
+    SCOPED_TRACE(new_string ? "with a new string" : "known strings");
+    ExpectSameCells(t->rows(), rebuilt->rows());
+    const ColumnarTablePtr after = t->columnar();
+    EXPECT_EQ(after->byte_size(), rebuilt->byte_size());
+    size_t bytes = 0;
+    for (const ColumnChunk& chunk : after->chunks()) {
+      for (const ColumnSlice& s : chunk.columns) {
+        bytes += s.col->RangeBytes(s.offset, chunk.length);
+      }
+    }
+    EXPECT_EQ(after->byte_size(), bytes);
+    // The old tail's strings are read through the new chunk's dictionary.
+    const ColumnData& names = *after->chunks()[1].columns[1].col;
+    EXPECT_EQ(&names.dict() == &before->chunks()[1].columns[1].col->dict(),
+              !new_string);
+  }
+}
+
 TEST(TableTest, BadRowAppendsNothing) {
   TablePtr t = Table::FromRows("t", TwoColSchema(), NumberedRows(0, 6), 4);
   ASSERT_OK(t->CreateIndex("id"));
