@@ -46,9 +46,7 @@ Status CheckAllPresent(const ColumnarTable& t, const char* what) {
 }
 
 /// Compacts the selected rows of the `keep` columns of `src` into a fresh
-/// chunk; the other columns are absent. Output columns start in the source
-/// representation, so same-kind cells copy through the typed gather (and
-/// demoted sources stay variant-exact).
+/// chunk; the other columns are absent.
 ColumnChunk GatherChunk(const ColumnChunk& src, const uint32_t* sel,
                         size_t k, const SlotMask& keep) {
   ColumnChunk out;
@@ -57,7 +55,7 @@ ColumnChunk GatherChunk(const ColumnChunk& src, const uint32_t* sel,
   for (size_t c = 0; c < src.columns.size(); ++c) {
     const ColumnSlice& s = src.columns[c];
     if (!keep[c] || !s.present()) continue;
-    auto col = std::make_shared<ColumnData>(s.col->kind());
+    auto col = std::make_shared<ColumnData>(s.col->type());
     col->AppendGather(s, sel, k);
     out.columns[c] = ColumnSlice{std::move(col), 0};
   }
@@ -100,29 +98,43 @@ void AppendGatheredRows(const ColumnarTable& src, const RowRef* refs,
   }
 }
 
-/// True when column `slot` of every chunk is a pure int64 vector (no mixed
-/// demotion). For such columns Value comparison degenerates to int64
-/// comparison — cross int/double equality cannot arise — so hash keys can
-/// skip the per-row Value materialization entirely.
-bool AllChunksInt64(const ColumnarTable& t, size_t slot) {
-  for (const ColumnChunk& chunk : t.chunks()) {
-    if (chunk.length == 0) continue;
-    if (chunk.columns[slot].col->kind() != ColumnData::Kind::kInt64) {
-      return false;
-    }
+/// Calls feed(update) with `item`'s update for one non-null typed cell,
+/// `update(state, cell)`, chosen here once per batch so that the feed's
+/// loop carries no per-cell switch on the function.
+template <typename Feed>
+void WithTypedUpdate(const AggItem& item, Feed&& feed) {
+  switch (item.func) {
+    case AggFunc::kCount:
+      feed([](AggState& s, auto) { ++s.count; });
+      return;
+    case AggFunc::kSum:
+    case AggFunc::kAvg:
+      feed([](AggState& s, auto v) { s.Sum(v); });
+      return;
+    case AggFunc::kMin:
+      feed([](AggState& s, auto v) { s.Min(v); });
+      return;
+    case AggFunc::kMax:
+      feed([](AggState& s, auto v) { s.Max(v); });
+      return;
   }
-  return true;
 }
 
-bool TypedFunc(const AggItem& item) {
-  return item.func == AggFunc::kCount || item.func == AggFunc::kSum ||
-         item.func == AggFunc::kAvg;
+/// Calls update(state of row i's group, cell(i)) for each row i < n whose
+/// `nulls[i]` is 0 (every row when `nulls` is null).
+template <typename Cell, typename Update>
+void FeedRows(Cell cell, const uint8_t* nulls, const uint32_t* gids,
+              size_t n, AggState* states, size_t stride, Update update) {
+  for (size_t i = 0; i < n; ++i) {
+    if (nulls != nullptr && nulls[i] != 0) continue;
+    update(states[gids[i] * stride], cell(i));
+  }
 }
 
 /// Feeds rows [0, n) of one aggregate's argument into the accumulators
-/// `states[gids[i] * stride]`. COUNT(*) counts; COUNT, SUM and AVG over a
-/// pure int64 or double column read the typed array; MIN, MAX, constants
-/// and kMixed columns go through AggState::Update with per-row Values.
+/// `states[gids[i] * stride]`. COUNT(*) counts; every other aggregate
+/// reads its argument's typed cells, or a constant's one value for every
+/// row.
 void UpdateAggregate(const AggItem& item, const VectorResult& arg,
                      const uint32_t* gids, size_t n, AggState* states,
                      size_t stride) {
@@ -130,44 +142,55 @@ void UpdateAggregate(const AggItem& item, const VectorResult& arg,
     for (size_t i = 0; i < n; ++i) ++states[gids[i] * stride].count;
     return;
   }
-  if (TypedFunc(item) && !arg.constant) {
+  WithTypedUpdate(item, [&](auto update) {
+    auto feed = [&](auto cell, const uint8_t* nulls) {
+      FeedRows(cell, nulls, gids, n, states, stride, update);
+    };
+    if (arg.constant) {
+      const Value& c = arg.const_value;
+      if (c.is_int64()) {
+        feed([v = c.AsInt64()](size_t) { return v; }, nullptr);
+      } else if (c.is_double()) {
+        feed([v = c.AsDouble()](size_t) { return v; }, nullptr);
+      } else if (c.is_string()) {
+        feed([v = std::string_view(c.AsString())](size_t) { return v; },
+             nullptr);
+      }
+      return;
+    }
     const ColumnData& col = *arg.col;
-    const uint8_t* nulls =
-        col.has_nulls() ? col.nulls() + arg.offset : nullptr;
-    if (col.kind() == ColumnData::Kind::kInt64) {
-      const int64_t* v = col.ints() + arg.offset;
-      for (size_t i = 0; i < n; ++i) {
-        if (nulls != nullptr && nulls[i] != 0) continue;
-        states[gids[i] * stride].UpdateInt64(item, v[i]);
-      }
-      return;
+    const size_t off = arg.offset;
+    const uint8_t* nulls = col.has_nulls() ? col.nulls() + off : nullptr;
+    switch (col.type()) {
+      case DataType::kInt64:
+        feed([v = col.ints() + off](size_t i) { return v[i]; }, nulls);
+        return;
+      case DataType::kDouble:
+        feed([v = col.doubles() + off](size_t i) { return v[i]; }, nulls);
+        return;
+      case DataType::kString:
+        feed([&dict = col.dict(), v = col.codes() + off](size_t i) {
+               return dict.at(v[i]);
+             },
+             nulls);
+        return;
     }
-    if (col.kind() == ColumnData::Kind::kDouble) {
-      const double* v = col.doubles() + arg.offset;
-      for (size_t i = 0; i < n; ++i) {
-        if (nulls != nullptr && nulls[i] != 0) continue;
-        states[gids[i] * stride].UpdateDouble(item, v[i]);
-      }
-      return;
-    }
-  }
-  for (size_t i = 0; i < n; ++i) {
-    states[gids[i] * stride].Update(item, arg.At(i));
-  }
+  });
 }
 
 /// \brief Column `slot` of every chunk of one hash-join side, for reads
-/// by RowRef: base pointers with each slice's offset applied, and the kind
-/// every non-empty chunk shares (kMixed when they differ).
+/// by RowRef: its declared type and base pointers with each slice's
+/// offset applied.
 struct SideColumn {
   struct Chunk {
     const ColumnSlice* slice = nullptr;
     const int64_t* ints = nullptr;  ///< kInt64 only
     const double* doubles = nullptr;  ///< kDouble only
     const uint32_t* codes = nullptr;  ///< kString only
+    const StringDict* dict = nullptr;  ///< kString only
     const uint8_t* nulls = nullptr;  ///< null when there is no null bitmap
   };
-  ColumnData::Kind kind = ColumnData::Kind::kMixed;
+  DataType type;
   std::vector<Chunk> chunks;
 
   static Chunk Of(const ColumnSlice& s) {
@@ -175,37 +198,30 @@ struct SideColumn {
     c.slice = &s;
     if (!s.present()) return c;
     const ColumnData& col = *s.col;
-    switch (col.kind()) {
-      case ColumnData::Kind::kInt64:
+    switch (col.type()) {
+      case DataType::kInt64:
         c.ints = col.ints() + s.offset;
         break;
-      case ColumnData::Kind::kDouble:
+      case DataType::kDouble:
         c.doubles = col.doubles() + s.offset;
         break;
-      case ColumnData::Kind::kString:
+      case DataType::kString:
         c.codes = col.codes() + s.offset;
-        break;
-      case ColumnData::Kind::kMixed:
+        c.dict = &col.dict();
         break;
     }
     if (col.has_nulls()) c.nulls = col.nulls() + s.offset;
     return c;
   }
 
-  SideColumn(const ColumnarTable& side, size_t slot) {
-    bool first = true;
+  SideColumn(const ColumnarTable& side, size_t slot)
+      : type(side.schema().column(slot).type) {
     chunks.reserve(side.chunks().size());
     for (const ColumnChunk& chunk : side.chunks()) {
-      const ColumnSlice& s = chunk.columns[slot];
-      chunks.push_back(Of(s));
-      if (chunk.length == 0) continue;
-      if (first) kind = s.col->kind();
-      if (s.col->kind() != kind) kind = ColumnData::Kind::kMixed;
-      first = false;
+      chunks.push_back(Of(chunk.columns[slot]));
     }
   }
 
-  /// For typed kinds only: kMixed cells hold their nulls as Values.
   bool IsNull(RowRef r) const {
     const Chunk& c = chunks[r.chunk];
     return c.nulls != nullptr && c.nulls[r.row] != 0;
@@ -228,13 +244,12 @@ void ForEachPair(const RowRef* matches, const MatchRun* runs, size_t n,
 }
 
 /// Feeds pair i of a batch of runs to `states[gids[i] * stride]` through
-/// `update(state, cell)`, T being the typed cells that `cells` points to
-/// in each chunk of `arg`. A probe-side cell is read once per run.
-template <typename T, typename Update>
-void FeedTyped(const SideColumn& arg, const T* SideColumn::Chunk::*cells,
-               bool build, const RowRef* matches, const MatchRun* runs,
-               size_t n, const uint32_t* gids, AggState* states,
-               size_t stride, Update update) {
+/// `update(state, cell)`, `cell(chunk, row)` reading a non-null cell of
+/// `arg`. A probe-side cell is read once per run.
+template <typename Cell, typename Update>
+void FeedPairs(const SideColumn& arg, bool build, const RowRef* matches,
+               const MatchRun* runs, size_t n, const uint32_t* gids,
+               AggState* states, size_t stride, Cell cell, Update update) {
   size_t i = 0;
   for (size_t k = 0; k < n; ++k) {
     const MatchRun& run = runs[k];
@@ -242,7 +257,7 @@ void FeedTyped(const SideColumn& arg, const T* SideColumn::Chunk::*cells,
       const SideColumn::Chunk& c = arg.chunks[run.probe.chunk];
       const size_t end = i + (run.end - run.begin);
       if (c.nulls == nullptr || c.nulls[run.probe.row] == 0) {
-        const T v = (c.*cells)[run.probe.row];
+        const auto v = cell(c, run.probe.row);
         for (; i < end; ++i) update(states[gids[i] * stride], v);
       }
       i = end;
@@ -252,48 +267,47 @@ void FeedTyped(const SideColumn& arg, const T* SideColumn::Chunk::*cells,
       const RowRef r = matches[j];
       const SideColumn::Chunk& c = arg.chunks[r.chunk];
       if (c.nulls == nullptr || c.nulls[r.row] == 0) {
-        update(states[gids[i] * stride], (c.*cells)[r.row]);
+        update(states[gids[i] * stride], cell(c, r.row));
       }
     }
   }
 }
 
 /// How the accumulate sink feeds one aggregate, a batch of pairs at a
-/// time in emission order: COUNT(*) counts; COUNT, SUM and AVG over a
-/// side column whose every chunk is pure int64 (or double) read the typed
-/// arrays; MIN, MAX, strings and kMixed columns go through Values.
+/// time in emission order: COUNT(*) counts; every other aggregate reads
+/// its side column's typed cells.
 struct PairFeed {
-  enum Kind { kCountStar, kInt64, kDouble, kValue };
-  Kind kind = kCountStar;
   bool build = false;  ///< the argument is a column of the build side
-  std::optional<SideColumn> arg;
+  std::optional<SideColumn> arg;  ///< absent for COUNT(*)
 
   /// Feeds the `len` pairs of `runs[0..n)` to `states[gids[i] * stride]`.
   void Update(const AggItem& item, const RowRef* matches,
               const MatchRun* runs, size_t n, size_t len,
               const uint32_t* gids, AggState* states, size_t stride) const {
-    switch (kind) {
-      case kCountStar:
-        for (size_t i = 0; i < len; ++i) ++states[gids[i] * stride].count;
-        return;
-      case kInt64:
-        FeedTyped(*arg, &SideColumn::Chunk::ints, build, matches, runs, n,
-                  gids, states, stride, [&](AggState& s, int64_t v) {
-                    s.UpdateInt64(item, v);
-                  });
-        return;
-      case kDouble:
-        FeedTyped(*arg, &SideColumn::Chunk::doubles, build, matches, runs, n,
-                  gids, states, stride, [&](AggState& s, double v) {
-                    s.UpdateDouble(item, v);
-                  });
-        return;
-      case kValue:
-        ForEachPair(matches, runs, n, [&](size_t i, RowRef b, RowRef p) {
-          states[gids[i] * stride].Update(item, arg->ValueAt(build ? b : p));
-        });
-        return;
+    if (!arg) {
+      for (size_t i = 0; i < len; ++i) ++states[gids[i] * stride].count;
+      return;
     }
+    using Chunk = SideColumn::Chunk;
+    WithTypedUpdate(item, [&](auto update) {
+      auto feed = [&](auto cell) {
+        FeedPairs(*arg, build, matches, runs, n, gids, states, stride, cell,
+                  update);
+      };
+      switch (arg->type) {
+        case DataType::kInt64:
+          feed([](const Chunk& c, uint32_t r) { return c.ints[r]; });
+          return;
+        case DataType::kDouble:
+          feed([](const Chunk& c, uint32_t r) { return c.doubles[r]; });
+          return;
+        case DataType::kString:
+          feed([](const Chunk& c, uint32_t r) {
+            return c.dict->at(c.codes[r]);
+          });
+          return;
+      }
+    });
   }
 };
 
@@ -448,12 +462,10 @@ ColumnarTablePtr EmitGroups(const PlanNode& node, const ExecConfig& config,
   return out;
 }
 
-/// Materializes a broadcast constant as a column of `n` cells.
-ColumnPtr ConstantColumn(const Value& v, size_t n) {
-  DataType t = DataType::kInt64;
-  if (v.is_double()) t = DataType::kDouble;
-  if (v.is_string()) t = DataType::kString;
-  auto col = std::make_shared<ColumnData>(t);
+/// Materializes a broadcast constant as a column of `n` cells of the
+/// constant expression's bound type.
+ColumnPtr ConstantColumn(DataType type, const Value& v, size_t n) {
+  auto col = std::make_shared<ColumnData>(type);
   col->Reserve(n);
   for (size_t i = 0; i < n; ++i) col->AppendValue(v);
   return col;
@@ -660,8 +672,8 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecProject(
     for (const BoundExprPtr& e : node.projections) {
       FEDCAL_ASSIGN_OR_RETURN(VectorResult v, eval_.Eval(*e, chunk));
       if (v.constant) {
-        oc.columns.push_back(
-            ColumnSlice{ConstantColumn(v.const_value, chunk.length), 0});
+        oc.columns.push_back(ColumnSlice{
+            ConstantColumn(e->type(), v.const_value, chunk.length), 0});
       } else {
         // Pass-through and computed columns alike are shared, not copied.
         oc.columns.push_back(ColumnSlice{std::move(v.col), v.offset});
@@ -714,13 +726,13 @@ Status ColumnarExecutor::ProbeHashJoin(const PlanNode& node,
   constexpr uint32_t kNone = Int64KeyIndex::kNone;
 
   // Number the distinct non-NULL build keys in first-seen order: through
-  // an Int64KeyIndex when both key columns are pure int64 (Value equality
-  // then degenerates to int64 equality, and no Row/Value key is made), as
+  // an Int64KeyIndex when the key is one INT column on each side (Value
+  // equality then is int64 equality, and no Row/Value key is made), as
   // row-engine Rows otherwise. NULL join keys never match.
-  const bool typed = node.left_keys.size() == 1 &&
-                     node.right_keys.size() == 1 &&
-                     AllChunksInt64(build, node.left_keys[0]) &&
-                     AllChunksInt64(probe, node.right_keys[0]);
+  const bool typed =
+      node.left_keys.size() == 1 && node.right_keys.size() == 1 &&
+      build.schema().column(node.left_keys[0]).type == DataType::kInt64 &&
+      probe.schema().column(node.right_keys[0]).type == DataType::kInt64;
   auto key_at = [](const ColumnChunk& chunk, const std::vector<size_t>& slots,
                    size_t i, Row* key) {
     key->clear();
@@ -951,10 +963,9 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecAggregate(
 
   // Evaluate group keys and aggregate arguments for every chunk up front
   // (same expression order as the per-chunk loop, so the first evaluation
-  // error is unchanged). The pre-pass also decides whether a typed
-  // single-key path applies: every chunk's key must be a pure int64 (or
-  // pure string) column, so Value identity reduces to int64 (string)
-  // identity and the per-row Row/RowKey materialization disappears.
+  // error is unchanged). One INT or STRING key that is not a constant
+  // takes a typed path: Value identity then is int64 (string) identity,
+  // and no Row/RowKey is made per row.
   struct ChunkVals {
     size_t length = 0;
     std::vector<VectorResult> group_vals;
@@ -962,8 +973,12 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecAggregate(
   };
   std::vector<ChunkVals> evaluated;
   evaluated.reserve(in->chunks().size());
-  bool int64_keys = node.group_by.size() == 1;
-  bool string_keys = node.group_by.size() == 1;
+  const bool one_key =
+      node.group_by.size() == 1 && !node.group_by[0]->IsConstant();
+  const bool int64_keys =
+      one_key && node.group_by[0]->type() == DataType::kInt64;
+  const bool string_keys =
+      one_key && node.group_by[0]->type() == DataType::kString;
   for (const ColumnChunk& chunk : in->chunks()) {
     if (chunk.length == 0) continue;
     ChunkVals cv;
@@ -978,13 +993,6 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecAggregate(
       if (node.aggs[a].count_star) continue;
       FEDCAL_ASSIGN_OR_RETURN(cv.agg_vals[a],
                               eval_.Eval(*node.aggs[a].arg, chunk));
-    }
-    if (node.group_by.size() == 1) {
-      const VectorResult& gv = cv.group_vals[0];
-      int64_keys = int64_keys && !gv.constant &&
-                   gv.col->kind() == ColumnData::Kind::kInt64;
-      string_keys = string_keys && !gv.constant &&
-                    gv.col->kind() == ColumnData::Kind::kString;
     }
     evaluated.push_back(std::move(cv));
   }
@@ -1075,33 +1083,25 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecAggregateOverJoin(
   for (size_t a = 0; a < naggs; ++a) {
     const AggItem& item = node.aggs[a];
     if (item.count_star) continue;
-    PairFeed& f = feeds[a];
-    f.build = on_build(item.arg);
-    f.arg.emplace(side_column(item.arg));
-    f.kind = PairFeed::kValue;
-    if (TypedFunc(item) && f.arg->kind == ColumnData::Kind::kInt64) {
-      f.kind = PairFeed::kInt64;
-    } else if (TypedFunc(item) && f.arg->kind == ColumnData::Kind::kDouble) {
-      f.kind = PairFeed::kDouble;
-    }
+    feeds[a].build = on_build(item.arg);
+    feeds[a].arg.emplace(side_column(item.arg));
   }
 
-  // A single int64 or string key is resolved the first time a pair
+  // A single INT or STRING key is resolved the first time a pair
   // carries its row, so ids keep first-seen order: a build row's id is
   // kept by the row's place in the join's build layout, a probe row's,
   // whose pairs are adjacent, until the next probe row. Other keys
-  // (several columns, or kinds that differ across chunks) are compared as
-  // Values per pair.
+  // (several columns, or a DOUBLE one) are compared as Values per pair.
   Groups groups(naggs);
   constexpr uint32_t kNone = Groups::kNone;
   const bool per_row =
-      keys.size() == 1 && (keys[0].kind == ColumnData::Kind::kInt64 ||
-                           keys[0].kind == ColumnData::Kind::kString);
+      keys.size() == 1 && (keys[0].type == DataType::kInt64 ||
+                           keys[0].type == DataType::kString);
   const bool key_on_build = !keys.empty() && on_build(node.group_by[0]);
   std::vector<uint32_t> build_gid;
   if (per_row) {
     const ColumnarTable& side = key_on_build ? *in.build : *in.probe;
-    if (keys[0].kind == ColumnData::Kind::kInt64) {
+    if (keys[0].type == DataType::kInt64) {
       Int64Range range;
       for (size_t c = 0; c < side.chunks().size(); ++c) {
         const SideColumn::Chunk& kc = keys[0].chunks[c];
@@ -1115,11 +1115,8 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecAggregateOverJoin(
     const SideColumn& key = keys[0];
     if (key.IsNull(r)) return groups.Null();
     const SideColumn::Chunk& c = key.chunks[r.chunk];
-    if (key.kind == ColumnData::Kind::kInt64) {
-      return groups.Int64(c.ints[r.row]);
-    }
-    const StringDict& dict = c.slice->col->dict();
-    return groups.Code(dict, groups.DictGroups(&dict), c.codes[r.row]);
+    if (key.type == DataType::kInt64) return groups.Int64(c.ints[r.row]);
+    return groups.Code(*c.dict, groups.DictGroups(c.dict), c.codes[r.row]);
   };
   RowRef last_probe{UINT32_MAX, UINT32_MAX};
   uint32_t last_gid = kNone;

@@ -6,6 +6,9 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <string>
+#include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -273,10 +276,12 @@ class Int64KeyIndex {
 
 /// \brief Accumulator for one aggregate function instance in one group.
 ///
-/// The int_mode/isum/dsum transition sequence depends on the exact variant
-/// of every input cell, so both engines feed it the same cells in the
-/// same order — as Values, or through UpdateInt64/UpdateDouble from typed
-/// columns — and finalize to bit-identical results.
+/// The int_mode/isum/dsum transition sequence depends on every input
+/// cell's variant and order, and MIN/MAX keep the first of equal cells
+/// (a strict <), so both engines feed it the same cells in the same order
+/// and finalize to bit-identical results: the columnar engine through
+/// the typed updates (Sum, Min, Max, and `++count` for COUNT), the row
+/// oracle through Update.
 struct AggState {
   size_t count = 0;        // non-null inputs (or all rows for COUNT(*))
   bool int_mode = true;    // SUM stays integral until a double arrives
@@ -285,6 +290,7 @@ struct AggState {
   Value min_v;
   Value max_v;
 
+  /// The row oracle's update: one row's argument as a Value.
   void Update(const AggItem& item, const Value& v) {
     if (item.count_star) {
       ++count;
@@ -312,16 +318,27 @@ struct AggState {
     }
   }
 
-  /// Update for a non-null int64 / double argument of COUNT, SUM or AVG,
-  /// read straight from a typed column: the same transitions as
-  /// Update(item, Value(v)). MIN and MAX go through Update.
-  void UpdateInt64(const AggItem& item, int64_t v) {
+  /// Updates for one non-null argument read from a typed column (or a
+  /// constant), one per function, each making the transition
+  /// Update(item, Value(v)) makes: T is int64_t, double or, for MIN and
+  /// MAX, std::string_view (the binder rejects SUM and AVG of strings).
+  /// The columnar feeds pick one per batch (WithTypedUpdate), so their
+  /// loops carry no per-cell switch on the function.
+  template <typename T>
+  void Sum(T v) {
     ++count;
-    if (item.func != AggFunc::kCount) AddInt64(v);
+    if constexpr (std::is_same_v<T, int64_t>) AddInt64(v);
+    if constexpr (std::is_same_v<T, double>) AddDouble(v);
   }
-  void UpdateDouble(const AggItem& item, double v) {
+  template <typename T>
+  void Min(T v) {
     ++count;
-    if (item.func != AggFunc::kCount) AddDouble(v);
+    if (min_v.is_null() || v < Kept<T>(min_v)) min_v = Keep(v);
+  }
+  template <typename T>
+  void Max(T v) {
+    ++count;
+    if (max_v.is_null() || Kept<T>(max_v) < v) max_v = Keep(v);
   }
 
   Value Finalize(const AggItem& item) const {
@@ -348,6 +365,17 @@ struct AggState {
   }
 
  private:
+  /// A kept MIN/MAX Value read as a T, and a T made a Value to keep.
+  template <typename T>
+  static T Kept(const Value& v) {
+    if constexpr (std::is_same_v<T, int64_t>) return v.AsInt64();
+    if constexpr (std::is_same_v<T, double>) return v.AsDouble();
+    if constexpr (std::is_same_v<T, std::string_view>) return v.AsString();
+  }
+  static Value Keep(int64_t v) { return Value(v); }
+  static Value Keep(double v) { return Value(v); }
+  static Value Keep(std::string_view v) { return Value(std::string(v)); }
+
   // SUM/AVG accumulation: integral until the first double arrives, then
   // double from the integral total on.
   void AddInt64(int64_t v) {

@@ -128,6 +128,9 @@ const char* UnaryOpName(UnaryOp op) {
 BoundExprPtr BoundExpr::Literal(Value v, int param_index) {
   auto e = std::shared_ptr<BoundExpr>(new BoundExpr());
   e->kind_ = Kind::kLiteral;
+  e->type_ = v.is_double()   ? DataType::kDouble
+             : v.is_string() ? DataType::kString
+                             : DataType::kInt64;
   e->literal_ = std::move(v);
   e->param_index_ = param_index;
   return e;
@@ -139,7 +142,7 @@ BoundExprPtr BoundExpr::Column(size_t index, std::string name,
   e->kind_ = Kind::kColumn;
   e->column_index_ = index;
   e->column_name_ = std::move(name);
-  e->column_type_ = type;
+  e->type_ = type;
   return e;
 }
 
@@ -148,6 +151,13 @@ BoundExprPtr BoundExpr::Binary(BinaryOp op, BoundExprPtr left,
   auto e = std::shared_ptr<BoundExpr>(new BoundExpr());
   e->kind_ = Kind::kBinary;
   e->binary_op_ = op;
+  if (op == BinaryOp::kDiv ||
+      ((op == BinaryOp::kAdd || op == BinaryOp::kSub ||
+        op == BinaryOp::kMul) &&
+       (left->type() != DataType::kInt64 ||
+        right->type() != DataType::kInt64))) {
+    e->type_ = DataType::kDouble;
+  }
   e->left_ = std::move(left);
   e->right_ = std::move(right);
   return e;
@@ -157,94 +167,103 @@ BoundExprPtr BoundExpr::Unary(UnaryOp op, BoundExprPtr operand) {
   auto e = std::shared_ptr<BoundExpr>(new BoundExpr());
   e->kind_ = Kind::kUnary;
   e->unary_op_ = op;
+  if (op == UnaryOp::kNeg) e->type_ = operand->type();
   e->left_ = std::move(operand);
   return e;
 }
 
+// EvalBinaryValues and EvalUnaryValue build their result in one local
+// and return it once: GCC 12 with the sanitizers reports the string
+// alternative of a Result<Value> built from each of several Value
+// temporaries as maybe-uninitialized.
+
 Result<Value> EvalBinaryValues(BinaryOp op, const Value& l, const Value& r) {
+  Value out;  // NULL unless a branch sets it
   if (op == BinaryOp::kAnd || op == BinaryOp::kOr) {
     // Two-valued collapse of SQL three-valued logic: NULL acts as false.
     const bool lb = IsTruthy(l);
     const bool rb = IsTruthy(r);
-    const bool out = op == BinaryOp::kAnd ? (lb && rb) : (lb || rb);
-    return Value(static_cast<int64_t>(out ? 1 : 0));
-  }
-  if (l.is_null() || r.is_null()) return Value::Null_();
-  if (op == BinaryOp::kLike) {
+    const bool b = op == BinaryOp::kAnd ? (lb && rb) : (lb || rb);
+    out = Value(static_cast<int64_t>(b ? 1 : 0));
+  } else if (l.is_null() || r.is_null()) {
+    // NULL propagates.
+  } else if (op == BinaryOp::kLike) {
     if (!l.is_string() || !r.is_string()) {
       return Status::ExecutionError("LIKE requires string operands");
     }
-    return Value(
+    out = Value(
         static_cast<int64_t>(LikeMatch(l.AsString(), r.AsString()) ? 1 : 0));
-  }
-  if (IsComparison(op)) {
+  } else if (IsComparison(op)) {
     if (l.is_string() != r.is_string()) {
       return Status::ExecutionError(
           "type mismatch comparing " + l.ToString() + " with " + r.ToString());
     }
     const int c = l.Compare(r);
-    bool out = false;
+    bool b = false;
     switch (op) {
       case BinaryOp::kEq:
-        out = c == 0;
+        b = c == 0;
         break;
       case BinaryOp::kNe:
-        out = c != 0;
+        b = c != 0;
         break;
       case BinaryOp::kLt:
-        out = c < 0;
+        b = c < 0;
         break;
       case BinaryOp::kLe:
-        out = c <= 0;
+        b = c <= 0;
         break;
       case BinaryOp::kGt:
-        out = c > 0;
+        b = c > 0;
         break;
       case BinaryOp::kGe:
-        out = c >= 0;
+        b = c >= 0;
         break;
       default:
         break;
     }
-    return Value(static_cast<int64_t>(out ? 1 : 0));
-  }
-  // Arithmetic.
-  if (!l.is_numeric() || !r.is_numeric()) {
+    out = Value(static_cast<int64_t>(b ? 1 : 0));
+  } else if (!l.is_numeric() || !r.is_numeric()) {
     return Status::ExecutionError("arithmetic on non-numeric values");
-  }
-  if (op == BinaryOp::kDiv) {
+  } else if (op == BinaryOp::kDiv) {
+    // SQL makes division by zero an error; it degrades to NULL here.
     const double d = r.AsDouble();
-    if (d == 0.0) return Value::Null_();  // SQL: division by zero -> error;
-                                          // we degrade to NULL for robustness
-    return Value(l.AsDouble() / d);
+    if (d != 0.0) out = Value(l.AsDouble() / d);
+  } else {
+    auto arith = [op](auto a, auto b) {
+      return op == BinaryOp::kAdd ? a + b : op == BinaryOp::kSub ? a - b
+                                                                 : a * b;
+    };
+    out = l.is_int64() && r.is_int64()
+              ? Value(arith(l.AsInt64(), r.AsInt64()))
+              : Value(arith(l.AsDouble(), r.AsDouble()));
   }
-  if (l.is_int64() && r.is_int64()) {
-    const int64_t a = l.AsInt64();
-    const int64_t b = r.AsInt64();
-    switch (op) {
-      case BinaryOp::kAdd:
-        return Value(a + b);
-      case BinaryOp::kSub:
-        return Value(a - b);
-      case BinaryOp::kMul:
-        return Value(a * b);
-      default:
-        break;
-    }
-  }
-  const double a = l.AsDouble();
-  const double b = r.AsDouble();
+  return out;
+}
+
+Result<Value> EvalUnaryValue(UnaryOp op, const Value& v) {
+  Value out;  // NULL unless a case sets it
   switch (op) {
-    case BinaryOp::kAdd:
-      return Value(a + b);
-    case BinaryOp::kSub:
-      return Value(a - b);
-    case BinaryOp::kMul:
-      return Value(a * b);
-    default:
+    case UnaryOp::kNot:
+      if (!v.is_null()) out = Value(static_cast<int64_t>(IsTruthy(v) ? 0 : 1));
+      break;
+    case UnaryOp::kNeg:
+      if (v.is_int64()) {
+        out = Value(-v.AsInt64());
+      } else if (v.is_double()) {
+        out = Value(-v.AsDouble());
+      } else if (!v.is_null()) {
+        return Status::ExecutionError("negation of non-numeric value");
+      }
+      break;
+    case UnaryOp::kIsNull:
+      out = Value(static_cast<int64_t>(v.is_null() ? 1 : 0));
+      break;
+    case UnaryOp::kIsNotNull:
+      out = Value(static_cast<int64_t>(v.is_null() ? 0 : 1));
       break;
   }
-  return Status::Internal("unhandled binary op");
+  return out;
 }
 
 Result<Value> BoundExpr::Eval(const Row& row) const {
@@ -265,21 +284,7 @@ Result<Value> BoundExpr::Eval(const Row& row) const {
     }
     case Kind::kUnary: {
       FEDCAL_ASSIGN_OR_RETURN(Value v, left_->Eval(row));
-      switch (unary_op_) {
-        case UnaryOp::kNot:
-          if (v.is_null()) return Value::Null_();
-          return Value(static_cast<int64_t>(IsTruthy(v) ? 0 : 1));
-        case UnaryOp::kNeg:
-          if (v.is_null()) return Value::Null_();
-          if (v.is_int64()) return Value(-v.AsInt64());
-          if (v.is_double()) return Value(-v.AsDouble());
-          return Status::ExecutionError("negation of non-numeric value");
-        case UnaryOp::kIsNull:
-          return Value(static_cast<int64_t>(v.is_null() ? 1 : 0));
-        case UnaryOp::kIsNotNull:
-          return Value(static_cast<int64_t>(v.is_null() ? 0 : 1));
-      }
-      return Status::Internal("unhandled unary op");
+      return EvalUnaryValue(unary_op_, v);
     }
   }
   return Status::Internal("unhandled expr kind");
@@ -330,7 +335,7 @@ Result<BoundExprPtr> BoundExpr::RemapColumns(
             column_name_.c_str(), column_index_));
       }
       return Column(static_cast<size_t>(mapping[column_index_]), column_name_,
-                    column_type_);
+                    type_);
     }
     case Kind::kBinary: {
       FEDCAL_ASSIGN_OR_RETURN(BoundExprPtr l, left_->RemapColumns(mapping));

@@ -46,7 +46,12 @@ const char* UnaryOpName(UnaryOp op);
 /// \brief A fully resolved expression tree evaluated against a single row.
 ///
 /// Column references are slot indices into the row produced by the operator
-/// below (the binder lays out the FROM-clause tables left to right).
+/// below (the binder lays out the FROM-clause tables left to right). Every
+/// node carries the type its factory derives (type()): a literal's from its
+/// value (NULL is INT), a column's as declared, comparisons, LIKE, AND, OR,
+/// NOT and IS [NOT] NULL INT, division DOUBLE, other arithmetic INT when
+/// both operands are INT and DOUBLE otherwise, negation its operand's. A
+/// tree the binder accepts evaluates to cells of that type or NULL.
 class BoundExpr {
  public:
   enum class Kind { kLiteral, kColumn, kBinary, kUnary };
@@ -69,7 +74,7 @@ class BoundExpr {
   int param_index() const { return param_index_; }
   size_t column_index() const { return column_index_; }
   const std::string& column_name() const { return column_name_; }
-  DataType column_type() const { return column_type_; }
+  DataType type() const { return type_; }
   BinaryOp binary_op() const { return binary_op_; }
   UnaryOp unary_op() const { return unary_op_; }
   const std::shared_ptr<BoundExpr>& left() const { return left_; }
@@ -112,7 +117,7 @@ class BoundExpr {
   int param_index_ = -1;
   size_t column_index_ = 0;
   std::string column_name_;
-  DataType column_type_ = DataType::kInt64;
+  DataType type_ = DataType::kInt64;
   BinaryOp binary_op_ = BinaryOp::kEq;
   UnaryOp unary_op_ = UnaryOp::kNot;
   std::shared_ptr<BoundExpr> left_;
@@ -139,9 +144,11 @@ BoundExprPtr SubstituteParams(const BoundExprPtr& expr,
 /// Applies a binary operator to two already-evaluated operands with the
 /// engine's exact semantics (three-valued logic collapse for AND/OR, null
 /// propagation, numeric promotion, LIKE, div-by-zero -> NULL). Shared by
-/// the row evaluator (BoundExpr::Eval) and the vectorized fallback path so
-/// both engines agree cell for cell.
+/// the row evaluator (BoundExpr::Eval) and the vectorized evaluator's
+/// constant folding, so both agree cell for cell.
 Result<Value> EvalBinaryValues(BinaryOp op, const Value& l, const Value& r);
+/// The unary counterpart of EvalBinaryValues.
+Result<Value> EvalUnaryValue(UnaryOp op, const Value& v);
 
 /// True when a value is "truthy" for filtering: non-null and non-zero.
 bool IsTruthy(const Value& v);

@@ -18,7 +18,6 @@ enum class Rep {
   kIntCol,
   kDblCol,
   kStrCol,
-  kMixedCol,
   kIntConst,
   kDblConst,
   kStrConst,
@@ -33,7 +32,6 @@ struct Operand {
   const double* dbls = nullptr;
   const uint32_t* codes = nullptr;  ///< string cells: codes into `dict`
   const StringDict* dict = nullptr;
-  const Value* vals = nullptr;
   const uint8_t* nulls = nullptr;  ///< nullptr when the column is null-free
   int64_t iconst = 0;
   double dconst = 0.0;
@@ -60,26 +58,20 @@ Operand Classify(const VectorResult& v) {
   }
   const ColumnData& col = *v.col;
   const size_t off = v.offset;
-  switch (col.kind()) {
-    case ColumnData::Kind::kInt64:
+  o.nulls = col.has_nulls() ? col.nulls() + off : nullptr;
+  switch (col.type()) {
+    case DataType::kInt64:
       o.rep = Rep::kIntCol;
       o.ints = col.ints() + off;
-      o.nulls = col.has_nulls() ? col.nulls() + off : nullptr;
       break;
-    case ColumnData::Kind::kDouble:
+    case DataType::kDouble:
       o.rep = Rep::kDblCol;
       o.dbls = col.doubles() + off;
-      o.nulls = col.has_nulls() ? col.nulls() + off : nullptr;
       break;
-    case ColumnData::Kind::kString:
+    case DataType::kString:
       o.rep = Rep::kStrCol;
       o.codes = col.codes() + off;
       o.dict = &col.dict();
-      o.nulls = col.has_nulls() ? col.nulls() + off : nullptr;
-      break;
-    case ColumnData::Kind::kMixed:
-      o.rep = Rep::kMixedCol;
-      o.vals = col.mixed().data() + off;
       break;
   }
   return o;
@@ -192,8 +184,8 @@ VectorResult WrapColumn(ColumnPtr col) {
   return r;
 }
 
-VectorResult AllNullColumn(size_t n) {
-  auto out = std::make_shared<ColumnData>(DataType::kInt64);
+VectorResult AllNullColumn(DataType type, size_t n) {
+  auto out = std::make_shared<ColumnData>(type);
   out->Reserve(n);
   for (size_t i = 0; i < n; ++i) out->AppendNull();
   return WrapColumn(std::move(out));
@@ -373,55 +365,29 @@ void TruthVector(const VectorResult& v, size_t n, uint8_t* out) {
   }
   const ColumnData& col = *v.col;
   const size_t off = v.offset;
-  switch (col.kind()) {
-    case ColumnData::Kind::kInt64: {
-      const int64_t* p = col.ints() + off;
-      const uint8_t* nu = col.has_nulls() ? col.nulls() + off : nullptr;
-      for (size_t i = 0; i < n; ++i) {
-        out[i] = (!CellNull(nu, i) && p[i] != 0) ? 1 : 0;
-      }
-      break;
+  const uint8_t* nu = col.has_nulls() ? col.nulls() + off : nullptr;
+  auto truth = [&](const auto* p) {
+    for (size_t i = 0; i < n; ++i) {
+      out[i] = (!CellNull(nu, i) && p[i] != 0) ? 1 : 0;
     }
-    case ColumnData::Kind::kDouble: {
-      const double* p = col.doubles() + off;
-      const uint8_t* nu = col.has_nulls() ? col.nulls() + off : nullptr;
-      for (size_t i = 0; i < n; ++i) {
-        out[i] = (!CellNull(nu, i) && p[i] != 0.0) ? 1 : 0;
-      }
+  };
+  switch (col.type()) {
+    case DataType::kInt64:
+      truth(col.ints() + off);
       break;
-    }
-    case ColumnData::Kind::kString: {
-      const uint32_t* p = col.codes() + off;
-      const uint8_t* nu = col.has_nulls() ? col.nulls() + off : nullptr;
-      for (size_t i = 0; i < n; ++i) {
-        out[i] = (!CellNull(nu, i) && p[i] != 0) ? 1 : 0;
-      }
+    case DataType::kDouble:
+      truth(col.doubles() + off);
       break;
-    }
-    case ColumnData::Kind::kMixed: {
-      const Value* p = col.mixed().data() + off;
-      for (size_t i = 0; i < n; ++i) out[i] = IsTruthy(p[i]) ? 1 : 0;
+    case DataType::kString:
+      truth(col.codes() + off);
       break;
-    }
   }
 }
 
-Result<Value> EvalUnaryValue(UnaryOp op, const Value& v) {
-  switch (op) {
-    case UnaryOp::kNot:
-      if (v.is_null()) return Value::Null_();
-      return Value(static_cast<int64_t>(IsTruthy(v) ? 0 : 1));
-    case UnaryOp::kNeg:
-      if (v.is_null()) return Value::Null_();
-      if (v.is_int64()) return Value(-v.AsInt64());
-      if (v.is_double()) return Value(-v.AsDouble());
-      return Status::ExecutionError("negation of non-numeric value");
-    case UnaryOp::kIsNull:
-      return Value(static_cast<int64_t>(v.is_null() ? 1 : 0));
-    case UnaryOp::kIsNotNull:
-      return Value(static_cast<int64_t>(v.is_null() ? 0 : 1));
-  }
-  return Status::Internal("unhandled unary op");
+/// The error for a tree whose operand types the binder would have
+/// rejected (a hand-built plan).
+Status OperandTypeError(const BoundExpr& e) {
+  return Status::ExecutionError("operand types do not fit " + e.ToString());
 }
 
 }  // namespace
@@ -449,6 +415,11 @@ Result<VectorResult> VectorEvaluator::Eval(const BoundExpr& e,
       if (!slice.present()) {
         return Status::Internal(StringFormat(
             "column slot %zu is not materialized", e.column_index()));
+      }
+      if (slice.col->type() != e.type()) {
+        return Status::Internal(StringFormat(
+            "column slot %zu holds %s, bound as %s", e.column_index(),
+            DataTypeName(slice.col->type()), DataTypeName(e.type())));
       }
       VectorResult r;
       r.col = slice.col;
@@ -495,11 +466,10 @@ Result<VectorResult> VectorEvaluator::EvalBinaryVec(const BoundExpr& e,
   }
 
   // Any other operator null-propagates, so a NULL literal operand blanks
-  // the whole vector before type checks are reached (exactly the row
-  // engine's per-row order: the null test precedes LIKE/comparison typing).
+  // the whole vector, at the bound type.
   if ((l.constant && l.const_value.is_null()) ||
       (r.constant && r.const_value.is_null())) {
-    return AllNullColumn(n);
+    return AllNullColumn(e.type(), n);
   }
 
   const Operand lo = Classify(l);
@@ -519,19 +489,7 @@ Result<VectorResult> VectorEvaluator::EvalBinaryVec(const BoundExpr& e,
   } else if (IsNumericRep(lo.rep) && IsNumericRep(ro.rep)) {
     return ArithNumeric(op, lo, ro, n);
   }
-
-  // Mixed-representation columns, string/numeric mismatches (which must
-  // raise the row engine's exact error on the first offending cell), and
-  // anything else uncommon: per-cell evaluation through the shared scalar
-  // path.
-  auto out = std::make_shared<ColumnData>(
-      op == BinaryOp::kDiv ? DataType::kDouble : DataType::kInt64);
-  out->Reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    FEDCAL_ASSIGN_OR_RETURN(Value v, EvalBinaryValues(op, l.At(i), r.At(i)));
-    out->AppendValue(v);
-  }
-  return WrapColumn(std::move(out));
+  return OperandTypeError(e);
 }
 
 Result<VectorResult> VectorEvaluator::EvalUnaryVec(const BoundExpr& e,
@@ -561,7 +519,7 @@ Result<VectorResult> VectorEvaluator::EvalUnaryVec(const BoundExpr& e,
     return WrapColumn(std::move(out));
   }
 
-  if (op == UnaryOp::kNeg && col.kind() == ColumnData::Kind::kInt64) {
+  if (op == UnaryOp::kNeg && col.type() == DataType::kInt64) {
     auto out = std::make_shared<ColumnData>(DataType::kInt64);
     out->Reserve(n);
     const int64_t* p = col.ints() + off;
@@ -575,7 +533,7 @@ Result<VectorResult> VectorEvaluator::EvalUnaryVec(const BoundExpr& e,
     }
     return WrapColumn(std::move(out));
   }
-  if (op == UnaryOp::kNeg && col.kind() == ColumnData::Kind::kDouble) {
+  if (op == UnaryOp::kNeg && col.type() == DataType::kDouble) {
     auto out = std::make_shared<ColumnData>(DataType::kDouble);
     out->Reserve(n);
     const double* p = col.doubles() + off;
@@ -605,15 +563,7 @@ Result<VectorResult> VectorEvaluator::EvalUnaryVec(const BoundExpr& e,
     return WrapColumn(std::move(out));
   }
 
-  // kNeg over strings / mixed columns: per-cell scalar path (first
-  // non-null offending cell raises the row engine's exact error).
-  auto out = std::make_shared<ColumnData>(DataType::kInt64);
-  out->Reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    FEDCAL_ASSIGN_OR_RETURN(Value cell, EvalUnaryValue(op, v.At(i)));
-    out->AppendValue(cell);
-  }
-  return WrapColumn(std::move(out));
+  return OperandTypeError(e);
 }
 
 Result<const uint32_t*> VectorEvaluator::EvalSelection(const BoundExpr& e,
@@ -636,41 +586,22 @@ Result<const uint32_t*> VectorEvaluator::EvalSelection(const BoundExpr& e,
   }
   const ColumnData& col = *v.col;
   const size_t off = v.offset;
-  switch (col.kind()) {
-    case ColumnData::Kind::kInt64: {
-      const int64_t* p = col.ints() + off;
-      const uint8_t* nu = col.has_nulls() ? col.nulls() + off : nullptr;
-      for (size_t i = 0; i < n; ++i) {
-        if (!CellNull(nu, i) && p[i] != 0) sel[k++] = static_cast<uint32_t>(i);
-      }
-      break;
+  const uint8_t* nu = col.has_nulls() ? col.nulls() + off : nullptr;
+  auto select = [&](const auto* p) {
+    for (size_t i = 0; i < n; ++i) {
+      if (!CellNull(nu, i) && p[i] != 0) sel[k++] = static_cast<uint32_t>(i);
     }
-    case ColumnData::Kind::kDouble: {
-      const double* p = col.doubles() + off;
-      const uint8_t* nu = col.has_nulls() ? col.nulls() + off : nullptr;
-      for (size_t i = 0; i < n; ++i) {
-        if (!CellNull(nu, i) && p[i] != 0.0) {
-          sel[k++] = static_cast<uint32_t>(i);
-        }
-      }
+  };
+  switch (col.type()) {
+    case DataType::kInt64:
+      select(col.ints() + off);
       break;
-    }
-    case ColumnData::Kind::kString: {
-      // Code 0 is the empty string.
-      const uint32_t* p = col.codes() + off;
-      const uint8_t* nu = col.has_nulls() ? col.nulls() + off : nullptr;
-      for (size_t i = 0; i < n; ++i) {
-        if (!CellNull(nu, i) && p[i] != 0) sel[k++] = static_cast<uint32_t>(i);
-      }
+    case DataType::kDouble:
+      select(col.doubles() + off);
       break;
-    }
-    case ColumnData::Kind::kMixed: {
-      const Value* p = col.mixed().data() + off;
-      for (size_t i = 0; i < n; ++i) {
-        if (IsTruthy(p[i])) sel[k++] = static_cast<uint32_t>(i);
-      }
+    case DataType::kString:
+      select(col.codes() + off);  // code 0 is the empty string
       break;
-    }
   }
   *count = k;
   return static_cast<const uint32_t*>(sel);

@@ -32,10 +32,12 @@ struct VectorResult {
 ///
 /// Produces exactly the values BoundExpr::Eval produces row by row —
 /// including SQL null propagation, numeric promotion, and the int64/double
-/// variant of every cell — but through typed kernels over contiguous
-/// columns on the fast path (pure-typed, null-free inputs), falling back
-/// to per-cell Value evaluation for mixed-representation columns and
-/// string comparisons. Selection vectors come from the per-query Arena.
+/// variant of every cell — through typed kernels over contiguous columns.
+/// Every computed column is of its expression's bound type
+/// (BoundExpr::type()), and only constant subtrees go through Values. A
+/// tree the binder would reject (a hand-built plan) fails with a Status,
+/// as does a column reference whose column is not of the bound type.
+/// Selection vectors come from the per-query Arena.
 class VectorEvaluator {
  public:
   explicit VectorEvaluator(Arena* arena) : arena_(arena) {}

@@ -9,36 +9,38 @@ namespace fedcal {
 
 namespace {
 
-/// Infers the result type of a bound expression tree.
-DataType InferType(const BoundExprPtr& e) {
-  switch (e->kind()) {
-    case BoundExpr::Kind::kLiteral: {
-      const Value& v = e->literal();
-      if (v.is_double()) return DataType::kDouble;
-      if (v.is_string()) return DataType::kString;
-      return DataType::kInt64;
-    }
-    case BoundExpr::Kind::kColumn:
-      return e->column_type();
-    case BoundExpr::Kind::kBinary: {
-      const BinaryOp op = e->binary_op();
-      if (IsComparison(op) || op == BinaryOp::kAnd ||
-          op == BinaryOp::kOr || op == BinaryOp::kLike) {
-        return DataType::kInt64;
-      }
-      if (op == BinaryOp::kDiv) return DataType::kDouble;
-      const DataType l = InferType(e->left());
-      const DataType r = InferType(e->right());
-      if (l == DataType::kInt64 && r == DataType::kInt64) {
-        return DataType::kInt64;
-      }
-      return DataType::kDouble;
-    }
-    case BoundExpr::Kind::kUnary:
-      if (e->unary_op() == UnaryOp::kNeg) return InferType(e->operand());
-      return DataType::kInt64;
+/// Why `op` cannot take operands of types `l` and `r`, or "" when it can:
+/// comparisons take two numbers or two strings, LIKE two strings,
+/// arithmetic two numbers, AND and OR anything.
+const char* BinaryTypeError(BinaryOp op, DataType l, DataType r) {
+  const bool ls = l == DataType::kString;
+  const bool rs = r == DataType::kString;
+  if (op == BinaryOp::kAnd || op == BinaryOp::kOr) return "";
+  if (op == BinaryOp::kLike) {
+    return ls && rs ? "" : "LIKE requires string operands";
   }
-  return DataType::kInt64;
+  if (IsComparison(op)) {
+    return ls == rs ? "" : "cannot compare string with numeric";
+  }
+  return !ls && !rs ? "" : "arithmetic requires numeric operands";
+}
+
+/// `e`'s operator over bound operands, or a bind error naming `e` when
+/// their types do not fit it.
+Result<BoundExprPtr> BindBinary(const ParseExprPtr& e, BoundExprPtr l,
+                                BoundExprPtr r) {
+  const std::string error = BinaryTypeError(e->bop, l->type(), r->type());
+  if (!error.empty()) return Status::BindError(error + " in " + e->ToString());
+  return BoundExpr::Binary(e->bop, std::move(l), std::move(r));
+}
+
+/// Negation takes a number; NOT and IS [NOT] NULL take anything.
+Result<BoundExprPtr> BindUnary(const ParseExprPtr& e, BoundExprPtr o) {
+  if (e->uop == UnaryOp::kNeg && o->type() == DataType::kString) {
+    return Status::BindError("negation requires a numeric operand in " +
+                             e->ToString());
+  }
+  return BoundExpr::Unary(e->uop, std::move(o));
 }
 
 /// Column-resolution scope over the flattened FROM-row.
@@ -99,28 +101,11 @@ Result<BoundExprPtr> BindScalar(const ParseExprPtr& e, const Scope& scope) {
     case ParseExpr::Kind::kBinary: {
       FEDCAL_ASSIGN_OR_RETURN(BoundExprPtr l, BindScalar(e->left, scope));
       FEDCAL_ASSIGN_OR_RETURN(BoundExprPtr r, BindScalar(e->right, scope));
-      if (IsComparison(e->bop)) {
-        const DataType lt = InferType(l);
-        const DataType rt = InferType(r);
-        const bool ls = lt == DataType::kString;
-        const bool rs = rt == DataType::kString;
-        if (ls != rs) {
-          return Status::BindError("cannot compare string with numeric in " +
-                                   e->ToString());
-        }
-      }
-      if (e->bop == BinaryOp::kLike) {
-        if (InferType(l) != DataType::kString ||
-            InferType(r) != DataType::kString) {
-          return Status::BindError("LIKE requires string operands in " +
-                                   e->ToString());
-        }
-      }
-      return BoundExpr::Binary(e->bop, std::move(l), std::move(r));
+      return BindBinary(e, std::move(l), std::move(r));
     }
     case ParseExpr::Kind::kUnary: {
       FEDCAL_ASSIGN_OR_RETURN(BoundExprPtr o, BindScalar(e->left, scope));
-      return BoundExpr::Unary(e->uop, std::move(o));
+      return BindUnary(e, std::move(o));
     }
     case ParseExpr::Kind::kAggCall:
       return Status::BindError("aggregate not allowed here: " + e->ToString());
@@ -162,11 +147,11 @@ class AggBinder {
       case ParseExpr::Kind::kBinary: {
         FEDCAL_ASSIGN_OR_RETURN(BoundExprPtr l, Bind(e->left));
         FEDCAL_ASSIGN_OR_RETURN(BoundExprPtr r, Bind(e->right));
-        return BoundExpr::Binary(e->bop, std::move(l), std::move(r));
+        return BindBinary(e, std::move(l), std::move(r));
       }
       case ParseExpr::Kind::kUnary: {
         FEDCAL_ASSIGN_OR_RETURN(BoundExprPtr o, Bind(e->left));
-        return BoundExpr::Unary(e->uop, std::move(o));
+        return BindUnary(e, std::move(o));
       }
       case ParseExpr::Kind::kAggCall: {
         FEDCAL_ASSIGN_OR_RETURN(size_t agg_index, RegisterAgg(e));
@@ -187,7 +172,7 @@ class AggBinder {
         return Status::BindError("aggregate in GROUP BY: " + g->ToString());
       }
       FEDCAL_ASSIGN_OR_RETURN(BoundExprPtr b, BindScalar(g, scope_));
-      group_types_.push_back(InferType(b));
+      group_types_.push_back(b->type());
       out->push_back(std::move(b));
     }
     return Status::OK();
@@ -217,7 +202,7 @@ class AggBinder {
       FEDCAL_ASSIGN_OR_RETURN(spec.arg, BindScalar(e->agg_arg, scope_));
     }
     const DataType arg_type =
-        spec.count_star ? DataType::kInt64 : InferType(spec.arg);
+        spec.count_star ? DataType::kInt64 : spec.arg->type();
     switch (spec.func) {
       case AggFunc::kCount:
         spec.result_type = DataType::kInt64;
@@ -263,7 +248,7 @@ std::string OutputName(const SelectItem& item, size_t index) {
 Schema BoundQuery::PostAggSchema() const {
   Schema s;
   for (size_t i = 0; i < group_by.size(); ++i) {
-    s.AddColumn({StringFormat("group%zu", i), InferType(group_by[i])});
+    s.AddColumn({StringFormat("group%zu", i), group_by[i]->type()});
   }
   for (const auto& a : aggs) {
     s.AddColumn({a.display_name, a.result_type});
@@ -335,7 +320,7 @@ Result<BoundQuery> BindQuery(const SelectStmt& stmt,
         continue;
       }
       FEDCAL_ASSIGN_OR_RETURN(BoundExprPtr b, BindScalar(item.expr, scope));
-      bq.output_schema.AddColumn({OutputName(item, i), InferType(b)});
+      bq.output_schema.AddColumn({OutputName(item, i), b->type()});
       bq.outputs.push_back(std::move(b));
     }
   } else {
@@ -347,7 +332,7 @@ Result<BoundQuery> BindQuery(const SelectStmt& stmt,
         return Status::BindError("SELECT * not allowed with aggregation");
       }
       FEDCAL_ASSIGN_OR_RETURN(BoundExprPtr b, agg_binder.Bind(item.expr));
-      bq.output_schema.AddColumn({OutputName(item, i), InferType(b)});
+      bq.output_schema.AddColumn({OutputName(item, i), b->type()});
       bq.outputs.push_back(std::move(b));
     }
     if (stmt.having) {

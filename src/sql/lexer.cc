@@ -81,16 +81,17 @@ Result<std::vector<Token>> Tokenize(const std::string& sql) {
       Token t;
       t.position = start;
       t.text = sql.substr(i, j - i);
-      if (is_double) {
-        t.type = TokenType::kDoubleLiteral;
-        t.double_value = std::stod(t.text);
-      } else {
-        t.type = TokenType::kIntLiteral;
-        try {
+      try {
+        if (is_double) {
+          t.type = TokenType::kDoubleLiteral;
+          t.double_value = std::stod(t.text);
+        } else {
+          t.type = TokenType::kIntLiteral;
           t.int_value = std::stoll(t.text);
-        } catch (const std::out_of_range&) {
-          return Status::ParseError("integer literal out of range: " + t.text);
         }
+      } catch (const std::out_of_range&) {
+        // Past the int64 range, or a double that overflows or underflows.
+        return Status::ParseError("numeric literal out of range: " + t.text);
       }
       tokens.push_back(std::move(t));
       i = j;

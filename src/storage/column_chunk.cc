@@ -1,22 +1,11 @@
 #include "storage/column_chunk.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace fedcal {
 
 namespace {
-
-ColumnData::Kind KindOf(DataType declared) {
-  switch (declared) {
-    case DataType::kInt64:
-      return ColumnData::Kind::kInt64;
-    case DataType::kDouble:
-      return ColumnData::Kind::kDouble;
-    case DataType::kString:
-      return ColumnData::Kind::kString;
-  }
-  return ColumnData::Kind::kMixed;
-}
 
 /// The dictionary every new kString column starts from: just the empty
 /// string. No column made it, so a column's first new string copies it.
@@ -40,66 +29,36 @@ uint32_t StringDict::Add(std::string_view s) {
   return code;
 }
 
-ColumnData::ColumnData(Kind k) : kind_(k) {
-  if (k == Kind::kString) dict_ = EmptyDict();
+ColumnData::ColumnData(DataType type) : type_(type) {
+  if (type == DataType::kString) dict_ = EmptyDict();
 }
-
-ColumnData::ColumnData(DataType declared) : ColumnData(KindOf(declared)) {}
 
 void ColumnData::Reserve(size_t n) {
-  switch (kind_) {
-    case Kind::kInt64:
+  switch (type_) {
+    case DataType::kInt64:
       ints_.reserve(n);
       break;
-    case Kind::kDouble:
+    case DataType::kDouble:
       dbls_.reserve(n);
       break;
-    case Kind::kString:
+    case DataType::kString:
       codes_.reserve(n);
       break;
-    case Kind::kMixed:
-      vals_.reserve(n);
-      break;
   }
-}
-
-void ColumnData::Demote() {
-  std::vector<Value> vals;
-  vals.reserve(size_);
-  for (size_t i = 0; i < size_; ++i) vals.push_back(GetValue(i));
-  vals_ = std::move(vals);
-  ints_.clear();
-  ints_.shrink_to_fit();
-  dbls_.clear();
-  dbls_.shrink_to_fit();
-  codes_.clear();
-  codes_.shrink_to_fit();
-  dict_.reset();
-  owns_dict_ = false;
-  nulls_.clear();
-  nulls_.shrink_to_fit();
-  kind_ = Kind::kMixed;
 }
 
 void ColumnData::AppendNull() {
-  if (kind_ == Kind::kMixed) {
-    vals_.push_back(Value::Null_());
-    ++size_;
-    return;
-  }
   if (nulls_.empty()) nulls_.assign(size_, 0);
   nulls_.push_back(1);
-  switch (kind_) {
-    case Kind::kInt64:
+  switch (type_) {
+    case DataType::kInt64:
       ints_.push_back(0);
       break;
-    case Kind::kDouble:
+    case DataType::kDouble:
       dbls_.push_back(0.0);
       break;
-    case Kind::kString:
+    case DataType::kString:
       codes_.push_back(0);  // the empty string
-      break;
-    case Kind::kMixed:
       break;
   }
   ++size_;
@@ -110,35 +69,21 @@ void ColumnData::AppendValue(const Value& v) {
     AppendNull();
     return;
   }
-  switch (kind_) {
-    case Kind::kInt64:
-      if (v.is_int64()) {
-        AppendInt(v.AsInt64());
-        return;
-      }
-      break;
-    case Kind::kDouble:
-      if (v.is_double()) {
-        AppendDouble(v.AsDouble());
-        return;
-      }
-      break;
-    case Kind::kString:
-      if (v.is_string()) {
-        AppendString(v.AsString());
-        return;
-      }
-      break;
-    case Kind::kMixed:
-      vals_.push_back(v);
-      ++size_;
+  switch (type_) {
+    case DataType::kInt64:
+      assert(v.is_int64());
+      AppendInt(v.AsInt64());
+      return;
+    case DataType::kDouble:
+      // SQL assignment: an int64 becomes the nearest double.
+      assert(v.is_numeric());
+      AppendDouble(v.AsDouble());
+      return;
+    case DataType::kString:
+      assert(v.is_string());
+      AppendString(v.AsString());
       return;
   }
-  // Variant does not match the typed representation (e.g. an int64 cell
-  // in a DOUBLE column): fall back to exact-variant storage.
-  Demote();
-  vals_.push_back(v);
-  ++size_;
 }
 
 void ColumnData::AppendString(std::string_view v) {
@@ -156,51 +101,42 @@ void ColumnData::AppendString(std::string_view v) {
 }
 
 void ColumnData::AppendFrom(const ColumnData& src, size_t i) {
+  assert(src.type_ == type_);
   if (src.IsNull(i)) {
     AppendNull();
     return;
   }
-  if (kind_ == src.kind_ && kind_ != Kind::kMixed) {
-    switch (kind_) {
-      case Kind::kInt64:
-        AppendInt(src.ints_[i]);
-        return;
-      case Kind::kDouble:
-        AppendDouble(src.dbls_[i]);
-        return;
-      case Kind::kString:
-        if (src.dict_ == dict_) {
-          AppendCode(src.codes_[i]);
-        } else {
-          AppendString(src.dict_->at(src.codes_[i]));
-        }
-        return;
-      case Kind::kMixed:
-        break;
-    }
+  switch (type_) {
+    case DataType::kInt64:
+      AppendInt(src.ints_[i]);
+      return;
+    case DataType::kDouble:
+      AppendDouble(src.dbls_[i]);
+      return;
+    case DataType::kString:
+      if (src.dict_ == dict_) {
+        AppendCode(src.codes_[i]);
+      } else {
+        AppendString(src.dict_->at(src.codes_[i]));
+      }
+      return;
   }
-  AppendValue(src.GetValue(i));
 }
 
 void ColumnData::AppendRange(const ColumnData& src, size_t from, size_t n) {
-  if (src.kind_ != kind_ || kind_ == Kind::kMixed) {
-    for (size_t i = from; i < from + n; ++i) AppendFrom(src, i);
-    return;
-  }
+  assert(src.type_ == type_);
   auto copy = [from, n](const auto& in, auto* out) {
     out->insert(out->end(), in.begin() + from, in.begin() + from + n);
   };
-  switch (kind_) {
-    case Kind::kInt64:
+  switch (type_) {
+    case DataType::kInt64:
       copy(src.ints_, &ints_);
       break;
-    case Kind::kDouble:
+    case DataType::kDouble:
       copy(src.dbls_, &dbls_);
       break;
-    case Kind::kString:
+    case DataType::kString:
       copy(src.codes_, &codes_);
-      break;
-    case Kind::kMixed:
       break;
   }
   // Null cells already hold the default value AppendNull writes; the
@@ -233,37 +169,34 @@ void GatherValues(const T* base, const uint32_t* rows, size_t n,
 }  // namespace
 
 void ColumnData::AdoptDict(const StringDictPtr& dict) {
-  if (kind_ != Kind::kString || dict_ == dict || dict_->size() != 1) return;
+  if (dict_ == dict || dict_->size() != 1) return;
   dict_ = dict;
   owns_dict_ = false;
 }
 
 bool ColumnData::TakesTyped(const ColumnData& src) const {
-  if (src.kind_ != kind_ || kind_ == Kind::kMixed || src.has_nulls()) {
-    return false;
-  }
-  return kind_ != Kind::kString || src.dict_ == dict_;
+  assert(src.type_ == type_);
+  return !src.has_nulls() &&
+         (type_ != DataType::kString || src.dict_ == dict_);
 }
 
 void ColumnData::AppendGather(const ColumnSlice& src, const uint32_t* rows,
                               size_t n) {
   const ColumnData& s = *src.col;
-  if (s.kind_ == Kind::kString) AdoptDict(s.dict_);
+  if (type_ == DataType::kString) AdoptDict(s.dict_);
   if (!TakesTyped(s)) {
     for (size_t i = 0; i < n; ++i) AppendFrom(s, src.offset + rows[i]);
     return;
   }
-  switch (kind_) {
-    case Kind::kInt64:
+  switch (type_) {
+    case DataType::kInt64:
       GatherValues(s.ints_.data() + src.offset, rows, n, &ints_);
       break;
-    case Kind::kDouble:
+    case DataType::kDouble:
       GatherValues(s.dbls_.data() + src.offset, rows, n, &dbls_);
       break;
-    case Kind::kString:
+    case DataType::kString:
       GatherValues(s.codes_.data() + src.offset, rows, n, &codes_);
-      break;
-    case Kind::kMixed:
       break;
   }
   size_ += n;
@@ -299,14 +232,14 @@ size_t ColumnData::GatherTypedPrefix(std::vector<T> ColumnData::*store,
 void ColumnData::AppendGather(const std::vector<ColumnSlice>& srcs,
                               const RowRef* refs, size_t n) {
   size_t i = 0;
-  switch (kind_) {
-    case Kind::kInt64:
+  switch (type_) {
+    case DataType::kInt64:
       i = GatherTypedPrefix(&ColumnData::ints_, srcs.data(), refs, n);
       break;
-    case Kind::kDouble:
+    case DataType::kDouble:
       i = GatherTypedPrefix(&ColumnData::dbls_, srcs.data(), refs, n);
       break;
-    case Kind::kString: {
+    case DataType::kString: {
       // Taking over one source's dictionary when another codes in a
       // second would copy the whole first one at the second's first new
       // string; interning into this column's own dictionary costs a hash
@@ -314,15 +247,12 @@ void ColumnData::AppendGather(const std::vector<ColumnSlice>& srcs,
       const bool one_dict =
           !srcs.empty() &&
           std::all_of(srcs.begin(), srcs.end(), [&](const ColumnSlice& s) {
-            return s.col->kind_ == Kind::kString &&
-                   s.col->dict_ == srcs[0].col->dict_;
+            return s.col->dict_ == srcs[0].col->dict_;
           });
       if (one_dict) AdoptDict(srcs[0].col->dict_);
       i = GatherTypedPrefix(&ColumnData::codes_, srcs.data(), refs, n);
       break;
     }
-    case Kind::kMixed:
-      break;
   }
   for (; i < n; ++i) {
     const ColumnSlice& s = srcs[refs[i].chunk];
@@ -331,47 +261,31 @@ void ColumnData::AppendGather(const std::vector<ColumnSlice>& srcs,
 }
 
 Value ColumnData::GetValue(size_t i) const {
-  if (kind_ == Kind::kMixed) return vals_[i];
   if (IsNull(i)) return Value::Null_();
-  switch (kind_) {
-    case Kind::kInt64:
+  switch (type_) {
+    case DataType::kInt64:
       return Value(ints_[i]);
-    case Kind::kDouble:
+    case DataType::kDouble:
       return Value(dbls_[i]);
-    case Kind::kString:
+    case DataType::kString:
       return Value(std::string(dict_->at(codes_[i])));
-    case Kind::kMixed:
-      break;
   }
   return Value::Null_();
 }
 
 size_t ColumnData::CellBytes(size_t i) const {
-  switch (kind_) {
-    case Kind::kInt64:
-    case Kind::kDouble:
-      return IsNull(i) ? 1 : 8;
-    case Kind::kString:
-      return IsNull(i) ? 1 : dict_->at(codes_[i]).size() + 8;
-    case Kind::kMixed:
-      return vals_[i].ByteSize();
-  }
-  return 0;
+  if (IsNull(i)) return 1;
+  return type_ == DataType::kString ? dict_->at(codes_[i]).size() + 8 : 8;
 }
 
 size_t ColumnData::RangeBytes(size_t from, size_t n) const {
-  if (kind_ == Kind::kMixed) {
-    size_t bytes = 0;
-    for (size_t i = from; i < from + n; ++i) bytes += vals_[i].ByteSize();
-    return bytes;
-  }
   // A null cell is 1 byte, a non-null one 8 plus its string length.
   size_t nulls = 0;
   if (!nulls_.empty()) {
     for (size_t i = from; i < from + n; ++i) nulls += nulls_[i];
   }
   size_t bytes = 8 * (n - nulls) + nulls;
-  if (kind_ == Kind::kString) {
+  if (type_ == DataType::kString) {
     // Null cells hold code 0, the empty string, so they add no length.
     const StringDict& dict = *dict_;
     for (size_t i = from; i < from + n; ++i) {
@@ -381,8 +295,18 @@ size_t ColumnData::RangeBytes(size_t from, size_t n) const {
   return bytes;
 }
 
+bool ColumnarTable::Typed(const ColumnChunk& chunk) const {
+  if (chunk.columns.size() != schema_.num_columns()) return false;
+  for (size_t c = 0; c < chunk.columns.size(); ++c) {
+    const ColumnSlice& s = chunk.columns[c];
+    if (s.present() && s.col->type() != schema_.column(c).type) return false;
+  }
+  return true;
+}
+
 void ColumnarTable::AppendChunk(ColumnChunk chunk, size_t bytes) {
   if (chunk.length == 0) return;
+  assert(Typed(chunk));
   if (bytes == SIZE_MAX) {
     bytes = 0;
     for (const ColumnSlice& c : chunk.columns) {
@@ -396,6 +320,7 @@ void ColumnarTable::AppendChunk(ColumnChunk chunk, size_t bytes) {
 
 void ColumnarTable::AppendTableZeroCopy(const ColumnarTable& other) {
   for (const ColumnChunk& chunk : other.chunks()) {
+    assert(chunk.length == 0 || Typed(chunk));
     chunks_.push_back(chunk);
     num_rows_ += chunk.length;
   }
@@ -458,11 +383,8 @@ ColumnarTablePtr ColumnarTable::Append(const std::vector<Row>& rows,
   for (size_t c = 0; c < ncols; ++c) {
     if (schema_.column(c).type != DataType::kString) continue;
     StringDictPtr dict;
-    if (!chunks_.empty()) {
-      const ColumnSlice& last = chunks_.back().columns[c];
-      if (last.present() && last.col->kind() == ColumnData::Kind::kString) {
-        dict = last.col->shared_dict();
-      }
+    if (!chunks_.empty() && chunks_.back().columns[c].present()) {
+      dict = chunks_.back().columns[c].col->shared_dict();
     }
     bool own = dict == nullptr;
     if (own) dict = std::make_shared<StringDict>();
@@ -506,7 +428,7 @@ ColumnarTablePtr ColumnarTable::Append(const std::vector<Row>& rows,
       for (; i < start + len; ++i) {
         const size_t r = i - tail_len;
         const Value& v = rows[r][c];
-        if (v.is_string() && col->kind() == ColumnData::Kind::kString) {
+        if (v.is_string() && dicts[c] != nullptr) {
           col->AppendCode(codes[c][r]);
         } else {
           col->AppendValue(v);

@@ -69,26 +69,21 @@ struct RowRef {
   uint32_t row;
 };
 
-/// \brief One column of values in columnar layout.
+/// \brief One column of values of one type in columnar layout.
 ///
 /// Values live in a typed vector (int64/double, or uint32 codes into a
 /// StringDict for strings) with an optional null bitmap that is allocated
 /// only when the first null arrives — the null-free fast path is a plain
-/// contiguous array. A column whose cells mix representations (e.g. an
-/// int64 Value stored in a DOUBLE column, which the row engine's Value
-/// variant permits) demotes itself to a `kMixed` vector<Value> so that
-/// round-tripping through the columnar engine preserves every cell's exact
-/// variant — the differential oracle compares representations, not just
-/// numeric equality.
+/// contiguous array. A column holds exactly its declared type: an int64
+/// appended to a DOUBLE column is stored as a double, as SQL assignment
+/// converts it, and no other mismatch reaches a column (Table::FromRows
+/// and AppendRows reject it, the binder types every computed column).
 class ColumnData {
  public:
-  enum class Kind { kInt64, kDouble, kString, kMixed };
-
-  explicit ColumnData(Kind k);
-  explicit ColumnData(DataType declared);
+  explicit ColumnData(DataType type);
   /// A kString column coding its cells into `dict` (see AppendCode).
   explicit ColumnData(StringDictPtr dict)
-      : kind_(Kind::kString), dict_(std::move(dict)) {}
+      : type_(DataType::kString), dict_(std::move(dict)) {}
   /// Not copyable: a copy would share a dictionary that both columns
   /// count as their own and change in place.
   ColumnData(const ColumnData&) = delete;
@@ -96,15 +91,12 @@ class ColumnData {
   ColumnData(ColumnData&&) = default;
   ColumnData& operator=(ColumnData&&) = default;
 
-  Kind kind() const { return kind_; }
+  DataType type() const { return type_; }
   size_t size() const { return size_; }
   bool has_nulls() const { return !nulls_.empty(); }
-  bool IsNull(size_t i) const {
-    if (kind_ == Kind::kMixed) return vals_[i].is_null();
-    return !nulls_.empty() && nulls_[i] != 0;
-  }
+  bool IsNull(size_t i) const { return !nulls_.empty() && nulls_[i] != 0; }
 
-  /// Raw typed storage (valid for the matching kind only). Cells that are
+  /// Raw typed storage (valid for the matching type only). Cells that are
   /// null hold a default value (code 0, the empty string, for strings);
   /// consult the null bitmap.
   const int64_t* ints() const { return ints_.data(); }
@@ -112,17 +104,15 @@ class ColumnData {
   const uint32_t* codes() const { return codes_.data(); }
   const StringDict& dict() const { return *dict_; }
   const StringDictPtr& shared_dict() const { return dict_; }
-  const std::vector<Value>& mixed() const { return vals_; }
   const uint8_t* nulls() const { return nulls_.data(); }
 
   void Reserve(size_t n);
 
-  /// Appends one cell, demoting to kMixed if the value's variant does not
-  /// match this column's typed representation.
+  /// Appends one cell: a null, a value of this column's type, or an int64
+  /// for a DOUBLE column, which is stored as a double.
   void AppendValue(const Value& v);
   void AppendNull();
-  /// Typed appends for engine kernels (column must be of matching kind and
-  /// must not have been demoted).
+  /// Typed appends for engine kernels (column must be of matching type).
   void AppendInt(int64_t v) {
     ints_.push_back(v);
     if (!nulls_.empty()) nulls_.push_back(0);
@@ -142,67 +132,62 @@ class ColumnData {
     if (!nulls_.empty()) nulls_.push_back(0);
     ++size_;
   }
-  /// Appends cell `i` of `src` (any kinds; preserves exact variant).
+  /// Appends cell `i` of `src`, a column of this column's type.
   void AppendFrom(const ColumnData& src, size_t i);
-  /// Appends cells [from, from + n) of `src`, equal to n AppendFrom calls
-  /// when a kString `src` codes as this column's dictionary does: `src`'s
-  /// own, or a copy of it (a copy keeps the codes). A typed source of this
-  /// column's kind copies its values (codes) and null flags in one pass;
-  /// other sources go through AppendFrom.
+  /// Appends cells [from, from + n) of `src`, a column of this column's
+  /// type, copying its values (codes) and null flags in one pass: equal to
+  /// n AppendFrom calls when a kString `src` codes as this column's
+  /// dictionary does (`src`'s own, or a copy of it, which keeps the codes).
   void AppendRange(const ColumnData& src, size_t from, size_t n);
 
-  /// Appends the cells of `src` at rows `rows[0..n)` (relative to
-  /// `src.offset`); `src` must not be this column. The result equals n
-  /// AppendFrom calls. A string column that holds only empty strings
-  /// first takes over a kString source's dictionary. A null-free source
-  /// of this column's typed kind (for strings: coded in this column's
-  /// dictionary) copies through one typed loop; other sources fall back
-  /// to per-cell AppendFrom.
+  /// Appends the cells of `src` (a column of this column's type) at rows
+  /// `rows[0..n)` (relative to `src.offset`); `src` must not be this
+  /// column. The result equals n AppendFrom calls. A string column that
+  /// holds only empty strings first takes over the source's dictionary. A
+  /// null-free source (for strings: coded in this column's dictionary)
+  /// copies through one typed loop; other sources fall back to per-cell
+  /// AppendFrom.
   void AppendGather(const ColumnSlice& src, const uint32_t* rows, size_t n);
   /// Multi-chunk form: cell i is row `refs[i].row` of `srcs[refs[i].chunk]`.
   /// A string column takes over the sources' dictionary only when every
-  /// source is a kString column coded in that one dictionary; otherwise
-  /// its cells are interned into its own, which then holds only the
-  /// strings gathered. Typed cells copy in one loop up to the first cell
-  /// whose source the typed loop cannot take; the rest go through
-  /// AppendFrom.
+  /// source codes in that one dictionary; otherwise its cells are interned
+  /// into its own, which then holds only the strings gathered. Cells copy
+  /// in one typed loop up to the first cell whose source the typed loop
+  /// cannot take; the rest go through AppendFrom.
   void AppendGather(const std::vector<ColumnSlice>& srcs, const RowRef* refs,
                     size_t n);
 
-  /// Cell `i` as a row-engine Value (exact variant round-trip).
+  /// Cell `i` as a Value of this column's type (or null).
   Value GetValue(size_t i) const;
 
   /// Byte accounting identical to Value::ByteSize so columnar tables
   /// report the same byte_size (and thus shipping costs) as row tables.
   size_t CellBytes(size_t i) const;
   /// CellBytes summed over cells [from, from + n), without a per-cell
-  /// kind switch (null-free numeric columns cost O(1)).
+  /// type switch (null-free numeric columns cost O(1)).
   size_t RangeBytes(size_t from, size_t n) const;
 
  private:
-  void Demote();
   /// Switches a kString column to `dict` while it holds only empty strings
   /// and nulls (code 0 is the empty string in every dictionary).
   void AdoptDict(const StringDictPtr& dict);
   /// True when the typed gather may copy `src`'s cells: a null-free
-  /// column of this kind, for strings one coded in this column's
-  /// dictionary.
+  /// column, for strings one coded in this column's dictionary.
   bool TakesTyped(const ColumnData& src) const;
   /// Typed prefix of the multi-chunk AppendGather over `store` (the
-  /// vector of this column's kind); returns the number of cells copied.
+  /// vector of this column's type); returns the number of cells copied.
   template <typename T>
   size_t GatherTypedPrefix(std::vector<T> ColumnData::*store,
                            const ColumnSlice* srcs, const RowRef* refs,
                            size_t n);
 
-  Kind kind_;
+  DataType type_;
   size_t size_ = 0;
   std::vector<int64_t> ints_;
   std::vector<double> dbls_;
   std::vector<uint32_t> codes_;  ///< kString: codes into dict_
   StringDictPtr dict_;           ///< kString only
   bool owns_dict_ = false;       ///< dict_ was made by this column
-  std::vector<Value> vals_;      ///< kMixed only
   std::vector<uint8_t> nulls_;   ///< empty = no nulls yet (fast path)
 };
 
@@ -257,11 +242,13 @@ class ColumnarTable {
   size_t byte_size() const { return byte_size_; }
   const std::vector<ColumnChunk>& chunks() const { return chunks_; }
 
-  /// A new table holding this one's rows followed by `rows` (each of the
-  /// schema's arity; not validated). Every chunk but the tail, a last
-  /// chunk shorter than `chunk_rows`, is shared as it is; the tail's rows
-  /// and `rows` are encoded into new chunks of `chunk_rows` rows, the last
-  /// of which may be shorter. String columns code into the last chunk's
+  /// A new table holding this one's rows followed by `rows`, which must
+  /// fit the schema: its arity, and in each cell a null, a value of the
+  /// column's type or an int64 for a DOUBLE column, stored as a double
+  /// (Table::FromRows and AppendRows check this). Every chunk but the
+  /// tail, a last chunk shorter than `chunk_rows`, is shared as it is; the
+  /// tail's rows and `rows` are encoded into new chunks of `chunk_rows`
+  /// rows, the last of which may be shorter. String columns code into the last chunk's
   /// dictionary, or into a copy of it when `rows` bring a string it lacks,
   /// so no chunk or dictionary this table holds changes.
   std::shared_ptr<const ColumnarTable> Append(const std::vector<Row>& rows,
@@ -270,14 +257,20 @@ class ColumnarTable {
   /// Where global row `r` (< num_rows) lives.
   RowRef Locate(size_t r) const;
 
-  /// Appends a chunk, taking ownership of its (possibly shared) columns.
+  /// Appends a chunk, taking ownership of its (possibly shared) columns;
+  /// a non-empty chunk must be Typed for the schema (asserted).
   /// `bytes` is the chunk's payload per the row-engine accounting; pass
   /// SIZE_MAX to have it recomputed from each present column's RangeBytes.
   void AppendChunk(ColumnChunk chunk, size_t bytes = SIZE_MAX);
 
   /// Appends every chunk of `other` without copying column data — the
-  /// zero-copy fragment-merge primitive.
+  /// zero-copy fragment-merge primitive. Its non-empty chunks must be
+  /// Typed for this table's schema (asserted).
   void AppendTableZeroCopy(const ColumnarTable& other);
+
+  /// True when `chunk` has a slice per schema column and each present
+  /// slice's column is of its schema column's type.
+  bool Typed(const ColumnChunk& chunk) const;
 
   /// Row `r` (global index) as a row-engine Row. Every column must be
   /// present.
@@ -294,7 +287,8 @@ class ColumnarTable {
 
 using ColumnarTablePtr = std::shared_ptr<const ColumnarTable>;
 
-/// Encodes `rows` into columnar chunks of at most `batch_rows` rows.
+/// Encodes `rows`, which must fit `schema` (see ColumnarTable::Append),
+/// into columnar chunks of at most `batch_rows` rows.
 ColumnarTablePtr ColumnarFromRows(const Schema& schema,
                                   const std::vector<Row>& rows,
                                   size_t batch_rows);

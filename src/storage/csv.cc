@@ -82,38 +82,36 @@ Result<std::vector<std::vector<Cell>>> SplitRecords(
   return records;
 }
 
-Result<Value> ParseCell(const Cell& cell, DataType type,
-                        const CsvOptions& options) {
+/// Parses one cell of a `type` column into `*out`. It returns a Status
+/// and writes the Value through a pointer because GCC 12 reports the
+/// string alternative of a Result<Value> built from a number here as
+/// maybe-uninitialized.
+Status ParseCell(const Cell& cell, DataType type, const CsvOptions& options,
+                 Value* out) {
   if (!cell.quoted && cell.text == options.null_token) {
-    return Value::Null_();
+    *out = Value::Null_();
+    return Status::OK();
   }
-  switch (type) {
-    case DataType::kInt64:
-      try {
-        size_t used = 0;
-        const int64_t v = std::stoll(cell.text, &used);
-        if (used != cell.text.size()) {
-          return Status::ParseError("bad integer cell '" + cell.text + "'");
-        }
-        return Value(v);
-      } catch (const std::exception&) {
-        return Status::ParseError("bad integer cell '" + cell.text + "'");
-      }
-    case DataType::kDouble:
-      try {
-        size_t used = 0;
-        const double v = std::stod(cell.text, &used);
-        if (used != cell.text.size()) {
-          return Status::ParseError("bad double cell '" + cell.text + "'");
-        }
-        return Value(v);
-      } catch (const std::exception&) {
-        return Status::ParseError("bad double cell '" + cell.text + "'");
-      }
-    case DataType::kString:
-      return Value(cell.text);
+  if (type == DataType::kString) {
+    *out = Value(cell.text);
+    return Status::OK();
   }
-  return Status::Internal("unhandled data type");
+  const bool is_int = type == DataType::kInt64;
+  size_t used = 0;
+  try {
+    if (is_int) {
+      *out = Value(static_cast<int64_t>(std::stoll(cell.text, &used)));
+    } else {
+      *out = Value(std::stod(cell.text, &used));
+    }
+  } catch (const std::exception&) {
+    used = std::string::npos;
+  }
+  if (used != cell.text.size()) {
+    return Status::ParseError(StringFormat(
+        "bad %s cell '%s'", is_int ? "integer" : "double", cell.text.c_str()));
+  }
+  return Status::OK();
 }
 
 std::string QuoteCell(const std::string& text, char delimiter) {
@@ -174,8 +172,9 @@ Result<TablePtr> ReadCsv(const std::string& csv_text,
     Row row;
     row.reserve(record.size());
     for (size_t c = 0; c < record.size(); ++c) {
-      FEDCAL_ASSIGN_OR_RETURN(
-          Value v, ParseCell(record[c], schema.column(c).type, options));
+      Value v;
+      FEDCAL_RETURN_NOT_OK(
+          ParseCell(record[c], schema.column(c).type, options, &v));
       row.push_back(std::move(v));
     }
     rows.push_back(std::move(row));

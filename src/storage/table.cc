@@ -17,11 +17,13 @@ Table::Table(std::string name, ColumnarTablePtr data, size_t chunk_rows)
       chunk_rows_(chunk_rows),
       data_(std::move(data)) {}
 
-std::shared_ptr<Table> Table::FromRows(std::string name, Schema schema,
-                                       const std::vector<Row>& rows,
-                                       size_t chunk_rows) {
+Result<std::shared_ptr<Table>> Table::FromRows(std::string name,
+                                               Schema schema,
+                                               const std::vector<Row>& rows,
+                                               size_t chunk_rows) {
   auto t = std::make_shared<Table>(std::move(name), std::move(schema),
                                    chunk_rows);
+  for (const Row& row : rows) FEDCAL_RETURN_NOT_OK(t->Validate(row));
   t->data_ = t->data_->Append(rows, t->chunk_rows_);
   return t;
 }

@@ -32,11 +32,12 @@ class Table {
   Table(std::string name, Schema schema,
         size_t chunk_rows = kDefaultChunkRows);
 
-  /// Builds a table from `rows` in one pass, without validation: for
-  /// generator, parser and test-fixture output.
-  static std::shared_ptr<Table> FromRows(std::string name, Schema schema,
-                                         const std::vector<Row>& rows,
-                                         size_t chunk_rows = kDefaultChunkRows);
+  /// Builds a table from `rows` in one pass (generator, parser and
+  /// test-fixture output), after the check AppendRows makes; on a bad row
+  /// it builds nothing and returns the error.
+  static Result<std::shared_ptr<Table>> FromRows(
+      std::string name, Schema schema, const std::vector<Row>& rows,
+      size_t chunk_rows = kDefaultChunkRows);
   /// Wraps a columnar result; `byte_size` and `num_rows` come from it.
   static std::shared_ptr<Table> FromColumnar(std::string name,
                                              ColumnarTablePtr data);
@@ -61,8 +62,8 @@ class Table {
   std::vector<Row> rows() const { return data_->MaterializeRows(); }
 
   /// Checks every row's arity and per-column types (nulls are accepted in
-  /// any column; a DOUBLE column takes int64 values too), then appends
-  /// them all; on a bad row nothing is appended.
+  /// any column; a DOUBLE column takes int64 values too and stores them as
+  /// doubles), then appends them all; on a bad row nothing is appended.
   Status AppendRows(const std::vector<Row>& rows);
 
   /// A table with a new name over the same payload (replica creation);
@@ -81,6 +82,7 @@ class Table {
  private:
   Table(std::string name, ColumnarTablePtr data, size_t chunk_rows);
 
+  /// The check FromRows and AppendRows make of every row.
   Status Validate(const Row& row) const;
 
   std::string name_;

@@ -58,10 +58,12 @@ size_t Value::Hash() const {
   if (is_null()) return 0x9e3779b97f4a7c15ull;
   if (is_numeric()) {
     // Hash int-valued doubles identically to the equivalent int64 so that
-    // cross-type equality implies equal hashes.
+    // cross-type equality implies equal hashes. Cross-type equality
+    // compares as doubles, so an int64 hashes its double too; one that
+    // rounds to +-2^63 or beyond cannot be cast back, and hashes as the
+    // double an equal double does.
     const double d = AsDouble();
-    if (is_int64() ||
-        (std::floor(d) == d && std::abs(d) < 9.0e18)) {
+    if (std::floor(d) == d && std::abs(d) < 9.0e18) {
       return std::hash<int64_t>{}(static_cast<int64_t>(d));
     }
     return std::hash<double>{}(d);

@@ -76,8 +76,9 @@ class ColumnarDifferentialTest : public ::testing::Test {
       AddTable(t.MoveValue());
     }
 
-    // A tiny table with mixed variants (int64 stored in a DOUBLE column)
-    // and an indexed column, so IndexScan and kMixed paths get exercised.
+    // A tiny table whose DOUBLE column `v` is given int64 cells as well as
+    // doubles (ingest stores them as doubles), with an indexed column, so
+    // IndexScan gets exercised.
     TablePtr odd = MakeTable("odd",
                              {{"k", DataType::kInt64},
                               {"v", DataType::kDouble},
@@ -91,11 +92,9 @@ class ColumnarDifferentialTest : public ::testing::Test {
     AddTable(odd);
 
     // Nullable string keys whose later groups first appear past row 200
-    // (chunk 3 at batch 64) and nullable int64/double columns. At batch 64
-    // the first chunk of `m` (DOUBLE, int64 cells in rows 0-63) and of `q`
-    // (INT, a double in row 3) is kMixed and the rest typed, so SUM/AVG
-    // switch between the Value and typed-array paths within one group,
-    // from integral to double mode (`m`) and after it (`q`).
+    // (chunk 3 at batch 64) and nullable int64/double columns. `m` (DOUBLE)
+    // is given int64 cells in rows 0-63, stored as doubles at ingest; `q`
+    // (INT) has a NULL in row 3.
     std::vector<Row> ev_rows;
     for (int64_t i = 0; i < 300; ++i) {
       Value key = i % 7 == 3 ? N()
@@ -104,7 +103,7 @@ class ColumnarDifferentialTest : public ::testing::Test {
       ev_rows.push_back({I(i), std::move(key), i % 5 == 0 ? N() : I(i),
                          i % 4 == 1 ? N() : D(0.25 * static_cast<double>(i)),
                          i < 64 ? I(i) : D(0.5 * static_cast<double>(i)),
-                         i == 3 ? D(2.5) : I(i)});
+                         i == 3 ? N() : I(i)});
     }
     AddTable(MakeTable("ev",
                            {{"id", DataType::kInt64},
@@ -165,7 +164,9 @@ class ColumnarDifferentialTest : public ::testing::Test {
   /// scale.
   void AddTable(const TablePtr& t) {
     for (auto& [batch, db] : dbs_) {
-      TablePtr copy = Table::FromRows(t->name(), t->schema(), t->rows(), batch);
+      ASSERT_OK_AND_ASSIGN(
+          TablePtr copy,
+          Table::FromRows(t->name(), t->schema(), t->rows(), batch));
       for (const std::string& column : t->indexed_columns()) {
         ASSERT_TRUE(copy->CreateIndex(column).ok());
       }
@@ -319,8 +320,7 @@ TEST_F(ColumnarDifferentialTest, StringGroupKeys) {
   RunBoth(
       "SELECT key, SUM(n), AVG(n), COUNT(n), MIN(n), MAX(n), SUM(x), "
       "AVG(x), COUNT(x), MIN(x), MAX(x) FROM ev GROUP BY key");
-  // kMixed chunks take the Value path, typed chunks the array path,
-  // within the same groups.
+  // `m` was given int64 and double cells, `q` int64 cells and a NULL.
   RunBoth("SELECT key, SUM(m), AVG(m), COUNT(m), MIN(m), MAX(m) FROM ev "
           "GROUP BY key");
   RunBoth("SELECT key, SUM(q), AVG(q), COUNT(q), MIN(q), MAX(q) FROM ev "
@@ -330,7 +330,8 @@ TEST_F(ColumnarDifferentialTest, StringGroupKeys) {
   RunBoth(
       "SELECT tag, COUNT(*), SUM(salary), AVG(dept), MIN(tag) FROM emp "
       "GROUP BY tag");
-  // The mixed-variant table grouped by a nullable string.
+  // The table given int64 cells for a DOUBLE column, grouped by a
+  // nullable string.
   RunBoth("SELECT g, SUM(v), AVG(v), COUNT(v), MIN(v), MAX(v) FROM odd "
           "GROUP BY g");
   RunBoth("SELECT g, SUM(k), COUNT(*) FROM odd GROUP BY g");
@@ -502,9 +503,9 @@ Schema CaseSchema() {
                  {"s", DataType::kString}});
 }
 
-/// `n` seeded rows of CaseSchema: nullable columns, int64 cells in the
-/// DOUBLE column (kMixed chunks), doubles whose sums depend on their
-/// order, and strings from `pool`.
+/// `n` seeded rows of CaseSchema: nullable columns, int64 cells for the
+/// DOUBLE column (stored as doubles at ingest), doubles whose sums depend
+/// on their order, and strings from `pool`.
 std::vector<Row> CaseRows(Rng* rng, size_t n, int64_t key_lo, int64_t key_hi,
                           const std::vector<std::string>& pool) {
   const std::vector<double> scales = {1.0, 0.1, 1e16, -1e16, 1.0 / 3.0};
@@ -557,7 +558,8 @@ TEST_F(ColumnarDifferentialTest, SeededAggregatesOverJoins) {
     for (auto& [batch, db] : dbs_) {
       for (const auto& [name, base, more] :
            {std::tuple{lname, &lbase, &lmore}, std::tuple{rname, &rbase, &rmore}}) {
-        TablePtr t = Table::FromRows(name, CaseSchema(), *base, batch);
+        ASSERT_OK_AND_ASSIGN(TablePtr t,
+                             Table::FromRows(name, CaseSchema(), *base, batch));
         ASSERT_TRUE(t->AppendRows(*more).ok());
         db.AddTable(t);
       }

@@ -15,7 +15,9 @@ using namespace fedcal::testing;  // NOLINT
 TablePtr IndexedTable(size_t rows, int64_t key_max) {
   Rng rng(3);
   TableGenSpec spec;
-  spec.name = "t";
+  // Assigning the literal in place makes GCC 12 with the sanitizers
+  // report an overlapping memcpy (-Wrestrict).
+  spec.name = std::string(1, 't');
   spec.num_rows = rows;
   spec.columns = {{"k", DataType::kInt64},
                   {"v", DataType::kDouble},

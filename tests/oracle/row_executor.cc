@@ -40,6 +40,19 @@ std::string FirstDifference(const RowTable& oracle, const Table& table) {
     return StringFormat("%zu bytes, oracle %zu", table.byte_size(),
                         oracle.bytes);
   }
+  for (size_t c = 0; c < oracle.schema.num_columns(); ++c) {
+    if (oracle.schema.column(c).type != table.schema().column(c).type) {
+      return StringFormat("column %zu is %s, oracle %s", c,
+                          DataTypeName(table.schema().column(c).type),
+                          DataTypeName(oracle.schema.column(c).type));
+    }
+  }
+  const ColumnarTable& data = *table.columnar();
+  for (size_t k = 0; k < data.chunks().size(); ++k) {
+    if (!data.Typed(data.chunks()[k])) {
+      return StringFormat("chunk %zu holds a column not of its type", k);
+    }
+  }
   const std::vector<Row> rows = table.rows();
   for (size_t r = 0; r < rows.size(); ++r) {
     const Row& a = oracle.rows[r];

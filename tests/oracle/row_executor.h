@@ -42,8 +42,10 @@ RowTablePtr RowView(const TablePtr& table);
 
 /// Empty when `table` holds the oracle's rows in the same order, with the
 /// same Value variant in every cell (1 as int64 differs from 1.0 as
-/// double here, though they compare equal), and the same byte size;
-/// otherwise a description of the first difference.
+/// double here, though they compare equal), the same byte size and column
+/// types, and every chunk's columns of their declared types
+/// (ColumnarTable::Typed); otherwise a description of the first
+/// difference.
 std::string FirstDifference(const RowTable& oracle, const Table& table);
 
 /// \brief Executes physical plans one row at a time, charging the same

@@ -74,6 +74,30 @@ TEST_F(BinderTest, StringNumericComparisonRejected) {
   EXPECT_FALSE(Bind("SELECT id FROM emp WHERE salary = 'x'", {emp_}).ok());
 }
 
+TEST_F(BinderTest, ArithmeticAndNegationOverStringsRejected) {
+  // Rejected at bind time, in every clause, rather than failing at the
+  // first offending cell.
+  for (const char* sql :
+       {"SELECT name + 1 FROM emp", "SELECT id * name FROM emp",
+        "SELECT id FROM emp WHERE name / 2 > 1", "SELECT -name FROM emp",
+        "SELECT id FROM emp WHERE -(name) IS NULL",
+        "SELECT dept, SUM(salary) FROM emp GROUP BY dept "
+        "HAVING MIN(name) - 1 > 0",
+        "SELECT dept FROM emp GROUP BY dept HAVING MIN(name) > 1",
+        "SELECT dept FROM emp GROUP BY dept HAVING MAX(name) LIKE 5"}) {
+    auto r = Bind(sql, {emp_});
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kBindError) << sql;
+  }
+  // Strings still take MIN/MAX, comparisons with strings, LIKE, NOT and
+  // IS NULL.
+  for (const char* sql :
+       {"SELECT -salary, -id FROM emp WHERE NOT name AND name IS NOT NULL",
+        "SELECT dept FROM emp GROUP BY dept HAVING MIN(name) > 'a'"}) {
+    EXPECT_OK(Bind(sql, {emp_}).status());
+  }
+}
+
 TEST_F(BinderTest, StarExpansion) {
   ASSERT_OK_AND_ASSIGN(BoundQuery bq,
                        Bind("SELECT * FROM emp e, dept d", {emp_, dept_}));
@@ -157,15 +181,21 @@ TEST_F(BinderTest, OrderByUnknownOutputRejected) {
 }
 
 TEST_F(BinderTest, TypeInference) {
+  // Every bound node carries its type, and the schema takes it.
   ASSERT_OK_AND_ASSIGN(
       BoundQuery bq,
-      Bind("SELECT id + 1 AS a, id / 2 AS b, salary + 1 AS c, id > 3 AS d "
-           "FROM emp",
+      Bind("SELECT id + 1 AS a, id / 2 AS b, salary + 1 AS c, id > 3 AS d, "
+           "salary + NULL, -id, NULL, name, NOT name FROM emp",
            {emp_}));
-  EXPECT_EQ(bq.output_schema.column(0).type, DataType::kInt64);
-  EXPECT_EQ(bq.output_schema.column(1).type, DataType::kDouble);
-  EXPECT_EQ(bq.output_schema.column(2).type, DataType::kDouble);
-  EXPECT_EQ(bq.output_schema.column(3).type, DataType::kInt64);
+  const std::vector<DataType> want = {
+      DataType::kInt64, DataType::kDouble, DataType::kDouble,
+      DataType::kInt64, DataType::kDouble, DataType::kInt64,
+      DataType::kInt64, DataType::kString, DataType::kInt64};
+  ASSERT_EQ(bq.outputs.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(bq.output_schema.column(i).type, want[i]) << i;
+    EXPECT_EQ(bq.outputs[i]->type(), want[i]) << i;
+  }
 }
 
 TEST_F(BinderTest, SchemaCountMismatchRejected) {

@@ -39,6 +39,12 @@ TEST(LexerTest, DoubleLiterals) {
   EXPECT_DOUBLE_EQ(tokens[1].double_value, 0.25);
   EXPECT_DOUBLE_EQ(tokens[2].double_value, 2000.0);
   EXPECT_DOUBLE_EQ(tokens[3].double_value, 0.015);
+  // Out of the double or int64 range: a parse error, not an exception.
+  for (const char* sql : {"1e999", "1e-400", "9223372036854775808"}) {
+    const auto bad = Tokenize(sql);
+    ASSERT_FALSE(bad.ok()) << sql;
+    EXPECT_EQ(bad.status().code(), StatusCode::kParseError) << sql;
+  }
 }
 
 TEST(LexerTest, StringLiteralsWithEscapes) {

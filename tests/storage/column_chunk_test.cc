@@ -19,7 +19,7 @@ using testing::N;
 using testing::S;
 
 TEST(ColumnDataTest, TypedAppendNullFreeFastPath) {
-  ColumnData col(ColumnData::Kind::kInt64);
+  ColumnData col(DataType::kInt64);
   col.AppendInt(1);
   col.AppendInt(2);
   col.AppendInt(3);
@@ -43,30 +43,20 @@ TEST(ColumnDataTest, NullBitmapAllocatedOnFirstNull) {
   EXPECT_EQ(col.GetValue(2), Value(2.5));
 }
 
-TEST(ColumnDataTest, MixedDemotionPreservesExactVariants) {
-  // An int64 Value appended to a DOUBLE column demotes to kMixed; the
-  // original variants must survive the round trip (the differential
-  // oracle compares representations, not numeric equality).
+TEST(ColumnDataTest, Int64IntoDoubleColumnIsStoredAsDouble) {
+  // SQL assignment: an int64 appended to a DOUBLE column becomes the
+  // nearest double, and the column keeps its one type.
   ColumnData col(DataType::kDouble);
   col.AppendValue(Value(1.5));
-  col.AppendValue(Value(int64_t{7}));  // variant mismatch -> demote
-  EXPECT_EQ(col.kind(), ColumnData::Kind::kMixed);
+  col.AppendValue(Value(int64_t{7}));
   col.AppendValue(Value::Null_());
-  EXPECT_EQ(col.GetValue(0), Value(1.5));
-  EXPECT_EQ(col.GetValue(1), Value(int64_t{7}));
-  EXPECT_FALSE(col.GetValue(1).is_double());
+  col.AppendValue(Value(int64_t{(int64_t{1} << 53) + 1}));
+  EXPECT_EQ(col.type(), DataType::kDouble);
+  EXPECT_EQ(col.doubles()[1], 7.0);
+  EXPECT_TRUE(col.GetValue(1).is_double());
   EXPECT_TRUE(col.IsNull(2));
-}
-
-TEST(ColumnDataTest, DemotionAfterNullsKeepsNullCells) {
-  ColumnData col(DataType::kInt64);
-  col.AppendValue(Value(int64_t{1}));
-  col.AppendNull();
-  col.AppendValue(Value("oops"));  // string in INT column -> demote
-  EXPECT_EQ(col.kind(), ColumnData::Kind::kMixed);
-  EXPECT_FALSE(col.IsNull(0));
-  EXPECT_TRUE(col.IsNull(1));
-  EXPECT_EQ(col.GetValue(2), Value("oops"));
+  EXPECT_EQ(col.doubles()[3], 0x1p53);  // rounded to nearest
+  EXPECT_EQ(col.CellBytes(1), Value(int64_t{7}).ByteSize());
 }
 
 TEST(ColumnDataTest, CellBytesMatchesValueByteSize) {
@@ -77,25 +67,6 @@ TEST(ColumnDataTest, CellBytesMatchesValueByteSize) {
   for (size_t i = 0; i < cells.size(); ++i) {
     EXPECT_EQ(col.CellBytes(i), cells[i].ByteSize()) << "cell " << i;
   }
-  // Mixed column too.
-  ColumnData mixed(DataType::kInt64);
-  mixed.AppendValue(Value(int64_t{1}));
-  mixed.AppendValue(Value(2.5));
-  for (size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(mixed.CellBytes(i), mixed.GetValue(i).ByteSize());
-  }
-}
-
-TEST(ColumnDataTest, AppendFromPreservesVariantAcrossKinds) {
-  ColumnData src(DataType::kDouble);
-  src.AppendValue(Value(1.0));
-  src.AppendValue(Value(int64_t{2}));  // demotes src
-  ColumnData dst(DataType::kDouble);
-  dst.AppendFrom(src, 0);
-  dst.AppendFrom(src, 1);
-  EXPECT_EQ(dst.GetValue(0), Value(1.0));
-  EXPECT_EQ(dst.GetValue(1), Value(int64_t{2}));
-  EXPECT_FALSE(dst.GetValue(1).is_double());
 }
 
 ColumnPtr ColumnOf(DataType declared, const std::vector<Value>& cells) {
@@ -104,10 +75,10 @@ ColumnPtr ColumnOf(DataType declared, const std::vector<Value>& cells) {
   return col;
 }
 
-/// Same kind, size, bitmap presence and exact cell variants.
+/// Same type, size, bitmap presence and exact cell variants.
 void ExpectSameColumn(const ColumnData& want, const ColumnData& got,
                       const std::string& label) {
-  ASSERT_EQ(want.kind(), got.kind()) << label;
+  ASSERT_EQ(want.type(), got.type()) << label;
   ASSERT_EQ(want.size(), got.size()) << label;
   EXPECT_EQ(want.has_nulls(), got.has_nulls()) << label;
   for (size_t i = 0; i < want.size(); ++i) {
@@ -118,6 +89,31 @@ void ExpectSameColumn(const ColumnData& want, const ColumnData& got,
     EXPECT_EQ(a.is_int64(), b.is_int64()) << label << " cell " << i;
     EXPECT_EQ(a.is_double(), b.is_double()) << label << " cell " << i;
   }
+}
+
+TEST(ColumnDataTest, AppendFromPreservesVariantAcrossKinds) {
+  // For each column type AppendFrom copies the exact cell: an integral
+  // double stays a double, an int64 stays an int64, a null stays null and
+  // a string coded in another column's dictionary keeps its text.
+  const std::vector<std::pair<DataType, std::vector<Value>>> columns = {
+      {DataType::kInt64, {I(2), N(), I(-7)}},
+      {DataType::kDouble, {D(1.0), N(), D(2.5)}},
+      {DataType::kString, {S("x"), N(), S("")}},
+  };
+  for (const auto& [type, cells] : columns) {
+    ColumnPtr src = ColumnOf(type, cells);
+    ColumnData dst(type);
+    for (size_t i = 0; i < cells.size(); ++i) dst.AppendFrom(*src, i);
+    ExpectSameColumn(*src, dst, DataTypeName(type));
+  }
+  // An int64 stored into a DOUBLE column copies out as that double.
+  ColumnPtr src = ColumnOf(DataType::kDouble, {D(1.0), I(2)});
+  ColumnData dst(DataType::kDouble);
+  dst.AppendFrom(*src, 0);
+  dst.AppendFrom(*src, 1);
+  EXPECT_EQ(dst.GetValue(0), Value(1.0));
+  EXPECT_EQ(dst.GetValue(1), Value(2.0));
+  EXPECT_TRUE(dst.GetValue(1).is_double());
 }
 
 TEST(ColumnDataTest, BulkGatherEqualsPerCellAppendFrom) {
@@ -135,7 +131,8 @@ TEST(ColumnDataTest, BulkGatherEqualsPerCellAppendFrom) {
        {I(1), N(), I(3), I(4), N(), I(6)}},
       {"string with nulls", DataType::kString,
        {N(), S("b"), S("c"), N(), S("e"), S("f")}},
-      {"mixed", DataType::kDouble, {D(1.5), I(2), N(), D(4), I(5), D(6)}},
+      {"double with nulls", DataType::kDouble,
+       {D(1.5), D(2), N(), D(4), D(5), D(6)}},
   };
   const std::vector<uint32_t> rows = {4, 0, 2, 2, 1};
   for (const Case& c : cases) {
@@ -145,8 +142,8 @@ TEST(ColumnDataTest, BulkGatherEqualsPerCellAppendFrom) {
       // Into an empty column of the source's kind, and into one that
       // already holds a null (its bitmap is allocated).
       for (bool prefilled : {false, true}) {
-        ColumnData want(src->kind());
-        ColumnData got(src->kind());
+        ColumnData want(src->type());
+        ColumnData got(src->type());
         if (prefilled) {
           want.AppendNull();
           got.AppendNull();
@@ -159,22 +156,11 @@ TEST(ColumnDataTest, BulkGatherEqualsPerCellAppendFrom) {
       }
     }
   }
-  // A kind mismatch (int64 cells into a DOUBLE column) demotes exactly
-  // as AppendFrom does.
-  ColumnPtr ints = ColumnOf(DataType::kInt64, {I(1), I(2), I(3)});
-  ColumnData want(DataType::kDouble);
-  ColumnData got(DataType::kDouble);
-  const std::vector<uint32_t> all = {0, 1, 2};
-  for (uint32_t r : all) want.AppendFrom(*ints, r);
-  got.AppendGather(ColumnSlice{ints, 0}, all.data(), all.size());
-  ExpectSameColumn(want, got, "int64 into double");
-  EXPECT_EQ(got.kind(), ColumnData::Kind::kMixed);
 }
 
 TEST(ColumnDataTest, MultiChunkGatherEqualsPerCellAppendFrom) {
-  // Typed chunks first, then a null-bearing and a demoted chunk: the
-  // typed prefix stops at the first cell from either and the rest goes
-  // through AppendFrom.
+  // Null-free chunks first, then a null-bearing one: the typed prefix
+  // stops at the first cell from it and the rest goes through AppendFrom.
   const std::vector<ColumnSlice> srcs = {
       {ColumnOf(DataType::kDouble, {D(1), D(2), D(3), D(4)}), 1},
       {ColumnOf(DataType::kDouble, {D(10), D(20), D(30)}), 0},
@@ -182,10 +168,10 @@ TEST(ColumnDataTest, MultiChunkGatherEqualsPerCellAppendFrom) {
       {ColumnOf(DataType::kDouble, {D(0.5), I(6)}), 0},
   };
   const std::vector<RowRef> typed = {{1, 2}, {0, 0}, {0, 2}, {1, 0}};
-  const std::vector<RowRef> mixed = {{1, 1}, {0, 1}, {2, 1}, {1, 2},
+  const std::vector<RowRef> nulls = {{1, 1}, {0, 1}, {2, 1}, {1, 2},
                                      {3, 1}, {2, 0}, {0, 0}};
   for (const auto& [label, refs] :
-       {std::pair{"typed", typed}, std::pair{"mixed", mixed}}) {
+       {std::pair{"typed", typed}, std::pair{"nulls", nulls}}) {
     ColumnData want(DataType::kDouble);
     ColumnData got(DataType::kDouble);
     for (const RowRef& r : refs) {
@@ -201,7 +187,7 @@ TEST(ColumnDataTest, RangeBytesEqualsCellBytesSum) {
       {DataType::kInt64, {I(1), I(2), I(3), I(4)}},
       {DataType::kDouble, {D(1), N(), D(3), N()}},
       {DataType::kString, {S("abc"), N(), Value(std::string(30, 'y')), S("")}},
-      {DataType::kInt64, {I(1), D(2.5), N(), S("s")}},  // demoted
+      {DataType::kDouble, {I(1), D(2.5), N(), I(-4)}},  // int64s stored
   };
   for (const auto& [declared, cells] : columns) {
     ColumnPtr col = ColumnOf(declared, cells);
@@ -423,40 +409,38 @@ TEST(StringDictTest, BytesMatchValueByteSize) {
   }
 }
 
-TEST(StringDictTest, NullsAndDemotionKeepExactVariants) {
-  // A string column with nulls whose second chunk holds an int64 cell:
-  // that chunk demotes to kMixed, the first stays coded.
+TEST(StringDictTest, NullCellsRoundTripAndGather) {
+  // A string column with nulls in both chunks: they stay null through
+  // the round trip and through a gather over both chunks, which equals
+  // per-cell AppendFrom.
   const std::vector<Row> rows = {{S("a")}, {N()},  {S("b")},
-                                 {N()},    {I(5)}, {S("a")}};
+                                 {N()},    {S("c")}, {S("a")}};
   const ColumnarTablePtr t =
       ColumnarFromRows(Schema({{"s", DataType::kString}}), rows, 3);
-  EXPECT_EQ(SliceOf(t, 0).col->kind(), ColumnData::Kind::kString);
-  EXPECT_EQ(SliceOf(t, 1).col->kind(), ColumnData::Kind::kMixed);
+  EXPECT_EQ(SliceOf(t, 0).col->type(), DataType::kString);
+  EXPECT_EQ(SliceOf(t, 1).col->type(), DataType::kString);
   const std::vector<Row> back = t->MaterializeRows();
   ASSERT_EQ(back.size(), rows.size());
   for (size_t r = 0; r < rows.size(); ++r) {
     EXPECT_EQ(back[r][0], rows[r][0]) << "row " << r;
     EXPECT_EQ(back[r][0].is_null(), rows[r][0].is_null()) << "row " << r;
-    EXPECT_EQ(back[r][0].is_int64(), rows[r][0].is_int64()) << "row " << r;
   }
 
-  // Gathering both chunks into a string column demotes at the int64 cell
-  // exactly as AppendFrom does.
   const std::vector<ColumnSlice> srcs = {SliceOf(t, 0), SliceOf(t, 1)};
   const std::vector<RowRef> refs = {{0, 2}, {0, 1}, {1, 1}, {1, 0}, {0, 0}};
   ColumnData want(DataType::kString);
   ColumnData got(DataType::kString);
   for (const RowRef& r : refs) want.AppendFrom(*srcs[r.chunk].col, r.row);
   got.AppendGather(srcs, refs.data(), refs.size());
-  ExpectSameColumn(want, got, "gather into demotion");
-  EXPECT_EQ(got.kind(), ColumnData::Kind::kMixed);
+  ExpectSameColumn(want, got, "gather over nulls");
   EXPECT_TRUE(got.GetValue(1).is_null());
-  EXPECT_TRUE(got.GetValue(2).is_int64());
+  EXPECT_TRUE(got.GetValue(3).is_null());
   EXPECT_EQ(got.GetValue(0), S("b"));
+  EXPECT_EQ(got.GetValue(2), S("c"));
 }
 
 TEST(ColumnChunkTest, SliceIsZeroCopy) {
-  auto col = std::make_shared<ColumnData>(ColumnData::Kind::kInt64);
+  auto col = std::make_shared<ColumnData>(DataType::kInt64);
   for (int64_t i = 0; i < 10; ++i) col->AppendInt(i);
   ColumnChunk chunk;
   chunk.columns.push_back(ColumnSlice{col, 0});
@@ -473,7 +457,7 @@ TEST(ColumnChunkTest, SliceIsZeroCopy) {
 
 TEST(ColumnarTableTest, AppendTableZeroCopySharesColumns) {
   Schema schema({{"a", DataType::kInt64}});
-  auto col = std::make_shared<ColumnData>(ColumnData::Kind::kInt64);
+  auto col = std::make_shared<ColumnData>(DataType::kInt64);
   col->AppendInt(1);
   col->AppendInt(2);
   ColumnChunk chunk;
@@ -490,12 +474,29 @@ TEST(ColumnarTableTest, AppendTableZeroCopySharesColumns) {
   EXPECT_EQ(b.chunks()[0].columns[0].col.get(), col.get());
 }
 
+TEST(ColumnarTableTest, TypedChecksEverySliceAgainstTheSchema) {
+  const ColumnarTable t(
+      Schema({{"a", DataType::kInt64}, {"b", DataType::kDouble}}));
+  auto ints = std::make_shared<ColumnData>(DataType::kInt64);
+  auto doubles = std::make_shared<ColumnData>(DataType::kDouble);
+  ColumnChunk chunk;
+  chunk.length = 0;
+  chunk.columns = {ColumnSlice{ints, 0}, ColumnSlice{doubles, 0}};
+  EXPECT_TRUE(t.Typed(chunk));
+  chunk.columns[0] = ColumnSlice{};  // an absent slice has no type
+  EXPECT_TRUE(t.Typed(chunk));
+  chunk.columns[1] = ColumnSlice{ints, 0};
+  EXPECT_FALSE(t.Typed(chunk));
+  chunk.columns.pop_back();
+  EXPECT_FALSE(t.Typed(chunk));
+}
+
 TEST(ColumnarTableTest, RoundTripFromRows) {
   const std::vector<Row> rows = {
       {I(1), D(1.5), S("a")},
       {I(2), N(), S("bb")},
       {N(), D(3.5), N()},
-      {I(4), I(9), S("d")},  // int64 in DOUBLE column: mixed cell
+      {I(4), D(9), S("d")},
   };
   Schema schema({{"x", DataType::kInt64},
                  {"y", DataType::kDouble},

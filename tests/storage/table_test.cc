@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "storage/datagen.h"
 #include "tests/test_util.h"
 
@@ -42,14 +43,49 @@ TEST(TableTest, AppendRowValidatesTypes) {
   Table t("t", TwoColSchema());
   EXPECT_FALSE(t.AppendRows({{S("oops"), S("a")}}).ok());
   EXPECT_FALSE(t.AppendRows({{I(1), I(2)}}).ok());
+  // A double, even an integral one, is not an INT.
+  EXPECT_FALSE(t.AppendRows({{D(1.0), S("a")}}).ok());
   // Nulls are allowed in any column.
   EXPECT_TRUE(t.AppendRows({{N(), N()}}).ok());
 }
 
 TEST(TableTest, DoubleColumnAcceptsIntValues) {
+  // As SQL assignment does, an int64 for a DOUBLE column is stored as a
+  // double, by AppendRows and FromRows alike.
   Table t("t", Schema({{"v", DataType::kDouble}}));
   EXPECT_TRUE(t.AppendRows({{I(5)}}).ok());
   EXPECT_TRUE(t.AppendRows({{D(5.5)}}).ok());
+  ASSERT_TRUE(t.row(0)[0].is_double());
+  EXPECT_EQ(t.row(0)[0].AsDouble(), 5.0);
+  ASSERT_OK_AND_ASSIGN(
+      TablePtr built,
+      Table::FromRows("b", Schema({{"v", DataType::kDouble}}),
+                      {{I(-3)}, {N()}, {I(int64_t{1} << 60)}}));
+  for (const ColumnChunk& chunk : built->columnar()->chunks()) {
+    EXPECT_EQ(chunk.columns[0].col->type(), DataType::kDouble);
+  }
+  EXPECT_TRUE(built->row(0)[0].is_double());
+  EXPECT_EQ(built->row(0)[0].AsDouble(), -3.0);
+  EXPECT_TRUE(built->row(1)[0].is_null());
+  EXPECT_EQ(built->row(2)[0].AsDouble(), 0x1p60);
+}
+
+TEST(TableTest, FromRowsBuildsNothingOnABadRow) {
+  // The check AppendRows makes, over the whole batch before anything is
+  // built: a double in an INT column, a string in a DOUBLE one, a short
+  // row.
+  const Schema schema({{"id", DataType::kInt64}, {"v", DataType::kDouble}});
+  const std::vector<Row> good = {{I(1), D(0.5)}, {I(2), I(3)}, {N(), N()}};
+  ASSERT_OK_AND_ASSIGN(TablePtr t, Table::FromRows("t", schema, good, 2));
+  EXPECT_EQ(t->num_rows(), 3u);
+  for (const Row& bad : std::vector<Row>{
+           {D(3.0), D(0.5)}, {I(3), S("x")}, {I(3)}}) {
+    std::vector<Row> rows = good;
+    rows.insert(rows.begin() + 1, bad);
+    const auto built = Table::FromRows("t", schema, rows, 2);
+    ASSERT_FALSE(built.ok());
+    EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(TableTest, ByteSizeTracksAppends) {
@@ -67,14 +103,20 @@ TEST(TableTest, ByteSizeTracksAppends) {
 std::vector<Row> NumberedRows(int64_t from, int64_t n) {
   std::vector<Row> rows;
   for (int64_t i = from; i < from + n; ++i) {
-    rows.push_back({I(i), Value("s" + std::to_string(i % 5))});
+    rows.push_back({I(i), Value(StringFormat("s%d", static_cast<int>(i % 5)))});
   }
   return rows;
 }
 
+/// TwoColSchema's table `name` of NumberedRows(0, n), in chunks of 4.
+TablePtr NumberedTable(const std::string& name, int64_t n) {
+  return Table::FromRows(name, TwoColSchema(), NumberedRows(0, n), 4)
+      .MoveValue();
+}
+
 TEST(TableTest, AppendSharesEverySealedChunk) {
   // 10 rows in chunks of 4: two sealed chunks and a tail of 2.
-  TablePtr t = Table::FromRows("t", TwoColSchema(), NumberedRows(0, 10), 4);
+  TablePtr t = NumberedTable("t", 10);
   const ColumnarTablePtr before = t->columnar();
   ASSERT_EQ(before->chunks().size(), 3u);
   ASSERT_OK(t->AppendRows(NumberedRows(10, 5)));
@@ -96,7 +138,7 @@ TEST(TableTest, AppendSharesEverySealedChunk) {
 }
 
 TEST(TableTest, PayloadTakenBeforeAnAppendKeepsItsRows) {
-  TablePtr t = Table::FromRows("t", TwoColSchema(), NumberedRows(0, 6), 4);
+  TablePtr t = NumberedTable("t", 6);
   const ColumnarTablePtr before = t->columnar();
   const size_t bytes = before->byte_size();
   ASSERT_OK(t->AppendRows(NumberedRows(6, 7)));
@@ -107,7 +149,7 @@ TEST(TableTest, PayloadTakenBeforeAnAppendKeepsItsRows) {
 }
 
 TEST(TableTest, NewStringGoesIntoACopyOfTheDictionary) {
-  TablePtr t = Table::FromRows("t", TwoColSchema(), NumberedRows(0, 6), 4);
+  TablePtr t = NumberedTable("t", 6);
   const ColumnarTablePtr before = t->columnar();
   const ColumnData& old_tail = *before->chunks().back().columns[1].col;
   const StringDict* old_dict = &old_tail.dict();
@@ -126,7 +168,7 @@ TEST(TableTest, NewStringGoesIntoACopyOfTheDictionary) {
 }
 
 TEST(TableTest, AppendOfKnownStringsKeepsOneDictionary) {
-  TablePtr t = Table::FromRows("t", TwoColSchema(), NumberedRows(0, 6), 4);
+  TablePtr t = NumberedTable("t", 6);
   ASSERT_OK(t->AppendRows(NumberedRows(6, 9)));
   const ColumnarTablePtr data = t->columnar();
   for (const ColumnChunk& chunk : data->chunks()) {
@@ -157,9 +199,9 @@ TEST(TableTest, AppendCopiesTheTailByKind) {
                        {"name", DataType::kString},
                        {"v", DataType::kDouble},
                        {"n", DataType::kInt64}});
-  // Chunks of 8: rows 8-12 are the tail. It holds a NULL in each typed
-  // column and an int64 cell in the DOUBLE column `v` (row 11), which
-  // demotes that column to kMixed.
+  // Chunks of 8: rows 8-12 are the tail. It holds a NULL in each column
+  // and an int64 cell for the DOUBLE column `v` (row 11), stored as a
+  // double.
   std::vector<Row> rows;
   for (int64_t i = 0; i < 13; ++i) {
     rows.push_back({I(i), i == 9 ? N() : Value("s" + std::to_string(i % 3)),
@@ -167,11 +209,11 @@ TEST(TableTest, AppendCopiesTheTailByKind) {
                     i == 12 ? N() : I(-i)});
   }
   for (const bool new_string : {false, true}) {
-    TablePtr t = Table::FromRows("t", schema, rows, 8);
+    ASSERT_OK_AND_ASSIGN(TablePtr t, Table::FromRows("t", schema, rows, 8));
     const ColumnarTablePtr before = t->columnar();
     ASSERT_EQ(before->chunks().size(), 2u);
-    ASSERT_EQ(before->chunks()[1].columns[2].col->kind(),
-              ColumnData::Kind::kMixed);
+    ASSERT_EQ(before->chunks()[1].columns[2].col->type(), DataType::kDouble);
+    ASSERT_TRUE(t->row(11)[2].is_double());
     std::vector<Row> batch;
     for (int64_t i = 13; i < 19; ++i) {
       batch.push_back({I(i),
@@ -182,7 +224,8 @@ TEST(TableTest, AppendCopiesTheTailByKind) {
     ASSERT_OK(t->AppendRows(batch));
     std::vector<Row> all = rows;
     all.insert(all.end(), batch.begin(), batch.end());
-    const TablePtr rebuilt = Table::FromRows("t", schema, all, 8);
+    ASSERT_OK_AND_ASSIGN(const TablePtr rebuilt,
+                         Table::FromRows("t", schema, all, 8));
     SCOPED_TRACE(new_string ? "with a new string" : "known strings");
     ExpectSameCells(t->rows(), rebuilt->rows());
     const ColumnarTablePtr after = t->columnar();
@@ -202,7 +245,7 @@ TEST(TableTest, AppendCopiesTheTailByKind) {
 }
 
 TEST(TableTest, BadRowAppendsNothing) {
-  TablePtr t = Table::FromRows("t", TwoColSchema(), NumberedRows(0, 6), 4);
+  TablePtr t = NumberedTable("t", 6);
   ASSERT_OK(t->CreateIndex("id"));
   const ColumnarTablePtr before = t->columnar();
   std::vector<Row> batch = NumberedRows(6, 3);
@@ -214,7 +257,7 @@ TEST(TableTest, BadRowAppendsNothing) {
 }
 
 TEST(TableTest, CloneAsSharesPayload) {
-  TablePtr t = Table::FromRows("orig", TwoColSchema(), NumberedRows(0, 6), 4);
+  TablePtr t = NumberedTable("orig", 6);
   auto copy = t->CloneAs("copy");
   EXPECT_EQ(copy->name(), "copy");
   EXPECT_EQ(copy->columnar().get(), t->columnar().get());

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 namespace fedcal {
 namespace {
 
@@ -13,12 +16,15 @@ TEST(ValueTest, DefaultIsNull) {
 }
 
 TEST(ValueTest, TypePredicates) {
-  EXPECT_TRUE(Value(int64_t{4}).is_int64());
-  EXPECT_TRUE(Value(int64_t{4}).is_numeric());
-  EXPECT_TRUE(Value(2.5).is_double());
-  EXPECT_TRUE(Value(2.5).is_numeric());
-  EXPECT_TRUE(Value("x").is_string());
-  EXPECT_FALSE(Value("x").is_numeric());
+  const Value i(int64_t{4});
+  const Value d(2.5);
+  const Value s("x");
+  EXPECT_TRUE(i.is_int64());
+  EXPECT_TRUE(i.is_numeric());
+  EXPECT_TRUE(d.is_double());
+  EXPECT_TRUE(d.is_numeric());
+  EXPECT_TRUE(s.is_string());
+  EXPECT_FALSE(s.is_numeric());
 }
 
 TEST(ValueTest, NumericCrossTypeComparison) {
@@ -49,6 +55,12 @@ TEST(ValueTest, HashConsistentWithCrossTypeEquality) {
   // 3 (int) == 3.0 (double), so the hashes must agree for hash joins.
   EXPECT_EQ(Value(int64_t{3}).Hash(), Value(3.0).Hash());
   EXPECT_EQ(Value("a").Hash(), Value("a").Hash());
+  // INT64_MAX rounds to 2^63, so it equals that double and must hash as
+  // it does (casting 2^63 back to int64 is undefined).
+  const Value top(std::numeric_limits<int64_t>::max());
+  const Value two63(0x1p63);
+  ASSERT_EQ(top, two63);
+  EXPECT_EQ(top.Hash(), two63.Hash());
 }
 
 TEST(ValueTest, ByteSizeReasonable) {

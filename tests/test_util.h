@@ -81,13 +81,18 @@ class MiniDb {
   StatsCatalog stats_;
 };
 
-/// Builds a table from a compact spec for tests, in one bulk load (rows
-/// are not validated, so fixtures can hold any Value variant).
+/// Builds a table from a compact spec for tests, in one bulk load. Rows
+/// must fit the columns' types (an int64 in a DOUBLE column is stored as
+/// a double); a bad row fails the test and yields an empty table.
 inline TablePtr MakeTable(const std::string& name,
                           std::vector<ColumnDef> cols,
                           const std::vector<Row>& rows,
                           size_t chunk_rows = Table::kDefaultChunkRows) {
-  return Table::FromRows(name, Schema(std::move(cols)), rows, chunk_rows);
+  Schema schema(std::move(cols));
+  Result<TablePtr> t = Table::FromRows(name, schema, rows, chunk_rows);
+  if (t.ok()) return t.MoveValue();
+  ADD_FAILURE() << t.status().ToString();
+  return std::make_shared<Table>(name, std::move(schema), chunk_rows);
 }
 
 inline Value I(int64_t v) { return Value(v); }

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
-#include <regex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -23,15 +22,34 @@ std::string ReadShellSource() {
   return buffer.str();
 }
 
+/// The names that follow each occurrence of `prefix` in `text`: runs of
+/// characters `allowed` accepts, of which one must end at `suffix` (empty
+/// = anywhere). A plain scan rather than std::regex, whose libstdc++ code
+/// GCC 12 warns about (maybe-uninitialized) under the sanitizer flags.
+template <typename Allowed>
+std::set<std::string> NamesAfter(const std::string& text,
+                                 const std::string& prefix,
+                                 const std::string& suffix, Allowed allowed) {
+  std::set<std::string> names;
+  for (size_t at = text.find(prefix); at != std::string::npos;
+       at = text.find(prefix, at + 1)) {
+    size_t end = at + prefix.size();
+    while (end < text.size() && allowed(text[end])) ++end;
+    const std::string name = text.substr(at + prefix.size(),
+                                         end - at - prefix.size());
+    if (!name.empty() && text.compare(end, suffix.size(), suffix) == 0) {
+      names.insert(name);
+    }
+  }
+  return names;
+}
+
+bool IsLower(char c) { return c >= 'a' && c <= 'z'; }
+
 /// Commands the dispatcher compares against (`cmd == "..."`).
 std::set<std::string> DispatchedCommands(const std::string& source) {
-  std::set<std::string> commands;
-  const std::regex pattern("cmd == \"([a-z?]+)\"");
-  for (std::sregex_iterator it(source.begin(), source.end(), pattern), end;
-       it != end; ++it) {
-    commands.insert((*it)[1].str());
-  }
-  return commands;
+  return NamesAfter(source, "cmd == \"", "\"",
+                    [](char c) { return IsLower(c) || c == '?'; });
 }
 
 /// Commands documented in PrintCommandList (source spells them `\\name`).
@@ -40,14 +58,8 @@ std::set<std::string> DocumentedCommands(const std::string& source) {
   EXPECT_NE(begin, std::string::npos);
   const size_t end = source.find("\n}", begin);
   EXPECT_NE(end, std::string::npos);
-  const std::string body = source.substr(begin, end - begin);
-  std::set<std::string> commands;
-  const std::regex pattern(R"(\\\\([a-z]+))");
-  for (std::sregex_iterator it(body.begin(), body.end(), pattern), bend;
-       it != bend; ++it) {
-    commands.insert((*it)[1].str());
-  }
-  return commands;
+  return NamesAfter(source.substr(begin, end - begin), "\\\\", "",
+                    IsLower);
 }
 
 TEST(ShellHelpTest, EveryDispatchedCommandIsDocumented) {

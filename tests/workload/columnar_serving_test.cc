@@ -99,7 +99,7 @@ TEST(ColumnarServingTest, ClientsReadStringsWhileDispatcherGathers) {
             "client " + std::to_string(c) + " round " + std::to_string(i);
         for (const ColumnChunk& chunk : result->chunks()) {
           for (const ColumnSlice& s : chunk.columns) {
-            if (s.col->kind() != ColumnData::Kind::kString) continue;
+            if (s.col->type() != DataType::kString) continue;
             std::vector<uint32_t> rows(chunk.length);
             std::iota(rows.begin(), rows.end(), 0u);
             ColumnData derived(DataType::kString);
