@@ -98,24 +98,51 @@ void AppendGatheredRows(const ColumnarTable& src, const RowRef* refs,
   }
 }
 
-/// Calls feed(update) with `item`'s update for one non-null typed cell,
-/// `update(state, cell)`, chosen here once per batch so that the feed's
-/// loop carries no per-cell switch on the function.
+// The typed updates of one aggregate by one non-null cell, `update(state,
+// cell)`: stateless, so a loop instantiated over one of them carries no
+// switch on the function.
+struct CountUpdate {
+  template <typename T>
+  void operator()(AggState& s, T) const {
+    ++s.count;
+  }
+};
+struct SumUpdate {
+  template <typename T>
+  void operator()(AggState& s, T v) const {
+    s.Sum(v);
+  }
+};
+struct MinUpdate {
+  template <typename T>
+  void operator()(AggState& s, T v) const {
+    s.Min(v);
+  }
+};
+struct MaxUpdate {
+  template <typename T>
+  void operator()(AggState& s, T v) const {
+    s.Max(v);
+  }
+};
+
+/// Calls feed(update) with `item`'s update, chosen here once so that the
+/// feed's loop carries no per-cell switch on the function.
 template <typename Feed>
 void WithTypedUpdate(const AggItem& item, Feed&& feed) {
   switch (item.func) {
     case AggFunc::kCount:
-      feed([](AggState& s, auto) { ++s.count; });
+      feed(CountUpdate{});
       return;
     case AggFunc::kSum:
     case AggFunc::kAvg:
-      feed([](AggState& s, auto v) { s.Sum(v); });
+      feed(SumUpdate{});
       return;
     case AggFunc::kMin:
-      feed([](AggState& s, auto v) { s.Min(v); });
+      feed(MinUpdate{});
       return;
     case AggFunc::kMax:
-      feed([](AggState& s, auto v) { s.Max(v); });
+      feed(MaxUpdate{});
       return;
   }
 }
@@ -231,86 +258,6 @@ struct SideColumn {
   }
 };
 
-/// Calls f(i, build row, probe row) for pair i of a batch of runs.
-template <typename F>
-void ForEachPair(const RowRef* matches, const MatchRun* runs, size_t n,
-                 F&& f) {
-  size_t i = 0;
-  for (size_t k = 0; k < n; ++k) {
-    for (uint32_t j = runs[k].begin; j < runs[k].end; ++j) {
-      f(i++, matches[j], runs[k].probe);
-    }
-  }
-}
-
-/// Feeds pair i of a batch of runs to `states[gids[i] * stride]` through
-/// `update(state, cell)`, `cell(chunk, row)` reading a non-null cell of
-/// `arg`. A probe-side cell is read once per run.
-template <typename Cell, typename Update>
-void FeedPairs(const SideColumn& arg, bool build, const RowRef* matches,
-               const MatchRun* runs, size_t n, const uint32_t* gids,
-               AggState* states, size_t stride, Cell cell, Update update) {
-  size_t i = 0;
-  for (size_t k = 0; k < n; ++k) {
-    const MatchRun& run = runs[k];
-    if (!build) {
-      const SideColumn::Chunk& c = arg.chunks[run.probe.chunk];
-      const size_t end = i + (run.end - run.begin);
-      if (c.nulls == nullptr || c.nulls[run.probe.row] == 0) {
-        const auto v = cell(c, run.probe.row);
-        for (; i < end; ++i) update(states[gids[i] * stride], v);
-      }
-      i = end;
-      continue;
-    }
-    for (uint32_t j = run.begin; j < run.end; ++j, ++i) {
-      const RowRef r = matches[j];
-      const SideColumn::Chunk& c = arg.chunks[r.chunk];
-      if (c.nulls == nullptr || c.nulls[r.row] == 0) {
-        update(states[gids[i] * stride], cell(c, r.row));
-      }
-    }
-  }
-}
-
-/// How the accumulate sink feeds one aggregate, a batch of pairs at a
-/// time in emission order: COUNT(*) counts; every other aggregate reads
-/// its side column's typed cells.
-struct PairFeed {
-  bool build = false;  ///< the argument is a column of the build side
-  std::optional<SideColumn> arg;  ///< absent for COUNT(*)
-
-  /// Feeds the `len` pairs of `runs[0..n)` to `states[gids[i] * stride]`.
-  void Update(const AggItem& item, const RowRef* matches,
-              const MatchRun* runs, size_t n, size_t len,
-              const uint32_t* gids, AggState* states, size_t stride) const {
-    if (!arg) {
-      for (size_t i = 0; i < len; ++i) ++states[gids[i] * stride].count;
-      return;
-    }
-    using Chunk = SideColumn::Chunk;
-    WithTypedUpdate(item, [&](auto update) {
-      auto feed = [&](auto cell) {
-        FeedPairs(*arg, build, matches, runs, n, gids, states, stride, cell,
-                  update);
-      };
-      switch (arg->type) {
-        case DataType::kInt64:
-          feed([](const Chunk& c, uint32_t r) { return c.ints[r]; });
-          return;
-        case DataType::kDouble:
-          feed([](const Chunk& c, uint32_t r) { return c.doubles[r]; });
-          return;
-        case DataType::kString:
-          feed([](const Chunk& c, uint32_t r) {
-            return c.dict->at(c.codes[r]);
-          });
-          return;
-      }
-    });
-  }
-};
-
 /// \brief The groups of one Aggregate in first-seen order: each group's
 /// key and its accumulators, `naggs` per group, group-major.
 ///
@@ -320,7 +267,8 @@ class Groups {
  public:
   static constexpr uint32_t kNone = Int64KeyIndex::kNone;
 
-  explicit Groups(size_t naggs) : naggs_(naggs) {}
+  /// `rows` is how many rows the keys come from, for the int64 index.
+  Groups(size_t naggs, size_t rows) : naggs_(naggs), int_index_(rows) {}
 
   size_t size() const { return keys_.size(); }
   const Row& key(size_t g) const { return keys_[g]; }
@@ -337,15 +285,8 @@ class Groups {
     if (null_group_ == kNone) null_group_ = Add(Row{Value()});
     return null_group_;
   }
-  /// Readies Int64() for the non-null keys in `keys`, out of `rows` rows.
-  void IndexInt64(const Int64Range& keys, size_t rows) {
-    int_index_.emplace(keys, rows);
-    int_groups_.assign(int_index_->size(), kNone);
-  }
   uint32_t Int64(int64_t k) {
-    const uint32_t n = int_index_->Insert(k);
-    if (n >= int_groups_.size()) int_groups_.resize(n + 1, kNone);
-    uint32_t& g = int_groups_[n];
+    uint32_t& g = int_index_.Slot(k);
     if (g == kNone) g = Add(Row{Value(k)});
     return g;
   }
@@ -392,12 +333,435 @@ class Groups {
   std::vector<Row> keys_;
   std::vector<AggState> states_;
   uint32_t null_group_ = kNone;
-  std::optional<Int64KeyIndex> int_index_;
-  std::vector<uint32_t> int_groups_;  ///< by key number
+  Int64KeyIndex int_index_;  ///< group id by int64 key
   std::unordered_map<std::string_view, uint32_t> str_index_;
   std::vector<std::pair<const StringDict*, std::vector<uint32_t>>>
       dict_groups_;
   std::unordered_map<RowKey, uint32_t, RowKeyHash> row_index_;
+};
+
+/// The key of row `i` of `chunk` in the columns `slots`, as row-engine
+/// Values; false when one of them is NULL (a NULL join key never matches).
+bool KeyAt(const ColumnChunk& chunk, const std::vector<size_t>& slots,
+           size_t i, Row* key) {
+  key->clear();
+  for (size_t s : slots) {
+    if (chunk.IsNull(s, i)) return false;
+    key->push_back(chunk.ValueAt(s, i));
+  }
+  return true;
+}
+
+/// \brief A hash join's build side laid out for probing: both hash-join
+/// sinks probe it.
+///
+/// The distinct non-NULL build keys are numbered in first-seen order, and
+/// the build rows are laid out key by key, each key's rows ascending, so a
+/// probe row's matches are one run of the layout in the emission order
+/// (probe order, build matches ascending). One INT key on each side is
+/// numbered through an Int64KeyIndex (Value equality then is int64
+/// equality, and no Row/Value key is made), other keys as row-engine Rows.
+/// NULL join keys never match.
+class JoinLayout {
+ public:
+  static constexpr uint32_t kNone = Int64KeyIndex::kNone;
+
+  JoinLayout(const PlanNode& join, const ColumnarTable& build,
+             const ColumnarTable& probe)
+      : join_(join),
+        probe_(probe),
+        typed_(join.left_keys.size() == 1 && join.right_keys.size() == 1 &&
+               build.schema().column(join.left_keys[0]).type ==
+                   DataType::kInt64 &&
+               probe.schema().column(join.right_keys[0]).type ==
+                   DataType::kInt64),
+        int_keys_(build.num_rows()) {
+    // `row_key[r]` is build row r's key number, kNone for a NULL key, and
+    // start_[k + 1] counts key k's rows.
+    std::vector<uint32_t> row_key(build.num_rows(), kNone);
+    start_.assign(1, 0);
+    auto number = [&](uint32_t* k) {
+      if (*k == kNone) {
+        *k = static_cast<uint32_t>(start_.size() - 1);
+        start_.push_back(0);
+      }
+      ++start_[*k + 1];
+      return *k;
+    };
+    size_t row = 0;
+    if (typed_) {
+      const size_t slot = join.left_keys[0];
+      bool any = false;
+      int64_t lo = 0;
+      int64_t hi = 0;
+      for (const ColumnChunk& chunk : build.chunks()) {
+        const SideColumn::Chunk c = SideColumn::Of(chunk.columns[slot]);
+        for (size_t i = 0; i < chunk.length; ++i) {
+          if (c.nulls != nullptr && c.nulls[i] != 0) continue;
+          lo = any ? std::min(lo, c.ints[i]) : c.ints[i];
+          hi = any ? std::max(hi, c.ints[i]) : c.ints[i];
+          any = true;
+        }
+      }
+      if (any) int_keys_.Reserve(lo, hi);
+      for (const ColumnChunk& chunk : build.chunks()) {
+        const SideColumn::Chunk c = SideColumn::Of(chunk.columns[slot]);
+        for (size_t i = 0; i < chunk.length; ++i, ++row) {
+          if (c.nulls != nullptr && c.nulls[i] != 0) continue;
+          row_key[row] = number(&int_keys_.Slot(c.ints[i]));
+        }
+      }
+    } else {
+      Row key;
+      for (const ColumnChunk& chunk : build.chunks()) {
+        for (size_t i = 0; i < chunk.length; ++i, ++row) {
+          if (!KeyAt(chunk, join.left_keys, i, &key)) continue;
+          row_key[row] =
+              number(&row_keys_.try_emplace(RowKey(key), kNone).first->second);
+        }
+      }
+    }
+    // Summed, start_[k] is where key k's run ends; filling from the last
+    // row down moves it to where the run begins.
+    const size_t nkeys = start_.size() - 1;
+    uint32_t total = 0;
+    for (size_t k = 0; k < nkeys; ++k) {
+      total += start_[k + 1];
+      start_[k] = total;
+    }
+    start_[nkeys] = total;
+    matches_.resize(total);
+    for (size_t c = build.chunks().size(); c-- > 0;) {
+      for (size_t i = build.chunks()[c].length; i-- > 0;) {
+        const uint32_t k = row_key[--row];
+        if (k == kNone) continue;
+        matches_[--start_[k]] =
+            RowRef{static_cast<uint32_t>(c), static_cast<uint32_t>(i)};
+      }
+    }
+  }
+
+  size_t num_keys() const { return start_.size() - 1; }
+  /// Key k's run of build rows: matches()[begin(k)..end(k)), never empty.
+  uint32_t begin(uint32_t k) const { return start_[k]; }
+  uint32_t end(uint32_t k) const { return start_[k + 1]; }
+  /// The build rows, key by key; an index into it is a build slot.
+  const std::vector<RowRef>& matches() const { return matches_; }
+
+  /// Calls f(probe row, key) for each probe row whose key has build rows,
+  /// in probe order, until f returns false.
+  template <typename F>
+  void Probe(F&& f) const {
+    Row key;
+    for (size_t c = 0; c < probe_.chunks().size(); ++c) {
+      const ColumnChunk& chunk = probe_.chunks()[c];
+      const auto ref = [c](size_t i) {
+        return RowRef{static_cast<uint32_t>(c), static_cast<uint32_t>(i)};
+      };
+      if (typed_) {
+        const SideColumn::Chunk pc =
+            SideColumn::Of(chunk.columns[join_.right_keys[0]]);
+        for (size_t i = 0; i < chunk.length; ++i) {
+          if (pc.nulls != nullptr && pc.nulls[i] != 0) continue;
+          const uint32_t k = int_keys_.Find(pc.ints[i]);
+          if (k != kNone && !f(ref(i), k)) return;
+        }
+        continue;
+      }
+      for (size_t i = 0; i < chunk.length; ++i) {
+        if (!KeyAt(chunk, join_.right_keys, i, &key)) continue;
+        auto it = row_keys_.find(RowKey(key));
+        if (it != row_keys_.end() && !f(ref(i), it->second)) return;
+      }
+    }
+  }
+
+ private:
+  const PlanNode& join_;
+  const ColumnarTable& probe_;
+  bool typed_;
+  Int64KeyIndex int_keys_;
+  std::unordered_map<RowKey, uint32_t, RowKeyHash> row_keys_;
+  std::vector<uint32_t> start_;  ///< by key number, then the end
+  std::vector<RowRef> matches_;
+};
+
+// A typed cell of one chunk of a SideColumn.
+struct IntCell {
+  int64_t operator()(const SideColumn::Chunk& c, uint32_t r) const {
+    return c.ints[r];
+  }
+};
+struct DoubleCell {
+  double operator()(const SideColumn::Chunk& c, uint32_t r) const {
+    return c.doubles[r];
+  }
+};
+struct StringCell {
+  std::string_view operator()(const SideColumn::Chunk& c, uint32_t r) const {
+    return c.dict->at(c.codes[r]);
+  }
+};
+
+/// One probe row's pairs: probe row `probe` with the build rows
+/// `build[begin..end)` of a JoinLayout. Every pair's group is `group`, or,
+/// when the group varies by build row, build slot b's is `slot_groups[b]`.
+struct PairRun {
+  RowRef probe;
+  const RowRef* build;
+  uint32_t begin;
+  uint32_t end;
+  uint32_t group;
+  const uint32_t* slot_groups;
+};
+
+/// Folds a run's pairs into one aggregate, pair by pair in emission order:
+/// `states[g * stride]` is group g's accumulator, `arg` the aggregate's
+/// column, whose non-null cells Update takes. A probe-side cell is read
+/// once per run.
+template <typename Cell, typename Update, bool kBuildArg, bool kSlotGroups>
+void FoldRun(const SideColumn& arg, const PairRun& run, AggState* states,
+             size_t stride) {
+  const RowRef* build = run.build;
+  const uint32_t* slot_groups = run.slot_groups;
+  AggState& one = states[static_cast<size_t>(run.group) * stride];
+  const auto state = [&](uint32_t b) -> AggState& {
+    if constexpr (kSlotGroups) return states[slot_groups[b] * stride];
+    return one;
+  };
+  if constexpr (kBuildArg) {
+    for (uint32_t b = run.begin; b < run.end; ++b) {
+      const RowRef r = build[b];
+      const SideColumn::Chunk& c = arg.chunks[r.chunk];
+      if (c.nulls != nullptr && c.nulls[r.row] != 0) continue;
+      Update{}(state(b), Cell{}(c, r.row));
+    }
+  } else {
+    const SideColumn::Chunk& c = arg.chunks[run.probe.chunk];
+    if (c.nulls != nullptr && c.nulls[run.probe.row] != 0) return;
+    const auto v = Cell{}(c, run.probe.row);
+    for (uint32_t b = run.begin; b < run.end; ++b) Update{}(state(b), v);
+  }
+}
+
+using FoldFn = void (*)(const SideColumn&, const PairRun&, AggState*, size_t);
+
+template <typename Cell, typename Update>
+FoldFn PickFold(bool build_arg, bool slot_groups) {
+  if (build_arg) {
+    return slot_groups ? &FoldRun<Cell, Update, true, true>
+                       : &FoldRun<Cell, Update, true, false>;
+  }
+  return slot_groups ? &FoldRun<Cell, Update, false, true>
+                     : &FoldRun<Cell, Update, false, false>;
+}
+
+/// The fold of `item` over a column of `type`, picked once per query so
+/// that the loop over pairs carries no switch on the function or the type.
+FoldFn PickFold(const AggItem& item, DataType type, bool build_arg,
+                bool slot_groups) {
+  FoldFn fn = nullptr;
+  WithTypedUpdate(item, [&](auto update) {
+    using Update = decltype(update);
+    switch (type) {
+      case DataType::kInt64:
+        fn = PickFold<IntCell, Update>(build_arg, slot_groups);
+        return;
+      case DataType::kDouble:
+        fn = PickFold<DoubleCell, Update>(build_arg, slot_groups);
+        return;
+      case DataType::kString:
+        fn = PickFold<StringCell, Update>(build_arg, slot_groups);
+        return;
+    }
+  });
+  return fn;
+}
+
+/// \brief The accumulate sink: folds each matched pair of a hash join
+/// straight into the groups of the Aggregate above it, one probe row's run
+/// at a time, in the emission order.
+///
+/// A pair's group is read in place. When every group key is a probe column
+/// (or there is none), it is resolved once per probe row; when every key is
+/// a build column, once per build slot, the first time the slot's key
+/// matches, and cached; otherwise once per pair. Ids are therefore handed
+/// out in first-seen order. A COUNT adds a whole run per probe row, or,
+/// when the group comes from the build side, a count per build key that
+/// the last step spreads over the key's slots: counts are integers, so
+/// their order does not matter. Every other aggregate folds its pairs one
+/// by one, so each accumulator sees them in emission order (a double sum
+/// of m equal cells is not m times the cell).
+class GroupJoin {
+ public:
+  static constexpr uint32_t kNone = Groups::kNone;
+
+  GroupJoin(const PlanNode& node, const ColumnarTable& build,
+            const ColumnarTable& probe, const JoinLayout& layout)
+      : layout_(layout),
+        build_width_(node.left->left->output_schema.num_columns()),
+        from_(GroupsFrom(node, build_width_)),
+        naggs_(node.aggs.size()),
+        groups_(naggs_, from_ == From::kBuild ? build.num_rows()
+                                              : probe.num_rows()) {
+    auto side_column = [&](const BoundExprPtr& e) {
+      return OnBuild(e) ? SideColumn(build, e->column_index())
+                        : SideColumn(probe, e->column_index() - build_width_);
+    };
+    for (const BoundExprPtr& g : node.group_by) {
+      keys_.push_back(side_column(g));
+      key_on_build_.push_back(OnBuild(g));
+    }
+    typed_key_ = keys_.size() == 1 && keys_[0].type != DataType::kDouble;
+    if (from_ == From::kNone) groups_.Global();
+    const bool slot_groups = from_ == From::kBuild || from_ == From::kPair;
+    if (slot_groups) slot_groups_.assign(layout.matches().size(), kNone);
+    const RowRef* slots = layout.matches().data();
+    for (size_t a = 0; a < naggs_; ++a) {
+      const AggItem& item = node.aggs[a];
+      if (item.func != AggFunc::kCount) {
+        SideColumn arg = side_column(item.arg);
+        const FoldFn fn =
+            PickFold(item, arg.type, OnBuild(item.arg), slot_groups);
+        folds_.push_back(Fold{a, fn, std::move(arg)});
+        continue;
+      }
+      Count c;
+      c.agg = a;
+      if (!item.count_star && OnBuild(item.arg)) {
+        c.build_arg.emplace(side_column(item.arg));
+      } else if (!item.count_star) {
+        c.probe_arg.emplace(side_column(item.arg));
+      }
+      if (c.build_arg && !slot_groups) {
+        c.per_key.assign(layout.num_keys(), 0);
+        for (uint32_t k = 0; k < layout.num_keys(); ++k) {
+          for (uint32_t b = layout.begin(k); b < layout.end(k); ++b) {
+            if (!c.build_arg->IsNull(slots[b])) ++c.per_key[k];
+          }
+        }
+      }
+      if (from_ == From::kBuild) c.per_key.assign(layout.num_keys(), 0);
+      counts_.push_back(std::move(c));
+    }
+  }
+
+  /// Folds the pairs of probe row `p` with build key `k`'s rows.
+  void Add(RowRef p, uint32_t k) {
+    const RowRef* slots = layout_.matches().data();
+    PairRun run{p, slots, layout_.begin(k), layout_.end(k), 0,
+                slot_groups_.data()};
+    if (from_ == From::kProbe) {
+      run.group = Resolve(RowRef{}, p);
+    } else if (from_ == From::kPair ||
+               (from_ == From::kBuild && slot_groups_[run.begin] == kNone)) {
+      // A build key's slots are resolved together, at its first match.
+      for (uint32_t b = run.begin; b < run.end; ++b) {
+        slot_groups_[b] = Resolve(slots[b], p);
+      }
+    }
+    AggState* states = groups_.states();
+    for (Count& c : counts_) {
+      if (c.probe_arg && c.probe_arg->IsNull(p)) continue;
+      if (from_ == From::kBuild) {
+        ++c.per_key[k];  // matched probe rows, spread over slots by Finish
+      } else if (from_ != From::kPair) {
+        states[run.group * naggs_ + c.agg].count +=
+            c.build_arg ? c.per_key[k] : run.end - run.begin;
+      } else {
+        for (uint32_t b = run.begin; b < run.end; ++b) {
+          if (c.build_arg && c.build_arg->IsNull(slots[b])) continue;
+          ++states[slot_groups_[b] * naggs_ + c.agg].count;
+        }
+      }
+    }
+    for (const Fold& f : folds_) f.fn(f.arg, run, states + f.agg, naggs_);
+  }
+
+  /// The groups, once the counts kept per build key are added; call after
+  /// the last Add.
+  Groups* Finish() {
+    if (from_ != From::kBuild) return &groups_;
+    const RowRef* slots = layout_.matches().data();
+    AggState* states = groups_.states();
+    for (const Count& c : counts_) {
+      for (uint32_t k = 0; k < layout_.num_keys(); ++k) {
+        if (c.per_key[k] == 0) continue;
+        for (uint32_t b = layout_.begin(k); b < layout_.end(k); ++b) {
+          if (c.build_arg && c.build_arg->IsNull(slots[b])) continue;
+          states[slot_groups_[b] * naggs_ + c.agg].count += c.per_key[k];
+        }
+      }
+    }
+    return &groups_;
+  }
+
+ private:
+  /// Where a pair's group comes from.
+  enum class From { kNone, kProbe, kBuild, kPair };
+
+  /// A COUNT(*) or COUNT(col), counting the pairs whose cell is not NULL.
+  struct Count {
+    size_t agg = 0;
+    std::optional<SideColumn> probe_arg;
+    std::optional<SideColumn> build_arg;
+    /// Per build key: with a build argument and one group per probe row,
+    /// the key's non-NULL cells; with groups from the build side, the
+    /// probe rows counted so far.
+    std::vector<size_t> per_key;
+  };
+  /// A SUM, AVG, MIN or MAX.
+  struct Fold {
+    size_t agg;
+    FoldFn fn;
+    SideColumn arg;
+  };
+
+  static From GroupsFrom(const PlanNode& node, size_t build_width) {
+    size_t on_build = 0;
+    for (const BoundExprPtr& g : node.group_by) {
+      if (g->column_index() < build_width) ++on_build;
+    }
+    if (node.group_by.empty()) return From::kNone;
+    if (on_build == 0) return From::kProbe;
+    return on_build == node.group_by.size() ? From::kBuild : From::kPair;
+  }
+  bool OnBuild(const BoundExprPtr& e) const {
+    return e->column_index() < build_width_;
+  }
+
+  /// The group of the pair (build row b, probe row p), each key read from
+  /// its side: typed for one INT or STRING key, as Values otherwise.
+  uint32_t Resolve(RowRef b, RowRef p) {
+    if (typed_key_) {
+      const RowRef r = from_ == From::kBuild ? b : p;
+      const SideColumn::Chunk& c = keys_[0].chunks[r.chunk];
+      if (c.nulls != nullptr && c.nulls[r.row] != 0) return groups_.Null();
+      if (keys_[0].type == DataType::kInt64) {
+        return groups_.Int64(c.ints[r.row]);
+      }
+      return groups_.Code(*c.dict, groups_.DictGroups(c.dict),
+                          c.codes[r.row]);
+    }
+    Row key;
+    key.reserve(keys_.size());
+    for (size_t i = 0; i < keys_.size(); ++i) {
+      key.push_back(keys_[i].ValueAt(key_on_build_[i] ? b : p));
+    }
+    return groups_.Key(std::move(key));
+  }
+
+  const JoinLayout& layout_;
+  size_t build_width_;
+  From from_;
+  size_t naggs_;
+  Groups groups_;
+  std::vector<SideColumn> keys_;
+  std::vector<bool> key_on_build_;
+  bool typed_key_ = false;  ///< one INT or STRING key
+  std::vector<uint32_t> slot_groups_;  ///< by build slot, kNone until seen
+  std::vector<Count> counts_;
+  std::vector<Fold> folds_;
 };
 
 /// True when an Aggregate runs its hash-join child itself and feeds each
@@ -718,139 +1082,6 @@ Status ColumnarExecutor::ChargeJoinOutput(size_t k, size_t* emitted,
   return over ? CheckSize(*emitted) : Status::OK();
 }
 
-Status ColumnarExecutor::ProbeHashJoin(const PlanNode& node,
-                                       const JoinInputs& in,
-                                       const PairSink& sink) const {
-  const ColumnarTable& build = *in.build;
-  const ColumnarTable& probe = *in.probe;
-  constexpr uint32_t kNone = Int64KeyIndex::kNone;
-
-  // Number the distinct non-NULL build keys in first-seen order: through
-  // an Int64KeyIndex when the key is one INT column on each side (Value
-  // equality then is int64 equality, and no Row/Value key is made), as
-  // row-engine Rows otherwise. NULL join keys never match.
-  const bool typed =
-      node.left_keys.size() == 1 && node.right_keys.size() == 1 &&
-      build.schema().column(node.left_keys[0]).type == DataType::kInt64 &&
-      probe.schema().column(node.right_keys[0]).type == DataType::kInt64;
-  auto key_at = [](const ColumnChunk& chunk, const std::vector<size_t>& slots,
-                   size_t i, Row* key) {
-    key->clear();
-    for (size_t s : slots) {
-      if (chunk.IsNull(s, i)) return false;
-      key->push_back(chunk.ValueAt(s, i));
-    }
-    return true;
-  };
-  // `row_key[r]` is build row r's key number, kNone for a NULL key.
-  std::vector<uint32_t> row_key(build.num_rows(), kNone);
-  std::optional<Int64KeyIndex> int_keys;
-  std::unordered_map<RowKey, uint32_t, RowKeyHash> row_keys;
-  size_t row = 0;
-  Row key;
-  if (typed) {
-    Int64Range range;
-    for (const ColumnChunk& chunk : build.chunks()) {
-      const SideColumn::Chunk c =
-          SideColumn::Of(chunk.columns[node.left_keys[0]]);
-      range.AddAll(c.ints, c.nulls, chunk.length);
-    }
-    int_keys.emplace(range, build.num_rows());
-    for (const ColumnChunk& chunk : build.chunks()) {
-      const SideColumn::Chunk c =
-          SideColumn::Of(chunk.columns[node.left_keys[0]]);
-      for (size_t i = 0; i < chunk.length; ++i, ++row) {
-        if (c.nulls == nullptr || c.nulls[i] == 0) {
-          row_key[row] = int_keys->Insert(c.ints[i]);
-        }
-      }
-    }
-  } else {
-    row_keys.reserve(build.num_rows());
-    for (const ColumnChunk& chunk : build.chunks()) {
-      for (size_t i = 0; i < chunk.length; ++i, ++row) {
-        if (!key_at(chunk, node.left_keys, i, &key)) continue;
-        row_key[row] =
-            row_keys
-                .try_emplace(RowKey(key), static_cast<uint32_t>(row_keys.size()))
-                .first->second;
-      }
-    }
-  }
-  // Lay the build rows out key by key, each key's rows ascending (the
-  // emission order), so a probe row's matches are one run of `matches`.
-  // start[k + 1] counts key k's rows; summed, start[k] is where key k's
-  // run ends, and filling from the last row down moves it to where the
-  // run begins.
-  const size_t nkeys = typed ? int_keys->size() : row_keys.size();
-  std::vector<uint32_t> start(nkeys + 1, 0);
-  for (uint32_t k : row_key) {
-    if (k != kNone) ++start[k + 1];
-  }
-  uint32_t total = 0;
-  for (size_t k = 0; k < nkeys; ++k) {
-    total += start[k + 1];
-    start[k] = total;
-  }
-  start[nkeys] = total;
-  std::vector<RowRef> matches(start[nkeys]);
-  for (size_t c = build.chunks().size(); c-- > 0;) {
-    for (size_t i = build.chunks()[c].length; i-- > 0;) {
-      const uint32_t k = row_key[--row];
-      if (k == kNone) continue;
-      matches[--start[k]] =
-          RowRef{static_cast<uint32_t>(c), static_cast<uint32_t>(i)};
-    }
-  }
-
-  // Probe in order; each probe row's run is cut where a batch fills.
-  const size_t batch = config_.batch_rows == 0 ? 1 : config_.batch_rows;
-  std::vector<MatchRun> runs;
-  size_t len = 0;
-  auto flush = [&]() -> Status {
-    if (len == 0) return Status::OK();
-    const Status st = sink(matches.data(), runs.data(), runs.size(), len);
-    runs.clear();
-    len = 0;
-    return st;
-  };
-  auto emit = [&](RowRef p, uint32_t k) -> Status {
-    for (uint32_t b = start[k]; b < start[k + 1];) {
-      const auto take =
-          static_cast<uint32_t>(std::min<size_t>(start[k + 1] - b, batch - len));
-      runs.push_back(MatchRun{p, b, b + take});
-      b += take;
-      len += take;
-      if (len == batch) FEDCAL_RETURN_NOT_OK(flush());
-    }
-    return Status::OK();
-  };
-  for (size_t c = 0; c < probe.chunks().size(); ++c) {
-    const ColumnChunk& chunk = probe.chunks()[c];
-    const auto ref = [c](size_t i) {
-      return RowRef{static_cast<uint32_t>(c), static_cast<uint32_t>(i)};
-    };
-    if (typed) {
-      const SideColumn::Chunk pc =
-          SideColumn::Of(chunk.columns[node.right_keys[0]]);
-      for (size_t i = 0; i < chunk.length; ++i) {
-        if (pc.nulls != nullptr && pc.nulls[i] != 0) continue;
-        const uint32_t k = int_keys->Find(pc.ints[i]);
-        if (k != kNone && start[k] != start[k + 1]) {
-          FEDCAL_RETURN_NOT_OK(emit(ref(i), k));
-        }
-      }
-      continue;
-    }
-    for (size_t i = 0; i < chunk.length; ++i) {
-      if (!key_at(chunk, node.right_keys, i, &key)) continue;
-      auto it = row_keys.find(RowKey(key));
-      if (it != row_keys.end()) FEDCAL_RETURN_NOT_OK(emit(ref(i), it->second));
-    }
-  }
-  return flush();
-}
-
 Result<ColumnarTablePtr> ColumnarExecutor::ExecHashJoin(
     const PlanNode& node, const SlotMask& needed, ExecStats* stats,
     obs::OperatorProfile* prof) {
@@ -861,23 +1092,21 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecHashJoin(
   FEDCAL_ASSIGN_OR_RETURN(JoinInputs in,
                           RunJoinInputs(node, keep, stats, prof));
 
-  // The materialize sink: each batch of pairs is gathered into a
-  // concatenated [build, probe] chunk, filtered by the residual predicate,
-  // charged and appended.
+  // The materialize sink: the pairs are streamed in emission order into
+  // batches of batch_rows; each batch is gathered into a concatenated
+  // [build, probe] chunk, filtered by the residual predicate, charged and
+  // appended.
+  const JoinLayout layout(node, *in.build, *in.probe);
   auto out = std::make_shared<ColumnarTable>(node.output_schema);
   const std::vector<std::vector<ColumnSlice>> bsrc = GatherSources(*in.build);
   const std::vector<std::vector<ColumnSlice>> psrc = GatherSources(*in.probe);
+  const size_t batch = config_.batch_rows == 0 ? 1 : config_.batch_rows;
   std::vector<RowRef> bsel;
   std::vector<RowRef> psel;
   size_t emitted = 0;
-  auto gather = [&](const RowRef* matches, const MatchRun* runs, size_t n,
-                    size_t len) -> Status {
-    bsel.clear();
-    psel.clear();
-    ForEachPair(matches, runs, n, [&](size_t, RowRef b, RowRef p) {
-      bsel.push_back(b);
-      psel.push_back(p);
-    });
+  auto flush = [&]() -> Status {
+    const size_t len = bsel.size();
+    if (len == 0) return Status::OK();
     ColumnChunk cand;
     cand.length = len;
     cand.columns.resize(bsrc.size() + psrc.size());
@@ -895,6 +1124,8 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecHashJoin(
       col->AppendGather(psrc[c], psel.data(), len);
       cand.columns[bsrc.size() + c] = ColumnSlice{std::move(col), 0};
     }
+    bsel.clear();
+    psel.clear();
     const uint32_t* sel = nullptr;
     size_t k = len;
     if (node.residual) {
@@ -909,7 +1140,20 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecHashJoin(
     }
     return Status::OK();
   };
-  FEDCAL_RETURN_NOT_OK(ProbeHashJoin(node, in, gather));
+  Status status;
+  layout.Probe([&](RowRef p, uint32_t k) {
+    for (uint32_t b = layout.begin(k); b < layout.end(k); ++b) {
+      bsel.push_back(layout.matches()[b]);
+      psel.push_back(p);
+      if (bsel.size() == batch) {
+        status = flush();
+        if (!status.ok()) return false;
+      }
+    }
+    return true;
+  });
+  FEDCAL_RETURN_NOT_OK(status);
+  FEDCAL_RETURN_NOT_OK(flush());
   return ColumnarTablePtr(std::move(out));
 }
 
@@ -998,17 +1242,7 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecAggregate(
   }
 
   const size_t naggs = node.aggs.size();
-  Groups groups(naggs);
-  if (int64_keys) {
-    Int64Range range;
-    for (const ChunkVals& cv : evaluated) {
-      const VectorResult& gv = cv.group_vals[0];
-      range.AddAll(gv.col->ints() + gv.offset,
-                   gv.col->has_nulls() ? gv.col->nulls() + gv.offset : nullptr,
-                   cv.length);
-    }
-    groups.IndexInt64(range, in->num_rows());
-  }
+  Groups groups(naggs, in->num_rows());
   std::vector<uint32_t> gids;
   for (const ChunkVals& cv : evaluated) {
     const size_t n = cv.length;
@@ -1066,110 +1300,22 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecAggregateOverJoin(
       JoinInputs in,
       RunJoinInputs(join, keep, stats, scope ? scope->prof() : nullptr));
 
-  // Every key and argument is a bare column of the [build, probe] row:
-  // read it from its side, by the RowRef the pair carries for that side.
-  const size_t build_width = join.left->output_schema.num_columns();
-  auto on_build = [&](const BoundExprPtr& e) {
-    return e->column_index() < build_width;
-  };
-  auto side_column = [&](const BoundExprPtr& e) {
-    return on_build(e) ? SideColumn(*in.build, e->column_index())
-                       : SideColumn(*in.probe, e->column_index() - build_width);
-  };
-  std::vector<SideColumn> keys;
-  for (const BoundExprPtr& g : node.group_by) keys.push_back(side_column(g));
-  const size_t naggs = node.aggs.size();
-  std::vector<PairFeed> feeds(naggs);
-  for (size_t a = 0; a < naggs; ++a) {
-    const AggItem& item = node.aggs[a];
-    if (item.count_star) continue;
-    feeds[a].build = on_build(item.arg);
-    feeds[a].arg.emplace(side_column(item.arg));
-  }
-
-  // A single INT or STRING key is resolved the first time a pair
-  // carries its row, so ids keep first-seen order: a build row's id is
-  // kept by the row's place in the join's build layout, a probe row's,
-  // whose pairs are adjacent, until the next probe row. Other keys
-  // (several columns, or a DOUBLE one) are compared as Values per pair.
-  Groups groups(naggs);
-  constexpr uint32_t kNone = Groups::kNone;
-  const bool per_row =
-      keys.size() == 1 && (keys[0].type == DataType::kInt64 ||
-                           keys[0].type == DataType::kString);
-  const bool key_on_build = !keys.empty() && on_build(node.group_by[0]);
-  std::vector<uint32_t> build_gid;
-  if (per_row) {
-    const ColumnarTable& side = key_on_build ? *in.build : *in.probe;
-    if (keys[0].type == DataType::kInt64) {
-      Int64Range range;
-      for (size_t c = 0; c < side.chunks().size(); ++c) {
-        const SideColumn::Chunk& kc = keys[0].chunks[c];
-        range.AddAll(kc.ints, kc.nulls, side.chunks()[c].length);
-      }
-      groups.IndexInt64(range, side.num_rows());
-    }
-    if (key_on_build) build_gid.assign(side.num_rows(), kNone);
-  }
-  auto resolve = [&](RowRef r) {
-    const SideColumn& key = keys[0];
-    if (key.IsNull(r)) return groups.Null();
-    const SideColumn::Chunk& c = key.chunks[r.chunk];
-    if (key.type == DataType::kInt64) return groups.Int64(c.ints[r.row]);
-    return groups.Code(*c.dict, groups.DictGroups(c.dict), c.codes[r.row]);
-  };
-  RowRef last_probe{UINT32_MAX, UINT32_MAX};
-  uint32_t last_gid = kNone;
-
-  // The accumulate sink: the batch is charged as the join charges it and
-  // each pair's group resolved; then each aggregate takes the batch, so
-  // every accumulator sees its pairs in emission order.
+  // One pass over the probe side folds each probe row's pairs into their
+  // groups, and stops at the first probe row past the cap.
+  const JoinLayout layout(join, *in.build, *in.probe);
+  GroupJoin sink(node, *in.build, *in.probe, layout);
+  const size_t cap = config_.max_intermediate_rows;
   size_t pairs = 0;
-  std::vector<uint32_t> gids;
-  auto accumulate = [&](const RowRef* matches, const MatchRun* runs,
-                        size_t n, size_t len) -> Status {
-    FEDCAL_RETURN_NOT_OK(ChargeJoinOutput(len, &pairs, stats));
-    gids.resize(len);
-    if (keys.empty()) {
-      std::fill(gids.begin(), gids.end(), groups.Global());
-    } else if (per_row && key_on_build) {
-      uint32_t* cached = build_gid.data();
-      size_t i = 0;
-      for (size_t k = 0; k < n; ++k) {
-        for (uint32_t j = runs[k].begin; j < runs[k].end; ++j) {
-          if (cached[j] == kNone) cached[j] = resolve(matches[j]);
-          gids[i++] = cached[j];
-        }
-      }
-    } else if (per_row) {
-      size_t i = 0;
-      for (size_t k = 0; k < n; ++k) {
-        const RowRef p = runs[k].probe;
-        if (p.chunk != last_probe.chunk || p.row != last_probe.row) {
-          last_probe = p;
-          last_gid = resolve(p);
-        }
-        const size_t end = i + (runs[k].end - runs[k].begin);
-        std::fill(gids.begin() + i, gids.begin() + end, last_gid);
-        i = end;
-      }
-    } else {
-      ForEachPair(matches, runs, n, [&](size_t i, RowRef b, RowRef p) {
-        Row key;
-        key.reserve(keys.size());
-        for (size_t k = 0; k < keys.size(); ++k) {
-          key.push_back(keys[k].ValueAt(on_build(node.group_by[k]) ? b : p));
-        }
-        gids[i] = groups.Key(std::move(key));
-      });
-    }
-    for (size_t a = 0; a < naggs; ++a) {
-      feeds[a].Update(node.aggs[a], matches, runs, n, len, gids.data(),
-                      groups.states() + a, naggs);
-    }
-    return Status::OK();
-  };
-  FEDCAL_RETURN_NOT_OK(ProbeHashJoin(join, in, accumulate));
+  layout.Probe([&](RowRef p, uint32_t k) {
+    pairs += layout.end(k) - layout.begin(k);
+    if (cap > 0 && pairs > cap) return false;
+    sink.Add(p, k);
+    return true;
+  });
+  // The materializing join's charge and cap, over every pair at once.
+  size_t emitted = 0;
+  FEDCAL_RETURN_NOT_OK(ChargeJoinOutput(pairs, &emitted, stats));
+  Groups* groups = sink.Finish();
   if (scope) {
     // What the materializing join reports: its rows and its chunks.
     const size_t batch = config_.batch_rows == 0 ? 1 : config_.batch_rows;
@@ -1178,7 +1324,7 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecAggregateOverJoin(
   }
   stats->work_units +=
       config_.costs.agg_update_row * static_cast<double>(pairs);
-  return EmitGroups(node, config_, &groups, stats);
+  return EmitGroups(node, config_, groups, stats);
 }
 
 Result<ColumnarTablePtr> ColumnarExecutor::ExecSort(

@@ -15,15 +15,6 @@
 
 namespace fedcal {
 
-/// \brief One probe row's matches in a batch of hash-join pairs: probe row
-/// `probe` with the build rows `matches[begin..end)` of the join's build
-/// rows, which are laid out key by key, each key's rows ascending.
-struct MatchRun {
-  RowRef probe;
-  uint32_t begin;
-  uint32_t end;
-};
-
 /// \brief Vectorized columnar plan executor: the production engine.
 ///
 /// One instance executes one query: Executor::Execute constructs it on the
@@ -51,12 +42,13 @@ struct MatchRun {
 /// unchanged, so ExecStats and the root's bytes are too, and Execute fails
 /// rather than return a result with an absent slice.
 ///
-/// A hash join hands each batch of matched pairs to a sink. Below an
-/// Aggregate whose group keys and arguments are all bare columns (or
-/// COUNT(*)), a join without residual feeds the pairs straight into the
-/// group accumulators and materializes nothing; every other parent reads
-/// the join's gathered chunks. Both sinks charge, profile and order the
-/// pairs alike (DESIGN.md §17).
+/// A hash join lays its build side out once and probes it in one pass
+/// that hands each probe row's matches to a sink. Below an Aggregate whose
+/// group keys and arguments are all bare columns (or COUNT(*)), a join
+/// without residual folds the pairs straight into the group accumulators
+/// and materializes nothing; every other parent reads the join's gathered
+/// chunks. Both sinks charge, profile and order the pairs alike
+/// (DESIGN.md §17).
 class ColumnarExecutor {
  public:
   using TableResolver =
@@ -106,23 +98,12 @@ class ColumnarExecutor {
     ColumnarTablePtr build;
     ColumnarTablePtr probe;
   };
-  /// Receives one batch of a hash join's matched pairs in the emission
-  /// order: `runs[0..n)` over the build rows `matches`, `pairs` pairs in
-  /// all, at most batch_rows.
-  using PairSink = std::function<Status(const RowRef* matches,
-                                        const MatchRun* runs, size_t n,
-                                        size_t pairs)>;
   /// Runs the join's children, each producing its own slots of the
   /// [build, probe] row in `keep` plus its join keys, and charges the
   /// build and probe rows.
   Result<JoinInputs> RunJoinInputs(const PlanNode& node, const SlotMask& keep,
                                    ExecStats* stats,
                                    obs::OperatorProfile* prof);
-  /// Feeds every matched pair to `sink` in the emission order, in batches
-  /// of batch_rows pairs: probe order, each probe row's build matches
-  /// ascending. NULL keys never match.
-  Status ProbeHashJoin(const PlanNode& node, const JoinInputs& in,
-                       const PairSink& sink) const;
   /// Charges `k` join output rows, one add each, and fails once
   /// `*emitted` passes max_intermediate_rows.
   Status ChargeJoinOutput(size_t k, size_t* emitted, ExecStats* stats) const;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -176,101 +177,107 @@ inline double AddRepeated(double w, double c, size_t n) {
   return w;
 }
 
-/// The smallest and largest of a set of int64 keys, and how many there are.
-struct Int64Range {
-  int64_t lo = 0;
-  int64_t hi = 0;
-  size_t count = 0;
-
-  void Add(int64_t k) {
-    if (count == 0) {
-      lo = hi = k;
-    } else {
-      lo = std::min(lo, k);
-      hi = std::max(hi, k);
-    }
-    ++count;
-  }
-  /// Adds the keys v[i], i < n, whose `nulls[i]` is 0 (all when `nulls` is
-  /// null).
-  void AddAll(const int64_t* v, const uint8_t* nulls, size_t n) {
-    if (nulls != nullptr || n == 0) {
-      for (size_t i = 0; i < n; ++i) {
-        if (nulls == nullptr || nulls[i] == 0) Add(v[i]);
-      }
-      return;
-    }
-    int64_t l = count == 0 ? v[0] : lo;
-    int64_t h = count == 0 ? v[0] : hi;
-    for (size_t i = 0; i < n; ++i) {
-      l = std::min(l, v[i]);
-      h = std::max(h, v[i]);
-    }
-    lo = l;
-    hi = h;
-    count += n;
-  }
-};
-
-/// \brief Dense numbers for int64 keys, by which the hash join lays out
-/// its build rows and the columnar Aggregate finds its group ids.
+/// \brief A uint32 slot per int64 key, kNone until its user sets it: the
+/// hash join keeps its build-key numbers in them, and the columnar
+/// Aggregate its group ids.
 ///
-/// Keys that span a compact range (serial ids and small codes do) are
-/// numbered by their offset from the smallest, so numbering costs no
-/// lookup; others are numbered in the order first inserted, through a
-/// hash map.
+/// While the keys seen so far stay compact (serial ids and small codes
+/// do), a key's slot is found by its offset in a window of slots, so a
+/// lookup costs no hash. The window grows as keys arrive, at least doubling
+/// each time, so no pass over the keys has to size it first. Once the keys
+/// would span more than max(4 × rows + 1024, 2^22) slots, `rows` being how
+/// many rows they are drawn from, every set slot moves to a hash map, and
+/// all later keys go there. The absolute floor matters: a small build side
+/// probed by a large input (a selective filter joined against a big table)
+/// is worth a few MB of slots to turn every probe into an array index.
 class Int64KeyIndex {
  public:
   static constexpr uint32_t kNone = UINT32_MAX;
 
-  /// Sized for the keys in `keys`, drawn from `rows` input rows. A direct
-  /// index numbers every key in [lo, hi], so its users keep that many
-  /// slots. The absolute floor matters: a small build side probed by a
-  /// large input (a selective filter joined against a big table) is worth
-  /// a few MB of slots to turn every probe into an array index.
-  Int64KeyIndex(const Int64Range& keys, size_t rows) : lo_(keys.lo) {
-    // Unsigned subtraction is overflow-safe for any int64 pair.
-    const uint64_t range =
-        static_cast<uint64_t>(keys.hi) - static_cast<uint64_t>(keys.lo);
-    direct_ =
-        keys.count > 0 &&
-        range < std::max<uint64_t>(4 * static_cast<uint64_t>(rows) + 1024,
-                                   uint64_t{1} << 22);
-    if (direct_) {
-      span_ = static_cast<size_t>(range) + 1;
-    } else {
-      map_.reserve(keys.count);
-    }
-  }
+  explicit Int64KeyIndex(size_t rows)
+      : max_span_(std::max<uint64_t>(4 * static_cast<uint64_t>(rows) + 1024,
+                                     uint64_t{1} << 22)) {}
 
-  /// How many numbers there are: every key in the range of a direct
-  /// index, the keys inserted so far otherwise.
-  size_t size() const { return direct_ ? span_ : map_.size(); }
-  /// The number of `k`, which must lie in the range the index was sized
-  /// for.
-  uint32_t Insert(int64_t k) {
-    if (direct_) return static_cast<uint32_t>(Offset(k));
-    return map_.try_emplace(k, static_cast<uint32_t>(map_.size()))
-        .first->second;
+  /// Sizes the window for keys in [lo, hi] before the first Slot, when
+  /// they span few enough slots: a user that knows its keys' range up
+  /// front (the join build) makes one window instead of growing one.
+  void Reserve(int64_t lo, int64_t hi) {
+    const uint64_t span =
+        static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+    if (!slots_.empty() || hashed_ || span >= max_span_) return;
+    lo_ = lo;
+    slots_.assign(span + 1, kNone);
   }
-  /// The number of `k`, or kNone for a key never inserted.
+  /// The slot of `k`, kNone when `k` is new. The reference lasts until the
+  /// next call of Slot.
+  uint32_t& Slot(int64_t k) {
+    const uint64_t off = Offset(k);
+    return off < slots_.size() ? slots_[off] : Grow(k);
+  }
+  /// The slot of `k`, kNone for a key Slot never saw.
   uint32_t Find(int64_t k) const {
-    if (direct_) {
-      const uint64_t off = Offset(k);
-      return off < span_ ? static_cast<uint32_t>(off) : kNone;
-    }
+    const uint64_t off = Offset(k);
+    if (off < slots_.size()) return slots_[off];
+    if (!hashed_) return kNone;
     auto it = map_.find(k);
     return it == map_.end() ? kNone : it->second;
   }
+  /// True while keys are found by their offset in the window.
+  bool direct() const { return !hashed_; }
 
  private:
+  // Unsigned arithmetic is overflow-safe for any int64 pair.
   uint64_t Offset(int64_t k) const {
     return static_cast<uint64_t>(k) - static_cast<uint64_t>(lo_);
   }
 
-  int64_t lo_;
-  bool direct_ = false;
-  size_t span_ = 0;
+  /// Slot for a key outside the window: widens the window to take `k`, or
+  /// moves every set slot to the hash map.
+  uint32_t& Grow(int64_t k) {
+    const uint64_t n = slots_.size();
+    if (!hashed_ && n == 0) {
+      lo_ = k;
+      slots_.assign(1, kNone);
+      return slots_[0];
+    }
+    if (!hashed_) {
+      const auto lo = static_cast<uint64_t>(lo_);
+      const uint64_t hi = lo + (n - 1);
+      const bool left = k < lo_;
+      // How many slots the window must add to take `k`, and how many it
+      // can add before it leaves the int64 range.
+      const uint64_t need = left ? lo - static_cast<uint64_t>(k)
+                                 : static_cast<uint64_t>(k) - hi;
+      const uint64_t room =
+          left ? lo - static_cast<uint64_t>(
+                          std::numeric_limits<int64_t>::min())
+               : static_cast<uint64_t>(std::numeric_limits<int64_t>::max()) -
+                     hi;
+      if (need <= max_span_ - n) {
+        const uint64_t add = std::min({std::max(need, n), max_span_ - n, room});
+        std::vector<uint32_t> wider(n + add, kNone);
+        std::copy(slots_.begin(), slots_.end(),
+                  wider.begin() + static_cast<ptrdiff_t>(left ? add : 0));
+        slots_ = std::move(wider);
+        if (left) lo_ = static_cast<int64_t>(lo - add);
+        return slots_[Offset(k)];
+      }
+      for (uint64_t i = 0; i < n; ++i) {
+        if (slots_[i] != kNone) {
+          map_.emplace(static_cast<int64_t>(lo + i), slots_[i]);
+        }
+      }
+      slots_.clear();
+      slots_.shrink_to_fit();
+      hashed_ = true;
+    }
+    return map_.try_emplace(k, kNone).first->second;
+  }
+
+  uint64_t max_span_;
+  int64_t lo_ = 0;
+  std::vector<uint32_t> slots_;  ///< keys [lo_, lo_ + size) while direct
+  bool hashed_ = false;
   std::unordered_map<int64_t, uint32_t> map_;
 };
 

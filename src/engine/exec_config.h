@@ -37,8 +37,10 @@ struct ExecConfig {
   size_t batch_rows = 4096;
   /// Record per-operator runtime profiles (obs::OperatorProfile) for every
   /// execution that asks for one. Off by default; the off path costs one
-  /// branch per operator, and results/stats/timings are identical either
-  /// way (profiles observe the run, they never steer it).
+  /// branch per operator. The engine's results, stats and charges are
+  /// identical either way, but a profile does steer QCC's sampling: the
+  /// meta-wrapper keeps a fragment whose profile shows an estimate miss
+  /// out of the calibration store (ScenarioConfig::profile).
   bool profile = false;
 };
 

@@ -253,6 +253,60 @@ VectorResult CmpString(BinaryOp op, const Operand& lo, const Operand& ro,
   return WrapColumn(std::move(out));
 }
 
+/// Writes to `sel` the rows i < n whose cell v[i] compares with the
+/// constant `c` by `op`, and returns how many. The rule is CmpNumeric's
+/// three-way one, which Value::Compare shares: a NaN compares equal to
+/// everything, so =, <= and >= pass it and <, > and <> do not. A NULL cell
+/// never passes.
+template <typename T, typename C>
+size_t SelectCompared(BinaryOp op, const T* v, const uint8_t* nulls,
+                      size_t n, C c, uint32_t* sel) {
+  auto select = [&](auto pass) {
+    size_t k = 0;
+    if (nulls == nullptr) {
+      for (size_t i = 0; i < n; ++i) {
+        sel[k] = static_cast<uint32_t>(i);
+        k += pass(v[i]);
+      }
+    } else {
+      for (size_t i = 0; i < n; ++i) {
+        sel[k] = static_cast<uint32_t>(i);
+        k += static_cast<size_t>(nulls[i] == 0) & pass(v[i]);
+      }
+    }
+    return k;
+  };
+  switch (op) {
+    case BinaryOp::kEq:
+      return select([c](T x) -> size_t { return !(x < c) && !(c < x); });
+    case BinaryOp::kNe:
+      return select([c](T x) -> size_t { return x < c || c < x; });
+    case BinaryOp::kLt:
+      return select([c](T x) -> size_t { return x < c; });
+    case BinaryOp::kLe:
+      return select([c](T x) -> size_t { return !(c < x); });
+    case BinaryOp::kGt:
+      return select([c](T x) -> size_t { return c < x; });
+    case BinaryOp::kGe:
+      return select([c](T x) -> size_t { return !(x < c); });
+    default:
+      return 0;
+  }
+}
+
+/// SelectCompared for a numeric column `col` and a non-null numeric
+/// constant: INT against INT compares as int64, anything else as double.
+size_t SelectNumeric(BinaryOp op, const Operand& col, const Value& c,
+                     size_t n, uint32_t* sel) {
+  if (col.rep == Rep::kIntCol && c.is_int64()) {
+    return SelectCompared(op, col.ints, col.nulls, n, c.AsInt64(), sel);
+  }
+  if (col.rep == Rep::kIntCol) {
+    return SelectCompared(op, col.ints, col.nulls, n, c.AsDouble(), sel);
+  }
+  return SelectCompared(op, col.dbls, col.nulls, n, c.AsDouble(), sel);
+}
+
 VectorResult LikeVec(const Operand& lo, const Operand& ro, size_t n) {
   auto out = std::make_shared<ColumnData>(DataType::kInt64);
   out->Reserve(n);
@@ -438,8 +492,14 @@ Result<VectorResult> VectorEvaluator::EvalBinaryVec(const BoundExpr& e,
                                                     const ColumnChunk& chunk) {
   FEDCAL_ASSIGN_OR_RETURN(VectorResult l, Eval(*e.left(), chunk));
   FEDCAL_ASSIGN_OR_RETURN(VectorResult r, Eval(*e.right(), chunk));
+  return CombineBinary(e, l, r, chunk.length);
+}
+
+Result<VectorResult> VectorEvaluator::CombineBinary(const BoundExpr& e,
+                                                    const VectorResult& l,
+                                                    const VectorResult& r,
+                                                    size_t n) {
   const BinaryOp op = e.binary_op();
-  const size_t n = chunk.length;
 
   if (l.constant && r.constant) {
     FEDCAL_ASSIGN_OR_RETURN(Value v,
@@ -574,8 +634,27 @@ Result<const uint32_t*> VectorEvaluator::EvalSelection(const BoundExpr& e,
     *count = 0;
     return static_cast<const uint32_t*>(nullptr);
   }
-  FEDCAL_ASSIGN_OR_RETURN(VectorResult v, Eval(e, chunk));
   uint32_t* sel = arena_->Allocate<uint32_t>(n);
+  VectorResult v;
+  if (e.kind() == BoundExpr::Kind::kBinary && IsComparison(e.binary_op())) {
+    FEDCAL_ASSIGN_OR_RETURN(VectorResult l, Eval(*e.left(), chunk));
+    FEDCAL_ASSIGN_OR_RETURN(VectorResult r, Eval(*e.right(), chunk));
+    if (l.constant != r.constant) {
+      // A numeric column against a constant, on either side: compared
+      // straight into the selection vector, with no result column.
+      const Operand col = Classify(l.constant ? r : l);
+      const Value& c = (l.constant ? l : r).const_value;
+      if (IsNumericRep(col.rep) && (c.is_null() || c.is_numeric())) {
+        const BinaryOp op =
+            l.constant ? FlipComparison(e.binary_op()) : e.binary_op();
+        *count = c.is_null() ? 0 : SelectNumeric(op, col, c, n, sel);
+        return static_cast<const uint32_t*>(sel);
+      }
+    }
+    FEDCAL_ASSIGN_OR_RETURN(v, CombineBinary(e, l, r, n));
+  } else {
+    FEDCAL_ASSIGN_OR_RETURN(v, Eval(e, chunk));
+  }
   size_t k = 0;
   if (v.constant) {
     if (IsTruthy(v.const_value)) {

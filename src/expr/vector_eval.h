@@ -48,7 +48,8 @@ class VectorEvaluator {
   /// Evaluates a predicate and compacts it into a selection vector of
   /// chunk-local row indices where the result is truthy (non-null,
   /// non-zero). The returned pointer is arena-owned; `*count` receives
-  /// the number of selected rows.
+  /// the number of selected rows. A numeric column compared with a
+  /// constant writes the selection vector directly.
   Result<const uint32_t*> EvalSelection(const BoundExpr& e,
                                         const ColumnChunk& chunk,
                                         size_t* count);
@@ -58,6 +59,10 @@ class VectorEvaluator {
  private:
   Result<VectorResult> EvalBinaryVec(const BoundExpr& e,
                                      const ColumnChunk& chunk);
+  /// A binary node over its operands' results, `n` rows.
+  Result<VectorResult> CombineBinary(const BoundExpr& e,
+                                     const VectorResult& l,
+                                     const VectorResult& r, size_t n);
   Result<VectorResult> EvalUnaryVec(const BoundExpr& e,
                                     const ColumnChunk& chunk);
 

@@ -62,9 +62,13 @@ struct ScenarioConfig {
   /// intermediate results.
   size_t batch_rows = 4096;
   /// Record per-operator runtime profiles (EXPLAIN ANALYZE) on every
-  /// server and the integrator's merge. Off by default: profiling is
-  /// observability-only and the committed deterministic baselines are
-  /// produced without it.
+  /// server and the integrator's merge. Off by default, and the committed
+  /// deterministic baselines are produced without it. The engine's
+  /// results, stats and charges are the same either way, but QCC's
+  /// sampling is not: with a profile on the reply, the meta-wrapper marks
+  /// a fragment whose worst q-error reaches the estimate-miss threshold
+  /// cardinality-suspect, and the calibrator keeps that observation out of
+  /// its store, so a profiled run may calibrate and route differently.
   bool profile = false;
 
   /// Sets large_rows/small_rows from a named cardinality preset

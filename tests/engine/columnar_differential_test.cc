@@ -495,6 +495,130 @@ TEST_F(ColumnarDifferentialTest, Int64KeysAtTheExtremes) {
       "SELECT ik.g, COUNT(*) FROM ik, ik2 WHERE ik.g = ik2.w GROUP BY ik.g");
 }
 
+/// Every HashJoin node under `node`, depth first.
+void HashJoinNodes(const obs::OperatorProfile& node,
+                   std::vector<const obs::OperatorProfile*>* out) {
+  if (node.op == "HashJoin") out->push_back(&node);
+  for (const auto& child : node.children) HashJoinNodes(*child, out);
+}
+
+TEST_F(ColumnarDifferentialTest, FiltersOverNanZerosAndInfinities) {
+  // A DOUBLE column holding NaN, -0.0, +0.0, +-inf, NULL and ordinary
+  // values, and a nullable INT column, filtered by each comparison with a
+  // constant on either side. Both engines compare by Value::Compare's
+  // three-way rule: a NaN compares equal to everything, so =, <= and >=
+  // keep it, and -0.0 equals +0.0.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<Value> cells = {D(nan), D(-0.0), D(0.0),  D(inf),
+                                    D(-inf), N(),    D(1.5),  D(-2.0),
+                                    D(3.0),  D(-nan)};
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 200; ++i) {
+    rows.push_back({I(i), cells[static_cast<size_t>(i) % cells.size()],
+                    i % 7 == 3 ? N() : I(i % 5 - 2)});
+  }
+  AddTable(MakeTable("fp",
+                     {{"id", DataType::kInt64},
+                      {"x", DataType::kDouble},
+                      {"n", DataType::kInt64}},
+                     rows));
+  const PlanNodePtr scan = ScanOf("fp");
+  const std::vector<Value> constants = {I(0),   D(0.0),  D(-0.0),
+                                        D(1.5), I(-2),   D(nan),
+                                        D(inf), D(-inf), N()};
+  for (size_t slot : {size_t{1}, size_t{2}}) {
+    for (BinaryOp op : {BinaryOp::kEq, BinaryOp::kNe, BinaryOp::kLt,
+                        BinaryOp::kLe, BinaryOp::kGt, BinaryOp::kGe}) {
+      for (const Value& c : constants) {
+        for (bool column_left : {true, false}) {
+          BoundExprPtr col = Col(*scan, slot);
+          BoundExprPtr lit = BoundExpr::Literal(c);
+          BoundExprPtr pred =
+              column_left ? Cmp(op, col, lit) : Cmp(op, lit, col);
+          const std::string label = pred->ToString();
+          RunPlanBoth(ProjectSlots(PlanNode::Filter(scan, pred), {0}), label);
+        }
+      }
+    }
+  }
+}
+
+TEST_F(ColumnarDifferentialTest, IntermediateCapOnHashJoins) {
+  // max_intermediate_rows on both hash-join sinks: a materializing join,
+  // one with a residual and a groupjoin. A cap one pair short and one far
+  // short must fail with the oracle's Status at every batch size; a cap of
+  // exactly the pairs must succeed with identical results and stats.
+  auto join = [&](BoundExprPtr residual) {
+    return PlanNode::HashJoin(ScanOf("emp"), ScanOf("dept"), {1}, {0},
+                              std::move(residual));
+  };
+  // Slots 0-3 are emp's (id, dept, salary, tag), 4-6 dept's (deptid,
+  // budget, city).
+  const PlanNodePtr plain = join(nullptr);
+  std::vector<AggItem> aggs(2);
+  aggs[0].func = AggFunc::kCount;
+  aggs[0].count_star = true;
+  aggs[0].name = "n";
+  aggs[1].func = AggFunc::kSum;
+  aggs[1].arg = Col(*plain, 2);
+  aggs[1].result_type = DataType::kDouble;
+  aggs[1].name = "s";
+  const std::vector<std::pair<std::string, PlanNodePtr>> plans = {
+      {"materialize", plain},
+      {"residual",
+       join(Cmp(BinaryOp::kGt, Col(*plain, 0), Col(*plain, 4)))},
+      {"groupjoin",
+       PlanNode::Aggregate(join(nullptr), {Col(*plain, 6)}, aggs,
+                           Schema({{"city", DataType::kString},
+                                   {"n", DataType::kInt64},
+                                   {"s", DataType::kDouble}}))}};
+  auto oracle = [this](const ExecConfig& cfg) {
+    return oracle::RowExecutor(
+        oracle::RowExecutor::Caching(
+            [this](const std::string& n) { return db().Resolve(n); }),
+        cfg);
+  };
+  for (const auto& [name, plan] : plans) {
+    ExecConfig profiled;
+    profiled.profile = true;
+    std::shared_ptr<obs::OperatorProfile> prof;
+    ASSERT_TRUE(oracle(profiled).Execute(plan, nullptr, &prof).ok()) << name;
+    std::vector<const obs::OperatorProfile*> joins;
+    HashJoinNodes(*prof, &joins);
+    ASSERT_EQ(joins.size(), 1u) << name;
+    const size_t pairs = joins[0]->rows_out;
+    ASSERT_GT(pairs, 100u) << name;
+    for (size_t cap : {pairs - 1, pairs / 3, pairs}) {
+      ExecConfig cfg;
+      cfg.max_intermediate_rows = cap;
+      ExecStats row_stats;
+      auto row_res = oracle(cfg).Execute(plan, &row_stats);
+      EXPECT_EQ(row_res.ok(), cap == pairs) << name << " cap " << cap;
+      for (auto& [batch, db] : dbs_) {
+        cfg.batch_rows = batch;
+        const std::string label = name + " cap " + std::to_string(cap) +
+                                  " [batch=" + std::to_string(batch) + "]";
+        ExecStats col_stats;
+        auto col_res =
+            Executor([&db](const std::string& n) { return db.Resolve(n); },
+                     cfg)
+                .Execute(plan, &col_stats);
+        ASSERT_EQ(col_res.ok(), row_res.ok()) << label;
+        if (!row_res.ok()) {
+          EXPECT_EQ(col_res.status().ToString(), row_res.status().ToString())
+              << label;
+          continue;
+        }
+        EXPECT_EQ(
+            oracle::FirstDifference(*row_res.value(), *col_res.value()), "")
+            << label;
+        ExpectIdenticalStats(row_stats, col_stats, label);
+      }
+    }
+  }
+}
+
 /// The columns of the seeded aggregate-over-join tables.
 Schema CaseSchema() {
   return Schema({{"k", DataType::kInt64},
@@ -523,13 +647,6 @@ std::vector<Row> CaseRows(Rng* rng, size_t n, int64_t key_lo, int64_t key_hi,
     rows.push_back({std::move(k), std::move(i), std::move(d), std::move(s)});
   }
   return rows;
-}
-
-/// Every HashJoin node under `node`, depth first.
-void HashJoinNodes(const obs::OperatorProfile& node,
-                   std::vector<const obs::OperatorProfile*>* out) {
-  if (node.op == "HashJoin") out->push_back(&node);
-  for (const auto& child : node.children) HashJoinNodes(*child, out);
 }
 
 TEST_F(ColumnarDifferentialTest, SeededAggregatesOverJoins) {

@@ -5,6 +5,8 @@
 #include <cfloat>
 #include <cstring>
 #include <limits>
+#include <map>
+#include <vector>
 
 #include "common/rng.h"
 #include "engine/exec_common.h"
@@ -246,54 +248,92 @@ TEST(AddRepeatedTest, DiffersFromOneMultiply) {
   EXPECT_NE(Bits(AddRepeated(0.0, 0.1, 1000)), Bits(1000 * 0.1));
 }
 
-TEST(Int64KeyIndexTest, NumbersCompactKeysByOffset) {
-  Int64Range range;
-  for (int64_t k : {-3, 5, -1}) range.Add(k);
-  Int64KeyIndex index(range, 3);
-  EXPECT_EQ(index.size(), 9u);  // every key in [-3, 5]
-  EXPECT_EQ(index.Insert(5), 8u);
-  EXPECT_EQ(index.Insert(-3), 0u);
+/// Sets each new key's slot to the next number, as the join build does,
+/// and returns the numbers by key.
+std::map<int64_t, uint32_t> NumberKeys(Int64KeyIndex* index,
+                                       const std::vector<int64_t>& keys) {
+  std::map<int64_t, uint32_t> numbers;
+  for (int64_t k : keys) {
+    uint32_t& slot = index->Slot(k);
+    if (slot == Int64KeyIndex::kNone) {
+      slot = static_cast<uint32_t>(numbers.size());
+      numbers[k] = slot;
+    }
+    EXPECT_EQ(slot, numbers.at(k)) << k;
+  }
+  return numbers;
+}
+
+TEST(Int64KeyIndexTest, AddressesCompactKeysByOffset) {
+  Int64KeyIndex index(3);
+  NumberKeys(&index, {-3, 5, -1, 5});
+  EXPECT_TRUE(index.direct());
+  EXPECT_EQ(index.Find(-3), 0u);
+  EXPECT_EQ(index.Find(5), 1u);
   EXPECT_EQ(index.Find(-1), 2u);
+  // Keys inside the window that Slot never saw, and keys outside it.
+  EXPECT_EQ(index.Find(0), Int64KeyIndex::kNone);
   EXPECT_EQ(index.Find(6), Int64KeyIndex::kNone);
   EXPECT_EQ(index.Find(-4), Int64KeyIndex::kNone);
   EXPECT_EQ(index.Find(std::numeric_limits<int64_t>::min()),
             Int64KeyIndex::kNone);
+  EXPECT_EQ(index.Find(std::numeric_limits<int64_t>::max()),
+            Int64KeyIndex::kNone);
 }
 
-TEST(Int64KeyIndexTest, NumbersSparseKeysInInsertOrder) {
+TEST(Int64KeyIndexTest, WideKeysMoveToTheHashMap) {
   const int64_t lo = std::numeric_limits<int64_t>::min();
   const int64_t hi = std::numeric_limits<int64_t>::max();
-  Int64Range range;
-  range.AddAll(std::vector<int64_t>{hi, lo, 0}.data(), nullptr, 3);
-  EXPECT_EQ(range.lo, lo);
-  EXPECT_EQ(range.hi, hi);
-  Int64KeyIndex index(range, 3);
-  EXPECT_EQ(index.size(), 0u);
-  EXPECT_EQ(index.Insert(hi), 0u);
-  EXPECT_EQ(index.Insert(lo), 1u);
-  EXPECT_EQ(index.Insert(hi), 0u);
-  EXPECT_EQ(index.size(), 2u);
-  EXPECT_EQ(index.Find(lo), 1u);
-  EXPECT_EQ(index.Find(0), Int64KeyIndex::kNone);
-  // A range just past the direct floor of 2^22 slots takes the hash map.
-  Int64Range wide;
-  wide.Add(0);
-  wide.Add(int64_t{1} << 22);
-  EXPECT_EQ(Int64KeyIndex(wide, 2).size(), 0u);
-  Int64Range narrow;
-  narrow.Add(0);
-  narrow.Add((int64_t{1} << 22) - 1);
-  EXPECT_EQ(Int64KeyIndex(narrow, 2).size(), size_t{1} << 22);
+  Int64KeyIndex index(3);
+  NumberKeys(&index, {0, 1, hi, lo, hi, 1});
+  EXPECT_FALSE(index.direct());
+  EXPECT_EQ(index.Find(0), 0u);  // set while the window was direct
+  EXPECT_EQ(index.Find(1), 1u);
+  EXPECT_EQ(index.Find(hi), 2u);
+  EXPECT_EQ(index.Find(lo), 3u);
+  EXPECT_EQ(index.Find(2), Int64KeyIndex::kNone);
+  // Keys spanning just the floor of 2^22 slots stay direct; one more
+  // moves them to the map. Past the floor, 4 x rows + 1024 slots may be
+  // direct.
+  Int64KeyIndex narrow(2);
+  NumberKeys(&narrow, {0, (int64_t{1} << 22) - 1});
+  EXPECT_TRUE(narrow.direct());
+  Int64KeyIndex wide(2);
+  NumberKeys(&wide, {0, int64_t{1} << 22});
+  EXPECT_FALSE(wide.direct());
+  EXPECT_EQ(wide.Find(int64_t{1} << 22), 1u);
+  Int64KeyIndex many(size_t{1} << 21);
+  NumberKeys(&many, {int64_t{1} << 23, 0});
+  EXPECT_TRUE(many.direct());
+  EXPECT_EQ(many.Find(0), 1u);
 }
 
-TEST(Int64KeyIndexTest, RangeSkipsNulls) {
-  const std::vector<int64_t> keys = {100, -7, 3, 50};
-  const std::vector<uint8_t> nulls = {1, 0, 0, 1};
-  Int64Range range;
-  range.AddAll(keys.data(), nulls.data(), keys.size());
-  EXPECT_EQ(range.count, 2u);
-  EXPECT_EQ(range.lo, -7);
-  EXPECT_EQ(range.hi, 3);
+TEST(Int64KeyIndexTest, WindowGrowsBothWaysToTheInt64Ends) {
+  // Seeded keys arrive in any order, so the window grows left and right.
+  Rng rng(3);
+  std::vector<int64_t> keys;
+  for (int i = 0; i < 2000; ++i) keys.push_back(rng.UniformInt(-5000, 5000));
+  Int64KeyIndex index(keys.size());
+  const std::map<int64_t, uint32_t> numbers = NumberKeys(&index, keys);
+  EXPECT_TRUE(index.direct());
+  for (int64_t k = -5002; k <= 5002; ++k) {
+    auto it = numbers.find(k);
+    EXPECT_EQ(index.Find(k),
+              it == numbers.end() ? Int64KeyIndex::kNone : it->second)
+        << k;
+  }
+  // Windows that reach either end of the int64 range stop growing there.
+  const int64_t lo = std::numeric_limits<int64_t>::min();
+  const int64_t hi = std::numeric_limits<int64_t>::max();
+  for (const std::vector<int64_t>& ends :
+       {std::vector<int64_t>{hi - 10, hi, hi - 100, hi - 1},
+        std::vector<int64_t>{lo + 10, lo, lo + 100, lo + 1}}) {
+    Int64KeyIndex end(4);
+    const std::map<int64_t, uint32_t> n = NumberKeys(&end, ends);
+    EXPECT_TRUE(end.direct());
+    for (const auto& [k, number] : n) EXPECT_EQ(end.Find(k), number) << k;
+    EXPECT_EQ(end.Find(ends[0] + 1), Int64KeyIndex::kNone);
+  }
 }
 
 }  // namespace
