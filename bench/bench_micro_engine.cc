@@ -6,6 +6,9 @@
 // engine's BM_<Op>Columnar speedups are read against.
 #include <benchmark/benchmark.h>
 
+#include <map>
+#include <string>
+
 #include "bench/bench_util.h"
 
 #include "cost/planner.h"
@@ -35,23 +38,53 @@ TablePtr MakeLarge(size_t rows, uint64_t seed,
   return GenerateTable(spec, &rng, chunk_rows).MoveValue();
 }
 
+/// QT4's department side: `rows` rows over 60 department numbers, each
+/// with a location string.
+TablePtr MakeDepartments(size_t rows) {
+  Rng rng(4);
+  TableGenSpec spec;
+  spec.name = std::string(1, 'd');
+  spec.num_rows = rows;
+  spec.columns = {{"deptno", DataType::kInt64},
+                  {"location", DataType::kString}};
+  spec.generators = {ColumnGenSpec::UniformInt(0, 59),
+                     ColumnGenSpec::StringPool({"sj", "ny", "sf", "tokyo"})};
+  return GenerateTable(spec, &rng).MoveValue();
+}
+
+/// QT4's employee side: `rows` serial employee numbers, each in one of the
+/// 60 departments.
+TablePtr MakeEmployees(size_t rows) {
+  Rng rng(5);
+  TableGenSpec spec;
+  spec.name = std::string(1, 'e');
+  spec.num_rows = rows;
+  spec.columns = {{"empno", DataType::kInt64},
+                  {"workdept", DataType::kInt64}};
+  spec.generators = {ColumnGenSpec::Serial(), ColumnGenSpec::UniformInt(0, 59)};
+  return GenerateTable(spec, &rng).MoveValue();
+}
+
 class Db {
  public:
   /// Tables `a` and `b` of `rows` rows, their payloads cut into chunks of
   /// `chunk_rows`, and the oracle's row views of them, read once here.
   explicit Db(size_t rows, size_t chunk_rows = Table::kDefaultChunkRows) {
-    a_ = MakeLarge(rows, 1, chunk_rows);
-    b_ = MakeLarge(rows, 2, chunk_rows);
-    a_rows_ = oracle::RowView(a_);
-    b_rows_ = oracle::RowView(b_);
-    stats_.Put(TableStats::Compute(*a_));
-    stats_.Put(TableStats::Compute(*b_));
+    Add("a", MakeLarge(rows, 1, chunk_rows));
+    Add("b", MakeLarge(rows, 2, chunk_rows));
+  }
+  /// Tables `d` and `e`: QT4's department and employee sides.
+  static Db Departments(size_t departments, size_t employees) {
+    Db db;
+    db.Add("d", MakeDepartments(departments));
+    db.Add("e", MakeEmployees(employees));
+    return db;
   }
 
   /// Plans and runs `sql` on the columnar engine.
   Result<TablePtr> Run(const std::string& sql, ExecConfig config = {}) {
     Executor exec([this](const std::string& n) -> Result<TablePtr> {
-      return n == "a" ? a_ : b_;
+      return tables_.at(n);
     }, config);
     return exec.Execute(Plan(sql), nullptr);
   }
@@ -60,7 +93,7 @@ class Db {
   Result<oracle::RowTablePtr> RunRow(const std::string& sql) {
     oracle::RowExecutor exec(
         [this](const std::string& n) -> Result<oracle::RowTablePtr> {
-          return n == "a" ? a_rows_ : b_rows_;
+          return rows_.at(n);
         });
     return exec.Execute(Plan(sql), nullptr);
   }
@@ -68,21 +101,27 @@ class Db {
   const StatsCatalog& stats() const { return stats_; }
 
  private:
+  Db() = default;
+
+  void Add(const std::string& name, const TablePtr& t) {
+    tables_[name] = t;
+    rows_[name] = oracle::RowView(t);
+    stats_.Put(TableStats::Compute(*t));
+  }
+
   PlanNodePtr Plan(const std::string& sql) {
     auto stmt = ParseSelect(sql);
     std::vector<Schema> schemas;
     for (const auto& tr : stmt->from) {
-      schemas.push_back((tr.table == "a" ? a_ : b_)->schema());
+      schemas.push_back(tables_.at(tr.table)->schema());
     }
     auto bq = BindQuery(*stmt, schemas);
     Planner planner(&stats_);
     return planner.Plan(*bq).MoveValue();
   }
 
-  TablePtr a_;
-  TablePtr b_;
-  oracle::RowTablePtr a_rows_;
-  oracle::RowTablePtr b_rows_;
+  std::map<std::string, TablePtr> tables_;
+  std::map<std::string, oracle::RowTablePtr> rows_;
   StatsCatalog stats_;
 };
 
@@ -148,6 +187,40 @@ void BM_SmallBuildJoinAggregate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_SmallBuildJoinAggregate)->Arg(20000);
+
+/// QT1's shape: a filter keeps about 95% of one side, whose 19k rows over
+/// 20k keys are built and probed by every row of the other, for about
+/// one pair per probe row into an AVG of a build column grouped by a
+/// probe column.
+constexpr char kOnePairJoinAggregate[] =
+    "SELECT a.k, COUNT(*) AS c, AVG(b.v) AS m FROM a, b WHERE a.id = b.id "
+    "AND b.v > 50 GROUP BY a.k";
+
+void BM_OnePairJoinAggregate(benchmark::State& state) {
+  Db db(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    auto r = db.RunRow(kOnePairJoinAggregate);
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_OnePairJoinAggregate)->Arg(20000);
+
+/// QT4's S3 join: about 100 department rows over 60 department numbers,
+/// probed by 20k employees for about 1.7 pairs each, materializing one
+/// int and one string column.
+constexpr char kFanOutJoin[] =
+    "SELECT e.empno, d.location FROM e, d WHERE e.workdept = d.deptno";
+
+void BM_FanOutJoin(benchmark::State& state) {
+  Db db = Db::Departments(100, static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    auto r = db.RunRow(kFanOutJoin);
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_FanOutJoin)->Arg(20000);
 
 void BM_Sort(benchmark::State& state) {
   Db db(static_cast<size_t>(state.range(0)));
@@ -221,6 +294,26 @@ void BM_SmallBuildJoinAggregateColumnar(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_SmallBuildJoinAggregateColumnar)->Arg(20000);
+
+void BM_OnePairJoinAggregateColumnar(benchmark::State& state) {
+  Db db(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    auto r = db.Run(kOnePairJoinAggregate, ColumnarConfig());
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_OnePairJoinAggregateColumnar)->Arg(20000);
+
+void BM_FanOutJoinColumnar(benchmark::State& state) {
+  Db db = Db::Departments(100, static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    auto r = db.Run(kFanOutJoin, ColumnarConfig());
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_FanOutJoinColumnar)->Arg(20000);
 
 void BM_SortColumnar(benchmark::State& state) {
   Db db(static_cast<size_t>(state.range(0)));

@@ -1,8 +1,11 @@
 #include "engine/columnar_executor.h"
 
 #include <algorithm>
+#include <limits>
 #include <optional>
+#include <string>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -205,56 +208,47 @@ void UpdateAggregate(const AggItem& item, const VectorResult& arg,
   });
 }
 
-/// \brief Column `slot` of every chunk of one hash-join side, for reads
-/// by RowRef: its declared type and base pointers with each slice's
-/// offset applied.
-struct SideColumn {
-  struct Chunk {
-    const ColumnSlice* slice = nullptr;
-    const int64_t* ints = nullptr;  ///< kInt64 only
-    const double* doubles = nullptr;  ///< kDouble only
-    const uint32_t* codes = nullptr;  ///< kString only
-    const StringDict* dict = nullptr;  ///< kString only
-    const uint8_t* nulls = nullptr;  ///< null when there is no null bitmap
-  };
-  DataType type;
-  std::vector<Chunk> chunks;
+/// \brief The typed cells of one column from a row on: base pointers with
+/// the slice's offset applied, read by row index.
+struct Cells {
+  const int64_t* ints = nullptr;     ///< kInt64 only
+  const double* doubles = nullptr;   ///< kDouble only
+  const uint32_t* codes = nullptr;   ///< kString only
+  const StringDict* dict = nullptr;  ///< kString only
+  const uint8_t* nulls = nullptr;    ///< null when there is no null bitmap
 
-  static Chunk Of(const ColumnSlice& s) {
-    Chunk c;
-    c.slice = &s;
-    if (!s.present()) return c;
-    const ColumnData& col = *s.col;
+  static Cells Of(const ColumnData& col, size_t offset) {
+    Cells c;
     switch (col.type()) {
       case DataType::kInt64:
-        c.ints = col.ints() + s.offset;
+        c.ints = col.ints() + offset;
         break;
       case DataType::kDouble:
-        c.doubles = col.doubles() + s.offset;
+        c.doubles = col.doubles() + offset;
         break;
       case DataType::kString:
-        c.codes = col.codes() + s.offset;
+        c.codes = col.codes() + offset;
         c.dict = &col.dict();
         break;
     }
-    if (col.has_nulls()) c.nulls = col.nulls() + s.offset;
+    if (col.has_nulls()) c.nulls = col.nulls() + offset;
     return c;
   }
+  static Cells Of(const ColumnSlice& s) { return Of(*s.col, s.offset); }
 
-  SideColumn(const ColumnarTable& side, size_t slot)
-      : type(side.schema().column(slot).type) {
-    chunks.reserve(side.chunks().size());
-    for (const ColumnChunk& chunk : side.chunks()) {
-      chunks.push_back(Of(chunk.columns[slot]));
-    }
-  }
+  bool IsNull(size_t i) const { return nulls != nullptr && nulls[i] != 0; }
+};
 
-  bool IsNull(RowRef r) const {
-    const Chunk& c = chunks[r.chunk];
-    return c.nulls != nullptr && c.nulls[r.row] != 0;
-  }
-  Value ValueAt(RowRef r) const {
-    return chunks[r.chunk].slice->ValueAt(r.row);
+// A typed cell of a Cells.
+struct IntCell {
+  int64_t operator()(const Cells& c, uint32_t i) const { return c.ints[i]; }
+};
+struct DoubleCell {
+  double operator()(const Cells& c, uint32_t i) const { return c.doubles[i]; }
+};
+struct StringCell {
+  std::string_view operator()(const Cells& c, uint32_t i) const {
+    return c.dict->at(c.codes[i]);
   }
 };
 
@@ -352,16 +346,43 @@ bool KeyAt(const ColumnChunk& chunk, const std::vector<size_t>& slots,
   return true;
 }
 
+/// Runs of at most this many build slots per matching probe row, on
+/// average over a probe chunk, are short: the chunk's pairs are expanded
+/// into flat arrays, this many at a time whatever a run's length, and
+/// every kernel then walks the pairs with no branch per run. Longer runs
+/// are walked run by run, which reads a probe-side cell once per run.
+constexpr uint32_t kShortRun = 4;
+
+/// \brief One probe chunk's matching rows in probe order, each with its
+/// run of build slots [begin, end) in a JoinLayout.
+struct ProbeMatches {
+  std::vector<uint32_t> row;
+  std::vector<uint32_t> begin;
+  std::vector<uint32_t> end;
+  size_t size = 0;   ///< matching probe rows
+  size_t pairs = 0;  ///< their runs' slots, summed
+
+  /// True when the runs average at most kShortRun slots.
+  bool short_runs() const { return pairs <= kShortRun * size; }
+};
+
 /// \brief A hash join's build side laid out for probing: both hash-join
 /// sinks probe it.
 ///
-/// The distinct non-NULL build keys are numbered in first-seen order, and
-/// the build rows are laid out key by key, each key's rows ascending, so a
-/// probe row's matches are one run of the layout in the emission order
-/// (probe order, build matches ascending). One INT key on each side is
-/// numbered through an Int64KeyIndex (Value equality then is int64
-/// equality, and no Row/Value key is made), other keys as row-engine Rows.
-/// NULL join keys never match.
+/// Every build row with a non-NULL key gets a key index, and a counting
+/// sort over the indexes lays the rows out key by key, each key's rows
+/// ascending; a position in that layout is a build slot. A probe row's
+/// matches are then one run of slots in the emission order (probe order,
+/// build matches ascending). One INT key on each side takes the dense
+/// layout when its build keys span fewer than 4 × build rows + 64 values:
+/// a key's index is its offset from the smallest build key, so no key is
+/// numbered and a probe row finds its run by one subtraction and two
+/// loads. The bound keeps the two passes over the span (clearing the
+/// counts and summing them) within a small multiple of the passes over the
+/// rows. A wider INT key is numbered in first-seen order through an
+/// Int64KeyIndex (Value equality then is int64 equality, and no Row/Value
+/// key is made), and any other key as a row-engine Row; both sort by that
+/// number. NULL join keys never match.
 class JoinLayout {
  public:
   static constexpr uint32_t kNone = Int64KeyIndex::kNone;
@@ -369,46 +390,60 @@ class JoinLayout {
   JoinLayout(const PlanNode& join, const ColumnarTable& build,
              const ColumnarTable& probe)
       : join_(join),
-        probe_(probe),
         typed_(join.left_keys.size() == 1 && join.right_keys.size() == 1 &&
                build.schema().column(join.left_keys[0]).type ==
                    DataType::kInt64 &&
                probe.schema().column(join.right_keys[0]).type ==
                    DataType::kInt64),
         int_keys_(build.num_rows()) {
-    // `row_key[r]` is build row r's key number, kNone for a NULL key, and
-    // start_[k + 1] counts key k's rows.
-    std::vector<uint32_t> row_key(build.num_rows(), kNone);
-    start_.assign(1, 0);
+    // First each build row's key index (kNone for a NULL key), counted in
+    // start_[k]; then, by the counting sort, each row's slot.
+    row_slot_.assign(build.num_rows(), kNone);
+    uint32_t* row_key = row_slot_.data();
     auto number = [&](uint32_t* k) {
       if (*k == kNone) {
-        *k = static_cast<uint32_t>(start_.size() - 1);
+        *k = static_cast<uint32_t>(start_.size());
         start_.push_back(0);
       }
-      ++start_[*k + 1];
+      ++start_[*k];
       return *k;
     };
     size_t row = 0;
     if (typed_) {
       const size_t slot = join.left_keys[0];
-      bool any = false;
-      int64_t lo = 0;
-      int64_t hi = 0;
+      int64_t lo = std::numeric_limits<int64_t>::max();
+      int64_t hi = std::numeric_limits<int64_t>::min();
       for (const ColumnChunk& chunk : build.chunks()) {
-        const SideColumn::Chunk c = SideColumn::Of(chunk.columns[slot]);
+        const Cells c = Cells::Of(chunk.columns[slot]);
         for (size_t i = 0; i < chunk.length; ++i) {
-          if (c.nulls != nullptr && c.nulls[i] != 0) continue;
-          lo = any ? std::min(lo, c.ints[i]) : c.ints[i];
-          hi = any ? std::max(hi, c.ints[i]) : c.ints[i];
-          any = true;
+          const bool skip = c.IsNull(i);
+          lo = skip ? lo : std::min(lo, c.ints[i]);
+          hi = skip ? hi : std::max(hi, c.ints[i]);
         }
       }
-      if (any) int_keys_.Reserve(lo, hi);
+      const bool any = lo <= hi;
+      // Unsigned arithmetic is overflow-safe for any int64 pair.
+      const uint64_t span =
+          static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+      dense_ = any && span < 4 * static_cast<uint64_t>(build.num_rows()) + 64;
+      if (dense_) {
+        lo_ = lo;
+        start_.assign(static_cast<size_t>(span) + 1, 0);
+      } else if (any) {
+        int_keys_.Reserve(lo, hi);
+      }
       for (const ColumnChunk& chunk : build.chunks()) {
-        const SideColumn::Chunk c = SideColumn::Of(chunk.columns[slot]);
+        const Cells c = Cells::Of(chunk.columns[slot]);
         for (size_t i = 0; i < chunk.length; ++i, ++row) {
-          if (c.nulls != nullptr && c.nulls[i] != 0) continue;
-          row_key[row] = number(&int_keys_.Slot(c.ints[i]));
+          if (c.IsNull(i)) continue;
+          if (dense_) {
+            const auto k = static_cast<uint32_t>(
+                static_cast<uint64_t>(c.ints[i]) - static_cast<uint64_t>(lo));
+            row_key[row] = k;
+            ++start_[k];
+          } else {
+            row_key[row] = number(&int_keys_.Slot(c.ints[i]));
+          }
         }
       }
     } else {
@@ -416,185 +451,438 @@ class JoinLayout {
       for (const ColumnChunk& chunk : build.chunks()) {
         for (size_t i = 0; i < chunk.length; ++i, ++row) {
           if (!KeyAt(chunk, join.left_keys, i, &key)) continue;
-          row_key[row] =
-              number(&row_keys_.try_emplace(RowKey(key), kNone).first->second);
+          row_key[row] = number(
+              &row_keys_.try_emplace(RowKey(key), kNone).first->second);
         }
       }
     }
     // Summed, start_[k] is where key k's run ends; filling from the last
-    // row down moves it to where the run begins.
-    const size_t nkeys = start_.size() - 1;
+    // row down moves it to where the run begins. Index nkeys is an empty
+    // run at the end, the run of a probe key without build rows.
+    const size_t nkeys = start_.size();
     uint32_t total = 0;
     for (size_t k = 0; k < nkeys; ++k) {
-      total += start_[k + 1];
+      total += start_[k];
       start_[k] = total;
     }
-    start_[nkeys] = total;
-    matches_.resize(total);
-    for (size_t c = build.chunks().size(); c-- > 0;) {
-      for (size_t i = build.chunks()[c].length; i-- > 0;) {
-        const uint32_t k = row_key[--row];
-        if (k == kNone) continue;
-        matches_[--start_[k]] =
-            RowRef{static_cast<uint32_t>(c), static_cast<uint32_t>(i)};
-      }
+    start_.resize(nkeys + 2, total);
+    slots_ = total;
+    for (size_t r = row_slot_.size(); r-- > 0;) {
+      if (row_key[r] != kNone) row_slot_[r] = --start_[row_key[r]];
     }
   }
 
-  size_t num_keys() const { return start_.size() - 1; }
-  /// Key k's run of build rows: matches()[begin(k)..end(k)), never empty.
-  uint32_t begin(uint32_t k) const { return start_[k]; }
-  uint32_t end(uint32_t k) const { return start_[k + 1]; }
-  /// The build rows, key by key; an index into it is a build slot.
-  const std::vector<RowRef>& matches() const { return matches_; }
+  /// Key indexes run over [0, num_keys()); key k's slots are
+  /// [begin(k), end(k)), empty for a dense index no build row has.
+  size_t num_keys() const { return start_.size() - 2; }
+  uint32_t begin(size_t k) const { return start_[k]; }
+  uint32_t end(size_t k) const { return start_[k + 1]; }
+  size_t num_slots() const { return slots_; }
+  /// The slot of each build row, the chunks' rows counted in order, and
+  /// kNone for a row with a NULL key.
+  const std::vector<uint32_t>& row_slot() const { return row_slot_; }
 
-  /// Calls f(probe row, key) for each probe row whose key has build rows,
-  /// in probe order, until f returns false.
-  template <typename F>
-  void Probe(F&& f) const {
-    Row key;
-    for (size_t c = 0; c < probe_.chunks().size(); ++c) {
-      const ColumnChunk& chunk = probe_.chunks()[c];
-      const auto ref = [c](size_t i) {
-        return RowRef{static_cast<uint32_t>(c), static_cast<uint32_t>(i)};
-      };
-      if (typed_) {
-        const SideColumn::Chunk pc =
-            SideColumn::Of(chunk.columns[join_.right_keys[0]]);
-        for (size_t i = 0; i < chunk.length; ++i) {
-          if (pc.nulls != nullptr && pc.nulls[i] != 0) continue;
-          const uint32_t k = int_keys_.Find(pc.ints[i]);
-          if (k != kNone && !f(ref(i), k)) return;
-        }
-        continue;
-      }
-      for (size_t i = 0; i < chunk.length; ++i) {
-        if (!KeyAt(chunk, join_.right_keys, i, &key)) continue;
+  /// The matches of every row of `chunk`, a chunk of the probe side.
+  void Probe(const ColumnChunk& chunk, ProbeMatches* out) const {
+    const uint32_t none = static_cast<uint32_t>(num_keys());
+    if (!typed_) {
+      Row key;
+      Collect<false>(chunk.length, out, [&](size_t i) {
+        if (!KeyAt(chunk, join_.right_keys, i, &key)) return none;
         auto it = row_keys_.find(RowKey(key));
-        if (it != row_keys_.end() && !f(ref(i), it->second)) return;
-      }
+        return it == row_keys_.end() ? none : it->second;
+      });
+      return;
     }
+    const ColumnSlice& s = chunk.columns[join_.right_keys[0]];
+    const int64_t* keys = s.col->ints() + s.offset;
+    const uint8_t* nulls = s.col->has_nulls() ? s.col->nulls() + s.offset
+                                              : nullptr;
+    if (!dense_) {
+      Collect<false>(chunk.length, out, [&](size_t i) {
+        if (nulls != nullptr && nulls[i] != 0) return none;
+        return std::min(int_keys_.Find(keys[i]), none);
+      });
+      return;
+    }
+    const auto lo = static_cast<uint64_t>(lo_);
+    if (nulls == nullptr) {
+      Collect(chunk.length, out, [&](size_t i) {
+        const uint64_t off = static_cast<uint64_t>(keys[i]) - lo;
+        return static_cast<uint32_t>(off < none ? off : none);
+      });
+      return;
+    }
+    Collect(chunk.length, out, [&](size_t i) {
+      const uint64_t off = static_cast<uint64_t>(keys[i]) - lo;
+      return static_cast<uint32_t>(off < none && nulls[i] == 0 ? off : none);
+    });
   }
 
  private:
-  const PlanNode& join_;
-  const ColumnarTable& probe_;
-  bool typed_;
-  Int64KeyIndex int_keys_;
-  std::unordered_map<RowKey, uint32_t, RowKeyHash> row_keys_;
-  std::vector<uint32_t> start_;  ///< by key number, then the end
-  std::vector<RowRef> matches_;
-};
-
-// A typed cell of one chunk of a SideColumn.
-struct IntCell {
-  int64_t operator()(const SideColumn::Chunk& c, uint32_t r) const {
-    return c.ints[r];
-  }
-};
-struct DoubleCell {
-  double operator()(const SideColumn::Chunk& c, uint32_t r) const {
-    return c.doubles[r];
-  }
-};
-struct StringCell {
-  std::string_view operator()(const SideColumn::Chunk& c, uint32_t r) const {
-    return c.dict->at(c.codes[r]);
-  }
-};
-
-/// One probe row's pairs: probe row `probe` with the build rows
-/// `build[begin..end)` of a JoinLayout. Every pair's group is `group`, or,
-/// when the group varies by build row, build slot b's is `slot_groups[b]`.
-struct PairRun {
-  RowRef probe;
-  const RowRef* build;
-  uint32_t begin;
-  uint32_t end;
-  uint32_t group;
-  const uint32_t* slot_groups;
-};
-
-/// Folds a run's pairs into one aggregate, pair by pair in emission order:
-/// `states[g * stride]` is group g's accumulator, `arg` the aggregate's
-/// column, whose non-null cells Update takes. A probe-side cell is read
-/// once per run.
-template <typename Cell, typename Update, bool kBuildArg, bool kSlotGroups>
-void FoldRun(const SideColumn& arg, const PairRun& run, AggState* states,
-             size_t stride) {
-  const RowRef* build = run.build;
-  const uint32_t* slot_groups = run.slot_groups;
-  AggState& one = states[static_cast<size_t>(run.group) * stride];
-  const auto state = [&](uint32_t b) -> AggState& {
-    if constexpr (kSlotGroups) return states[slot_groups[b] * stride];
-    return one;
-  };
-  if constexpr (kBuildArg) {
-    for (uint32_t b = run.begin; b < run.end; ++b) {
-      const RowRef r = build[b];
-      const SideColumn::Chunk& c = arg.chunks[r.chunk];
-      if (c.nulls != nullptr && c.nulls[r.row] != 0) continue;
-      Update{}(state(b), Cell{}(c, r.row));
+  /// Fills `out` from the key index of each of `n` probe rows, `key(i)`,
+  /// num_keys() for a row without one. kBranchFree writes every row and
+  /// moves the count past it when its run is not empty, so the loop
+  /// carries no branch on whether a row matches: the dense layout's. A
+  /// numbered layout's build keys are sparse in their span, or hashed, so
+  /// most probe rows miss, and a branch on the match is predicted.
+  template <bool kBranchFree = true, typename KeyOf>
+  void Collect(size_t n, ProbeMatches* out, KeyOf&& key) const {
+    if (out->row.size() < n) {
+      out->row.resize(n);
+      out->begin.resize(n);
+      out->end.resize(n);
     }
-  } else {
-    const SideColumn::Chunk& c = arg.chunks[run.probe.chunk];
-    if (c.nulls != nullptr && c.nulls[run.probe.row] != 0) return;
-    const auto v = Cell{}(c, run.probe.row);
-    for (uint32_t b = run.begin; b < run.end; ++b) Update{}(state(b), v);
+    uint32_t* rows = out->row.data();
+    uint32_t* begins = out->begin.data();
+    uint32_t* ends = out->end.data();
+    const uint32_t* start = start_.data();
+    size_t m = 0;
+    size_t pairs = 0;
+    const auto none = static_cast<uint32_t>(num_keys());
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t k = key(i);
+      if constexpr (!kBranchFree) {
+        if (k == none) continue;  // a numbered key has build rows
+      }
+      const uint32_t b = start[k];
+      const uint32_t e = start[k + 1];
+      rows[m] = static_cast<uint32_t>(i);
+      begins[m] = b;
+      ends[m] = e;
+      m += b != e ? 1 : 0;
+      pairs += e - b;
+    }
+    out->size = m;
+    out->pairs = pairs;
   }
+
+  const PlanNode& join_;
+  bool typed_;
+  bool dense_ = false;
+  int64_t lo_ = 0;              ///< the dense layout's smallest key
+  Int64KeyIndex int_keys_;      ///< numbered INT keys
+  std::unordered_map<RowKey, uint32_t, RowKeyHash> row_keys_;
+  std::vector<uint32_t> start_;  ///< by key index, then two ends
+  std::vector<uint32_t> row_slot_;
+  size_t slots_ = 0;
+};
+
+/// Column `slot` of the build rows in slot order, with its null flags:
+/// the join's kernels read build cells by slot, never by RowRef.
+ColumnPtr FlattenBuildColumn(const ColumnarTable& build, size_t slot,
+                             const JoinLayout& layout) {
+  auto col = std::make_shared<ColumnData>(build.schema().column(slot).type);
+  col->AppendScattered(build, slot, layout.row_slot().data(),
+                       layout.num_slots());
+  return col;
 }
 
-using FoldFn = void (*)(const SideColumn&, const PairRun&, AggState*, size_t);
+/// \brief Scratch for a piece of pairs: each pair's build slot, probe row
+/// and group, with room for a short run's fixed-width writes past the
+/// last pair.
+struct PairPiece {
+  PairPiece(size_t cap, bool groups)
+      : slot(cap + kShortRun), row(cap + kShortRun),
+        group(groups ? cap + kShortRun : 0) {}
+  std::vector<uint32_t> slot;
+  std::vector<uint32_t> row;
+  std::vector<uint32_t> group;
+};
 
-template <typename Cell, typename Update>
-FoldFn PickFold(bool build_arg, bool slot_groups) {
-  if (build_arg) {
-    return slot_groups ? &FoldRun<Cell, Update, true, true>
-                       : &FoldRun<Cell, Update, true, false>;
+/// \brief Walks one probe chunk's pairs in emission order, a piece at a
+/// time.
+///
+/// When the chunk's runs are short, a run of at most kShortRun slots is
+/// written as kShortRun pairs and the piece advances by the run's length,
+/// so the loop takes no branch on a run's length; a longer run, or one
+/// that would cross the piece's end, is written pair by pair. A run that
+/// crosses the end resumes in the next piece.
+class PairCursor {
+ public:
+  explicit PairCursor(const ProbeMatches& m)
+      : m_(m), fixed_width_(m.short_runs()) {}
+
+  bool done() const { return j_ == m_.size; }
+
+  /// Writes the next at most `cap` pairs (no more than `piece` was made
+  /// for) into `piece` and returns their count. kGroups also writes each
+  /// pair's group, `match_group[j]` of its match j.
+  template <bool kGroups>
+  size_t Next(size_t cap, PairPiece* piece,
+              const uint32_t* match_group = nullptr) {
+    uint32_t* slot = piece->slot.data();
+    uint32_t* row = piece->row.data();
+    uint32_t* group = piece->group.data();
+    size_t p = 0;
+    while (j_ < m_.size && p < cap) {
+      const uint32_t b = m_.begin[j_] + off_;
+      const uint32_t len = m_.end[j_] - b;
+      const uint32_t r = m_.row[j_];
+      const uint32_t g = kGroups ? match_group[j_] : 0;
+      if (fixed_width_ && len <= kShortRun && p + len <= cap) {
+        for (uint32_t t = 0; t < kShortRun; ++t) {
+          slot[p + t] = b + t;
+          row[p + t] = r;
+          if constexpr (kGroups) group[p + t] = g;
+        }
+        p += len;
+        ++j_;
+        off_ = 0;
+        continue;
+      }
+      const auto take =
+          static_cast<uint32_t>(std::min<size_t>(len, cap - p));
+      for (uint32_t t = 0; t < take; ++t) {
+        slot[p + t] = b + t;
+        row[p + t] = r;
+        if constexpr (kGroups) group[p + t] = g;
+      }
+      p += take;
+      if (take < len) {
+        off_ += take;
+        break;
+      }
+      ++j_;
+      off_ = 0;
+    }
+    return p;
   }
-  return slot_groups ? &FoldRun<Cell, Update, false, true>
-                     : &FoldRun<Cell, Update, false, false>;
-}
 
-/// The fold of `item` over a column of `type`, picked once per query so
-/// that the loop over pairs carries no switch on the function or the type.
-FoldFn PickFold(const AggItem& item, DataType type, bool build_arg,
-                bool slot_groups) {
-  FoldFn fn = nullptr;
-  WithTypedUpdate(item, [&](auto update) {
-    using Update = decltype(update);
+ private:
+  const ProbeMatches& m_;
+  bool fixed_width_;
+  size_t j_ = 0;      ///< the next match
+  uint32_t off_ = 0;  ///< slots of match j_ already written
+};
+
+/// \brief One aggregate's accumulators over a join, dense by group id:
+/// non-NULL cells counted, and a sum, minimum or maximum of the
+/// argument's type. They become AggStates only when the groups are
+/// emitted.
+struct DenseAcc {
+  bool values = false;  ///< false for a COUNT, which keeps only counts
+  DataType type = DataType::kInt64;
+  std::vector<uint64_t> count;
+  std::vector<int64_t> ints;
+  std::vector<double> doubles;
+  std::vector<std::string_view> strings;  ///< views into the join's inputs
+
+  template <typename T>
+  T* values_of() {
+    if constexpr (std::is_same_v<T, int64_t>) return ints.data();
+    if constexpr (std::is_same_v<T, double>) return doubles.data();
+    if constexpr (std::is_same_v<T, std::string_view>) return strings.data();
+  }
+  void Resize(size_t groups) {
+    count.resize(groups, 0);
+    if (!values) return;
     switch (type) {
       case DataType::kInt64:
-        fn = PickFold<IntCell, Update>(build_arg, slot_groups);
-        return;
+        ints.resize(groups, 0);
+        break;
       case DataType::kDouble:
-        fn = PickFold<DoubleCell, Update>(build_arg, slot_groups);
-        return;
+        doubles.resize(groups, 0.0);
+        break;
       case DataType::kString:
-        fn = PickFold<StringCell, Update>(build_arg, slot_groups);
-        return;
+        strings.resize(groups);
+        break;
     }
-  });
-  return fn;
+  }
+  /// Group g's state, as AggState's typed updates leave it after the
+  /// same cells in the same order: SUM and AVG over INT keep int_mode and
+  /// add into isum, over DOUBLE leave int_mode at their first cell and add
+  /// into dsum from 0.0; MIN and MAX keep a typed Value.
+  void Store(const AggItem& item, size_t g, AggState* state) const {
+    state->count = count[g];
+    if (count[g] == 0 || !values) return;
+    if (item.func == AggFunc::kSum || item.func == AggFunc::kAvg) {
+      if (type == DataType::kInt64) {
+        state->isum = ints[g];
+      } else {
+        state->int_mode = false;
+        state->dsum = doubles[g];
+      }
+      return;
+    }
+    Value v;
+    switch (type) {
+      case DataType::kInt64:
+        v = Value(ints[g]);
+        break;
+      case DataType::kDouble:
+        v = Value(doubles[g]);
+        break;
+      case DataType::kString:
+        v = Value(std::string(strings[g]));
+        break;
+    }
+    (item.func == AggFunc::kMin ? state->min_v : state->max_v) = std::move(v);
+  }
+};
+
+// The typed updates of one dense accumulator by one non-null cell, each
+// the transition AggState's Sum, Min or Max makes: a plain add, and a
+// strict < that keeps the first of equal cells.
+struct SumInto {
+  template <typename T>
+  void operator()(T& acc, uint64_t& count, T v) const {
+    acc += v;
+    ++count;
+  }
+};
+struct MinInto {
+  template <typename T>
+  void operator()(T& acc, uint64_t& count, T v) const {
+    if (count == 0 || v < acc) acc = v;
+    ++count;
+  }
+};
+struct MaxInto {
+  template <typename T>
+  void operator()(T& acc, uint64_t& count, T v) const {
+    if (count == 0 || acc < v) acc = v;
+    ++count;
+  }
+};
+
+/// Folds `n` expanded pairs into one aggregate: pair t's cell is
+/// `arg`'s cell idx[t] (its build slot or probe row), its group group[t].
+template <typename Cell, typename Op>
+void FoldPairs(const Cells& arg, const uint32_t* idx, const uint32_t* group,
+               size_t n, DenseAcc* acc) {
+  using T = decltype(Cell{}(arg, 0));
+  T* vals = acc->values_of<T>();
+  uint64_t* count = acc->count.data();
+  if (arg.nulls == nullptr) {
+    for (size_t t = 0; t < n; ++t) {
+      Op{}(vals[group[t]], count[group[t]], Cell{}(arg, idx[t]));
+    }
+    return;
+  }
+  for (size_t t = 0; t < n; ++t) {
+    if (arg.nulls[idx[t]] != 0) continue;
+    Op{}(vals[group[t]], count[group[t]], Cell{}(arg, idx[t]));
+  }
+}
+
+/// Folds a chunk's pairs into one aggregate run by run, in emission
+/// order. The groups are `groups[s]` by build slot (kSlotGroups) or
+/// `groups[j]` by match; a probe-side cell is read once per run.
+template <typename Cell, typename Op, bool kBuildArg, bool kSlotGroups>
+void FoldRuns(const Cells& arg, const ProbeMatches& m, const uint32_t* groups,
+              DenseAcc* acc) {
+  using T = decltype(Cell{}(arg, 0));
+  T* vals = acc->values_of<T>();
+  uint64_t* count = acc->count.data();
+  for (size_t j = 0; j < m.size; ++j) {
+    const uint32_t b = m.begin[j];
+    const uint32_t e = m.end[j];
+    const auto group = [&](uint32_t s) {
+      if constexpr (kSlotGroups) return groups[s];
+      return groups[j];
+    };
+    if constexpr (kBuildArg) {
+      for (uint32_t s = b; s < e; ++s) {
+        if (arg.IsNull(s)) continue;
+        const uint32_t g = group(s);
+        Op{}(vals[g], count[g], Cell{}(arg, s));
+      }
+    } else {
+      const uint32_t r = m.row[j];
+      if (arg.IsNull(r)) continue;
+      const T v = Cell{}(arg, r);
+      for (uint32_t s = b; s < e; ++s) {
+        const uint32_t g = group(s);
+        Op{}(vals[g], count[g], v);
+      }
+    }
+  }
+}
+
+using FoldPairsFn = void (*)(const Cells&, const uint32_t*, const uint32_t*,
+                             size_t, DenseAcc*);
+using FoldRunsFn = void (*)(const Cells&, const ProbeMatches&,
+                            const uint32_t*, DenseAcc*);
+
+/// The two loops of one aggregate, picked once per query so that the
+/// loops over pairs carry no switch on the function, the type, the
+/// argument's side or the group source.
+struct FoldLoops {
+  FoldPairsFn pairs = nullptr;
+  FoldRunsFn runs = nullptr;
+};
+
+template <typename Cell, typename Op>
+FoldLoops PickLoops(bool build_arg, bool slot_groups) {
+  FoldLoops f;
+  f.pairs = &FoldPairs<Cell, Op>;
+  if (build_arg) {
+    f.runs = slot_groups ? &FoldRuns<Cell, Op, true, true>
+                         : &FoldRuns<Cell, Op, true, false>;
+  } else {
+    f.runs = slot_groups ? &FoldRuns<Cell, Op, false, true>
+                         : &FoldRuns<Cell, Op, false, false>;
+  }
+  return f;
+}
+
+template <typename Op>
+FoldLoops PickLoops(DataType type, bool build_arg, bool slot_groups) {
+  switch (type) {
+    case DataType::kInt64:
+      return PickLoops<IntCell, Op>(build_arg, slot_groups);
+    case DataType::kDouble:
+      return PickLoops<DoubleCell, Op>(build_arg, slot_groups);
+    case DataType::kString:
+      if constexpr (std::is_same_v<Op, SumInto>) {
+        return FoldLoops{};  // the binder rejects SUM and AVG of strings
+      } else {
+        return PickLoops<StringCell, Op>(build_arg, slot_groups);
+      }
+  }
+  return FoldLoops{};
+}
+
+/// SUM, AVG, MIN or MAX of a column of `type`.
+FoldLoops PickLoops(const AggItem& item, DataType type, bool build_arg,
+                    bool slot_groups) {
+  switch (item.func) {
+    case AggFunc::kSum:
+    case AggFunc::kAvg:
+      return PickLoops<SumInto>(type, build_arg, slot_groups);
+    case AggFunc::kMin:
+      return PickLoops<MinInto>(type, build_arg, slot_groups);
+    case AggFunc::kMax:
+      return PickLoops<MaxInto>(type, build_arg, slot_groups);
+    case AggFunc::kCount:
+      break;
+  }
+  return FoldLoops{};
 }
 
 /// \brief The accumulate sink: folds each matched pair of a hash join
-/// straight into the groups of the Aggregate above it, one probe row's run
-/// at a time, in the emission order.
+/// straight into the groups of the Aggregate above it, a probe chunk at a
+/// time, in the emission order.
 ///
-/// A pair's group is read in place. When every group key is a probe column
-/// (or there is none), it is resolved once per probe row; when every key is
-/// a build column, once per build slot, the first time the slot's key
-/// matches, and cached; otherwise once per pair. Ids are therefore handed
-/// out in first-seen order. A COUNT adds a whole run per probe row, or,
-/// when the group comes from the build side, a count per build key that
-/// the last step spreads over the key's slots: counts are integers, so
-/// their order does not matter. Every other aggregate folds its pairs one
-/// by one, so each accumulator sees them in emission order (a double sum
-/// of m equal cells is not m times the cell).
+/// A pair's group id is read in place. When every group key is a probe
+/// column (or there is none), it is resolved once per matching probe row;
+/// when every key is a build column, once per build slot, the first time
+/// the slot's key matches, and kept by slot; with keys on both sides, once
+/// per pair. Ids are therefore handed out in first-seen order. A COUNT
+/// adds a whole run per probe row, or, when the group comes from the build
+/// side, counts matching probe rows per run and the last step spreads
+/// them over the run's slots: counts are integers, so their order does
+/// not matter. Every other aggregate folds its pairs one by one into its
+/// dense accumulators, through the expanded pairs of a chunk whose runs
+/// are short and run by run otherwise, so each accumulator sees its pairs
+/// in emission order (a double sum of m equal cells is not m times the
+/// cell). Build cells are read from columns flattened into slot order.
 class GroupJoin {
  public:
   static constexpr uint32_t kNone = Groups::kNone;
+  /// Pairs per expanded piece.
+  static constexpr size_t kPiece = 1024;
 
   GroupJoin(const PlanNode& node, const ColumnarTable& build,
             const ColumnarTable& probe, const JoinLayout& layout)
@@ -603,94 +891,131 @@ class GroupJoin {
         from_(GroupsFrom(node, build_width_)),
         naggs_(node.aggs.size()),
         groups_(naggs_, from_ == From::kBuild ? build.num_rows()
-                                              : probe.num_rows()) {
-    auto side_column = [&](const BoundExprPtr& e) {
-      return OnBuild(e) ? SideColumn(build, e->column_index())
-                        : SideColumn(probe, e->column_index() - build_width_);
+                                              : probe.num_rows()),
+        items_(node.aggs),
+        acc_(naggs_),
+        piece_(kPiece, /*groups=*/true) {
+    std::vector<ColumnPtr> flat(build_width_);
+    auto column = [&](const BoundExprPtr& e) {
+      Column c;
+      c.on_build = OnBuild(e);
+      c.slot = e->column_index() - (c.on_build ? 0 : build_width_);
+      c.type = c.on_build ? build.schema().column(c.slot).type
+                          : probe.schema().column(c.slot).type;
+      if (c.on_build) {
+        if (flat[c.slot] == nullptr) {
+          flat[c.slot] = FlattenBuildColumn(build, c.slot, layout);
+        }
+        c.flat = flat[c.slot];
+        c.build = Cells::Of(*c.flat, 0);
+      }
+      return c;
     };
-    for (const BoundExprPtr& g : node.group_by) {
-      keys_.push_back(side_column(g));
-      key_on_build_.push_back(OnBuild(g));
-    }
+    for (const BoundExprPtr& g : node.group_by) keys_.push_back(column(g));
     typed_key_ = keys_.size() == 1 && keys_[0].type != DataType::kDouble;
     if (from_ == From::kNone) groups_.Global();
-    const bool slot_groups = from_ == From::kBuild || from_ == From::kPair;
-    if (slot_groups) slot_groups_.assign(layout.matches().size(), kNone);
-    const RowRef* slots = layout.matches().data();
+    const bool slot_groups = from_ == From::kBuild;
+    if (from_ == From::kBuild) {
+      slot_groups_.assign(layout.num_slots(), kNone);
+    }
     for (size_t a = 0; a < naggs_; ++a) {
       const AggItem& item = node.aggs[a];
       if (item.func != AggFunc::kCount) {
-        SideColumn arg = side_column(item.arg);
-        const FoldFn fn =
-            PickFold(item, arg.type, OnBuild(item.arg), slot_groups);
-        folds_.push_back(Fold{a, fn, std::move(arg)});
+        Column arg = column(item.arg);
+        acc_[a].values = true;
+        acc_[a].type = arg.type;
+        const FoldLoops loops =
+            PickLoops(item, arg.type, arg.on_build, slot_groups);
+        folds_.push_back(Fold{a, loops, std::move(arg)});
         continue;
       }
-      Count c;
-      c.agg = a;
-      if (!item.count_star && OnBuild(item.arg)) {
-        c.build_arg.emplace(side_column(item.arg));
-      } else if (!item.count_star) {
-        c.probe_arg.emplace(side_column(item.arg));
-      }
-      if (c.build_arg && !slot_groups) {
-        c.per_key.assign(layout.num_keys(), 0);
-        for (uint32_t k = 0; k < layout.num_keys(); ++k) {
-          for (uint32_t b = layout.begin(k); b < layout.end(k); ++b) {
-            if (!c.build_arg->IsNull(slots[b])) ++c.per_key[k];
-          }
+      Count c{a, std::nullopt, {}, {}};
+      if (!item.count_star) c.arg = column(item.arg);
+      if (c.arg && c.arg->on_build && c.arg->build.nulls != nullptr) {
+        // The non-NULL cells before each slot.
+        c.nonnull_before.assign(layout.num_slots() + 1, 0);
+        for (size_t s = 0; s < layout.num_slots(); ++s) {
+          c.nonnull_before[s + 1] =
+              c.nonnull_before[s] + (c.arg->build.IsNull(s) ? 0 : 1);
         }
       }
-      if (from_ == From::kBuild) c.per_key.assign(layout.num_keys(), 0);
+      if (from_ == From::kBuild) c.per_run.assign(layout.num_slots(), 0);
       counts_.push_back(std::move(c));
     }
   }
 
-  /// Folds the pairs of probe row `p` with build key `k`'s rows.
-  void Add(RowRef p, uint32_t k) {
-    const RowRef* slots = layout_.matches().data();
-    PairRun run{p, slots, layout_.begin(k), layout_.end(k), 0,
-                slot_groups_.data()};
-    if (from_ == From::kProbe) {
-      run.group = Resolve(RowRef{}, p);
-    } else if (from_ == From::kPair ||
-               (from_ == From::kBuild && slot_groups_[run.begin] == kNone)) {
-      // A build key's slots are resolved together, at its first match.
-      for (uint32_t b = run.begin; b < run.end; ++b) {
-        slot_groups_[b] = Resolve(slots[b], p);
-      }
-    }
-    AggState* states = groups_.states();
-    for (Count& c : counts_) {
-      if (c.probe_arg && c.probe_arg->IsNull(p)) continue;
-      if (from_ == From::kBuild) {
-        ++c.per_key[k];  // matched probe rows, spread over slots by Finish
-      } else if (from_ != From::kPair) {
-        states[run.group * naggs_ + c.agg].count +=
-            c.build_arg ? c.per_key[k] : run.end - run.begin;
-      } else {
-        for (uint32_t b = run.begin; b < run.end; ++b) {
-          if (c.build_arg && c.build_arg->IsNull(slots[b])) continue;
-          ++states[slot_groups_[b] * naggs_ + c.agg].count;
+  /// Folds the pairs of `m`, the matches of the probe side's `chunk`.
+  void Add(const ColumnChunk& chunk, const ProbeMatches& m) {
+    if (m.size == 0) return;
+    if (match_groups_.size() < m.size) match_groups_.resize(m.size);
+    switch (from_) {
+      case From::kNone:
+        std::fill(match_groups_.begin(), match_groups_.begin() + m.size, 0);
+        break;
+      case From::kProbe:
+        ResolveProbeGroups(chunk, m);
+        break;
+      case From::kBuild:
+        // A build key's slots are resolved together, at its first match.
+        for (size_t j = 0; j < m.size; ++j) {
+          if (slot_groups_[m.begin[j]] != kNone) continue;
+          for (uint32_t s = m.begin[j]; s < m.end[j]; ++s) {
+            slot_groups_[s] = ResolveBuild(s);
+          }
         }
-      }
+        break;
+      case From::kPair:
+        AddPairsOneByOne(chunk, m);
+        return;
     }
-    for (const Fold& f : folds_) f.fn(f.arg, run, states + f.agg, naggs_);
+    Grow();
+    AddCounts(chunk, m);
+    if (folds_.empty()) return;
+    if (!m.short_runs()) {
+      const uint32_t* groups =
+          from_ == From::kBuild ? slot_groups_.data() : match_groups_.data();
+      for (const Fold& f : folds_) {
+        f.loops.runs(f.arg.At(chunk), m, groups, &acc_[f.agg]);
+      }
+      return;
+    }
+    PairCursor cursor(m);
+    while (!cursor.done()) {
+      size_t n = 0;
+      if (from_ == From::kBuild) {
+        n = cursor.Next<false>(kPiece, &piece_);
+        for (size_t t = 0; t < n; ++t) {
+          piece_.group[t] = slot_groups_[piece_.slot[t]];
+        }
+      } else {
+        n = cursor.Next<true>(kPiece, &piece_, match_groups_.data());
+      }
+      FoldPiece(chunk, n);
+    }
   }
 
-  /// The groups, once the counts kept per build key are added; call after
-  /// the last Add.
+  /// The groups, their states set from the dense accumulators once the
+  /// counts kept per run are spread; call after the last Add.
   Groups* Finish() {
-    if (from_ != From::kBuild) return &groups_;
-    const RowRef* slots = layout_.matches().data();
-    AggState* states = groups_.states();
-    for (const Count& c : counts_) {
-      for (uint32_t k = 0; k < layout_.num_keys(); ++k) {
-        if (c.per_key[k] == 0) continue;
-        for (uint32_t b = layout_.begin(k); b < layout_.end(k); ++b) {
-          if (c.build_arg && c.build_arg->IsNull(slots[b])) continue;
-          states[slot_groups_[b] * naggs_ + c.agg].count += c.per_key[k];
+    Grow();
+    if (from_ == From::kBuild) {
+      for (const Count& c : counts_) {
+        uint64_t* count = acc_[c.agg].count.data();
+        for (size_t k = 0; k < layout_.num_keys(); ++k) {
+          const uint32_t b = layout_.begin(k);
+          const uint32_t e = layout_.end(k);
+          if (b == e || c.per_run[b] == 0) continue;
+          for (uint32_t s = b; s < e; ++s) {
+            if (c.arg && c.arg->on_build && c.arg->build.IsNull(s)) continue;
+            count[slot_groups_[s]] += c.per_run[b];
+          }
         }
+      }
+    }
+    AggState* states = groups_.states();
+    for (size_t a = 0; a < naggs_; ++a) {
+      for (size_t g = 0; g < groups_.size(); ++g) {
+        acc_[a].Store(items_[a], g, &states[g * naggs_ + a]);
       }
     }
     return &groups_;
@@ -700,21 +1025,39 @@ class GroupJoin {
   /// Where a pair's group comes from.
   enum class From { kNone, kProbe, kBuild, kPair };
 
-  /// A COUNT(*) or COUNT(col), counting the pairs whose cell is not NULL.
+  /// A group key or aggregate argument: a build column flattened into
+  /// slot order, or a probe column read chunk by chunk.
+  struct Column {
+    bool on_build = false;
+    size_t slot = 0;  ///< in its side's schema
+    DataType type = DataType::kInt64;
+    ColumnPtr flat;   ///< build side only
+    Cells build;      ///< `flat`'s cells
+
+    Cells At(const ColumnChunk& probe_chunk) const {
+      return on_build ? build : Cells::Of(probe_chunk.columns[slot]);
+    }
+    Value ValueAt(const ColumnChunk& probe_chunk, uint32_t s,
+                  uint32_t r) const {
+      return on_build ? flat->GetValue(s) : probe_chunk.ValueAt(slot, r);
+    }
+  };
+  /// A COUNT(*) (no `arg`) or COUNT(col), counting the pairs whose cell
+  /// is not NULL.
   struct Count {
-    size_t agg = 0;
-    std::optional<SideColumn> probe_arg;
-    std::optional<SideColumn> build_arg;
-    /// Per build key: with a build argument and one group per probe row,
-    /// the key's non-NULL cells; with groups from the build side, the
-    /// probe rows counted so far.
-    std::vector<size_t> per_key;
+    size_t agg;
+    std::optional<Column> arg;
+    /// A build argument with NULLs: its non-NULL cells before each slot.
+    std::vector<uint32_t> nonnull_before;
+    /// With groups from the build side: the probe rows counted so far,
+    /// by the first slot of their run.
+    std::vector<uint64_t> per_run;
   };
   /// A SUM, AVG, MIN or MAX.
   struct Fold {
     size_t agg;
-    FoldFn fn;
-    SideColumn arg;
+    FoldLoops loops;
+    Column arg;
   };
 
   static From GroupsFrom(const PlanNode& node, size_t build_width) {
@@ -730,25 +1073,114 @@ class GroupJoin {
     return e->column_index() < build_width_;
   }
 
-  /// The group of the pair (build row b, probe row p), each key read from
-  /// its side: typed for one INT or STRING key, as Values otherwise.
-  uint32_t Resolve(RowRef b, RowRef p) {
-    if (typed_key_) {
-      const RowRef r = from_ == From::kBuild ? b : p;
-      const SideColumn::Chunk& c = keys_[0].chunks[r.chunk];
-      if (c.nulls != nullptr && c.nulls[r.row] != 0) return groups_.Null();
-      if (keys_[0].type == DataType::kInt64) {
-        return groups_.Int64(c.ints[r.row]);
+  /// Sizes every accumulator to the groups made so far.
+  void Grow() {
+    for (DenseAcc& a : acc_) a.Resize(groups_.size());
+  }
+
+  /// The group of each matching probe row, typed for one INT or STRING
+  /// key, as Values otherwise.
+  void ResolveProbeGroups(const ColumnChunk& chunk, const ProbeMatches& m) {
+    uint32_t* out = match_groups_.data();
+    if (!typed_key_) {
+      for (size_t j = 0; j < m.size; ++j) {
+        Row key;
+        key.reserve(keys_.size());
+        for (const Column& k : keys_) {
+          key.push_back(chunk.ValueAt(k.slot, m.row[j]));
+        }
+        out[j] = groups_.Key(std::move(key));
       }
-      return groups_.Code(*c.dict, groups_.DictGroups(c.dict),
-                          c.codes[r.row]);
+      return;
+    }
+    const Cells c = keys_[0].At(chunk);
+    if (keys_[0].type == DataType::kInt64) {
+      for (size_t j = 0; j < m.size; ++j) {
+        const uint32_t r = m.row[j];
+        out[j] = c.IsNull(r) ? groups_.Null() : groups_.Int64(c.ints[r]);
+      }
+      return;
+    }
+    uint32_t* lut = groups_.DictGroups(c.dict);
+    for (size_t j = 0; j < m.size; ++j) {
+      const uint32_t r = m.row[j];
+      out[j] = c.IsNull(r) ? groups_.Null()
+                           : groups_.Code(*c.dict, lut, c.codes[r]);
+    }
+  }
+
+  /// The group of build slot `s`, every group key a build column.
+  uint32_t ResolveBuild(uint32_t s) {
+    if (typed_key_) {
+      const Cells& c = keys_[0].build;
+      if (c.IsNull(s)) return groups_.Null();
+      if (keys_[0].type == DataType::kInt64) return groups_.Int64(c.ints[s]);
+      return groups_.Code(*c.dict, groups_.DictGroups(c.dict), c.codes[s]);
     }
     Row key;
     key.reserve(keys_.size());
-    for (size_t i = 0; i < keys_.size(); ++i) {
-      key.push_back(keys_[i].ValueAt(key_on_build_[i] ? b : p));
-    }
+    for (const Column& k : keys_) key.push_back(k.flat->GetValue(s));
     return groups_.Key(std::move(key));
+  }
+
+  /// COUNTs of a chunk whose groups come from the probe side or the build
+  /// side: a run at a time.
+  void AddCounts(const ColumnChunk& chunk, const ProbeMatches& m) {
+    for (Count& c : counts_) {
+      const bool probe_arg = c.arg && !c.arg->on_build;
+      const Cells pa = probe_arg ? c.arg->At(chunk) : Cells{};
+      uint64_t* count = acc_[c.agg].count.data();
+      const uint32_t* nn = c.nonnull_before.data();
+      for (size_t j = 0; j < m.size; ++j) {
+        if (probe_arg && pa.IsNull(m.row[j])) continue;
+        if (from_ == From::kBuild) {
+          ++c.per_run[m.begin[j]];  // spread over the run's slots by Finish
+          continue;
+        }
+        count[match_groups_[j]] += c.nonnull_before.empty()
+                                       ? m.end[j] - m.begin[j]
+                                       : nn[m.end[j]] - nn[m.begin[j]];
+      }
+    }
+  }
+
+  /// Folds the `n` pairs of the current piece into every SUM, AVG, MIN
+  /// and MAX.
+  void FoldPiece(const ColumnChunk& chunk, size_t n) {
+    for (const Fold& f : folds_) {
+      f.loops.pairs(f.arg.At(chunk),
+                    f.arg.on_build ? piece_.slot.data() : piece_.row.data(),
+                    piece_.group.data(), n, &acc_[f.agg]);
+    }
+  }
+
+  /// Group keys on both sides: each pair's group is resolved as Values,
+  /// pair by pair in emission order, and every aggregate, COUNTs too, is
+  /// folded pair by pair.
+  void AddPairsOneByOne(const ColumnChunk& chunk, const ProbeMatches& m) {
+    PairCursor cursor(m);
+    while (!cursor.done()) {
+      const size_t n = cursor.Next<false>(kPiece, &piece_);
+      for (size_t t = 0; t < n; ++t) {
+        Row key;
+        key.reserve(keys_.size());
+        for (const Column& k : keys_) {
+          key.push_back(k.ValueAt(chunk, piece_.slot[t], piece_.row[t]));
+        }
+        piece_.group[t] = groups_.Key(std::move(key));
+      }
+      Grow();
+      for (const Count& c : counts_) {
+        const Cells arg = c.arg ? c.arg->At(chunk) : Cells{};
+        const uint32_t* idx =
+            c.arg && c.arg->on_build ? piece_.slot.data() : piece_.row.data();
+        uint64_t* count = acc_[c.agg].count.data();
+        for (size_t t = 0; t < n; ++t) {
+          if (!arg.IsNull(idx[t])) ++count[piece_.group[t]];
+        }
+      }
+      FoldPiece(chunk, n);
+    }
   }
 
   const JoinLayout& layout_;
@@ -756,12 +1188,15 @@ class GroupJoin {
   From from_;
   size_t naggs_;
   Groups groups_;
-  std::vector<SideColumn> keys_;
-  std::vector<bool> key_on_build_;
+  const std::vector<AggItem>& items_;
+  std::vector<Column> keys_;
   bool typed_key_ = false;  ///< one INT or STRING key
-  std::vector<uint32_t> slot_groups_;  ///< by build slot, kNone until seen
+  std::vector<uint32_t> slot_groups_;   ///< by build slot, kNone until seen
+  std::vector<uint32_t> match_groups_;  ///< by match of the current chunk
+  std::vector<DenseAcc> acc_;           ///< by aggregate
   std::vector<Count> counts_;
   std::vector<Fold> folds_;
+  PairPiece piece_;
 };
 
 /// True when an Aggregate runs its hash-join child itself and feeds each
@@ -1092,67 +1527,70 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecHashJoin(
   FEDCAL_ASSIGN_OR_RETURN(JoinInputs in,
                           RunJoinInputs(node, keep, stats, prof));
 
-  // The materialize sink: the pairs are streamed in emission order into
-  // batches of batch_rows; each batch is gathered into a concatenated
-  // [build, probe] chunk, filtered by the residual predicate, charged and
-  // appended.
+  // The materialize sink: each probe chunk's pairs are expanded in
+  // emission order into batches of exactly batch_rows pairs, gathered
+  // from the build columns flattened into slot order and from the probe
+  // chunk into a concatenated [build, probe] chunk, which the residual
+  // predicate filters before it is charged and appended.
   const JoinLayout layout(node, *in.build, *in.probe);
+  const size_t nbuild = in.build->schema().num_columns();
+  std::vector<ColumnPtr> flat(nbuild);
+  for (size_t c = 0; c < nbuild; ++c) {
+    if (keep[c]) flat[c] = FlattenBuildColumn(*in.build, c, layout);
+  }
   auto out = std::make_shared<ColumnarTable>(node.output_schema);
-  const std::vector<std::vector<ColumnSlice>> bsrc = GatherSources(*in.build);
-  const std::vector<std::vector<ColumnSlice>> psrc = GatherSources(*in.probe);
   const size_t batch = config_.batch_rows == 0 ? 1 : config_.batch_rows;
-  std::vector<RowRef> bsel;
-  std::vector<RowRef> psel;
+  ColumnChunk cand;
   size_t emitted = 0;
   auto flush = [&]() -> Status {
-    const size_t len = bsel.size();
+    const size_t len = cand.length;
     if (len == 0) return Status::OK();
-    ColumnChunk cand;
-    cand.length = len;
-    cand.columns.resize(bsrc.size() + psrc.size());
-    for (size_t c = 0; c < bsrc.size(); ++c) {
-      if (!keep[c]) continue;
-      auto col =
-          std::make_shared<ColumnData>(in.build->schema().column(c).type);
-      col->AppendGather(bsrc[c], bsel.data(), len);
-      cand.columns[c] = ColumnSlice{std::move(col), 0};
-    }
-    for (size_t c = 0; c < psrc.size(); ++c) {
-      if (!keep[bsrc.size() + c]) continue;
-      auto col =
-          std::make_shared<ColumnData>(in.probe->schema().column(c).type);
-      col->AppendGather(psrc[c], psel.data(), len);
-      cand.columns[bsrc.size() + c] = ColumnSlice{std::move(col), 0};
-    }
-    bsel.clear();
-    psel.clear();
+    ColumnChunk full = std::move(cand);
+    cand = ColumnChunk{};
     const uint32_t* sel = nullptr;
     size_t k = len;
     if (node.residual) {
       FEDCAL_ASSIGN_OR_RETURN(sel,
-                              eval_.EvalSelection(*node.residual, cand, &k));
+                              eval_.EvalSelection(*node.residual, full, &k));
     }
     FEDCAL_RETURN_NOT_OK(ChargeJoinOutput(k, &emitted, stats));
     if (k == len) {
-      out->AppendChunk(std::move(cand));
+      out->AppendChunk(std::move(full));
     } else if (k > 0) {
-      out->AppendChunk(GatherChunk(cand, sel, k, needed));
+      out->AppendChunk(GatherChunk(full, sel, k, needed));
     }
     return Status::OK();
   };
-  Status status;
-  layout.Probe([&](RowRef p, uint32_t k) {
-    for (uint32_t b = layout.begin(k); b < layout.end(k); ++b) {
-      bsel.push_back(layout.matches()[b]);
-      psel.push_back(p);
-      if (bsel.size() == batch) {
-        status = flush();
-        if (!status.ok()) return false;
+  ProbeMatches matches;
+  PairPiece piece(batch, /*groups=*/false);
+  for (const ColumnChunk& chunk : in.probe->chunks()) {
+    layout.Probe(chunk, &matches);
+    PairCursor pairs(matches);
+    while (!pairs.done()) {
+      if (cand.length == 0) {
+        cand.columns.resize(keep.size());
+        for (size_t c = 0; c < keep.size(); ++c) {
+          if (!keep[c]) continue;
+          const DataType type =
+              c < nbuild ? in.build->schema().column(c).type
+                         : in.probe->schema().column(c - nbuild).type;
+          cand.columns[c] = ColumnSlice{std::make_shared<ColumnData>(type), 0};
+        }
       }
+      const size_t n = pairs.Next<false>(batch - cand.length, &piece);
+      for (size_t c = 0; c < keep.size(); ++c) {
+        if (!keep[c]) continue;
+        ColumnData& col = *cand.columns[c].col;
+        if (c < nbuild) {
+          col.AppendGather(ColumnSlice{flat[c], 0}, piece.slot.data(), n);
+        } else {
+          col.AppendGather(chunk.columns[c - nbuild], piece.row.data(), n);
+        }
+      }
+      cand.length += n;
+      if (cand.length == batch) FEDCAL_RETURN_NOT_OK(flush());
     }
-    return true;
-  });
-  FEDCAL_RETURN_NOT_OK(status);
+  }
   FEDCAL_RETURN_NOT_OK(flush());
   return ColumnarTablePtr(std::move(out));
 }
@@ -1300,18 +1738,19 @@ Result<ColumnarTablePtr> ColumnarExecutor::ExecAggregateOverJoin(
       JoinInputs in,
       RunJoinInputs(join, keep, stats, scope ? scope->prof() : nullptr));
 
-  // One pass over the probe side folds each probe row's pairs into their
-  // groups, and stops at the first probe row past the cap.
+  // One pass over the probe side folds each probe chunk's pairs into their
+  // groups, and stops at the first chunk past the cap.
   const JoinLayout layout(join, *in.build, *in.probe);
   GroupJoin sink(node, *in.build, *in.probe, layout);
   const size_t cap = config_.max_intermediate_rows;
   size_t pairs = 0;
-  layout.Probe([&](RowRef p, uint32_t k) {
-    pairs += layout.end(k) - layout.begin(k);
-    if (cap > 0 && pairs > cap) return false;
-    sink.Add(p, k);
-    return true;
-  });
+  ProbeMatches matches;
+  for (const ColumnChunk& chunk : in.probe->chunks()) {
+    layout.Probe(chunk, &matches);
+    pairs += matches.pairs;
+    if (cap > 0 && pairs > cap) break;
+    sink.Add(chunk, matches);
+  }
   // The materializing join's charge and cap, over every pair at once.
   size_t emitted = 0;
   FEDCAL_RETURN_NOT_OK(ChargeJoinOutput(pairs, &emitted, stats));

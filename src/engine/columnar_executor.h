@@ -42,13 +42,14 @@ namespace fedcal {
 /// unchanged, so ExecStats and the root's bytes are too, and Execute fails
 /// rather than return a result with an absent slice.
 ///
-/// A hash join lays its build side out once and probes it in one pass
-/// that hands each probe row's matches to a sink. Below an Aggregate whose
-/// group keys and arguments are all bare columns (or COUNT(*)), a join
-/// without residual folds the pairs straight into the group accumulators
-/// and materializes nothing; every other parent reads the join's gathered
-/// chunks. Both sinks charge, profile and order the pairs alike
-/// (DESIGN.md §17).
+/// A hash join lays its build side out once, by a counting sort, with
+/// the build columns its sink reads copied into that order, and probes it
+/// a chunk at a time into matching rows and their runs of build rows.
+/// Below an Aggregate whose group keys and arguments are all bare columns
+/// (or COUNT(*)), a join without residual folds the pairs straight into
+/// the group accumulators and materializes nothing; every other parent
+/// reads the join's gathered batches. Both sinks charge, profile and
+/// order the pairs alike (DESIGN.md §17).
 class ColumnarExecutor {
  public:
   using TableResolver =

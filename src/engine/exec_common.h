@@ -177,9 +177,10 @@ inline double AddRepeated(double w, double c, size_t n) {
   return w;
 }
 
-/// \brief A uint32 slot per int64 key, kNone until its user sets it: the
-/// hash join keeps its build-key numbers in them, and the columnar
-/// Aggregate its group ids.
+/// \brief A uint32 slot per int64 key, kNone until its user sets it: a
+/// hash join whose build keys are too sparse for its dense layout keeps
+/// its key numbers in them, and both columnar aggregate paths their group
+/// ids.
 ///
 /// While the keys seen so far stay compact (serial ids and small codes
 /// do), a key's slot is found by its offset in a window of slots, so a
@@ -200,7 +201,8 @@ class Int64KeyIndex {
 
   /// Sizes the window for keys in [lo, hi] before the first Slot, when
   /// they span few enough slots: a user that knows its keys' range up
-  /// front (the join build) makes one window instead of growing one.
+  /// front (the numbered join build) makes one window instead of growing
+  /// one.
   void Reserve(int64_t lo, int64_t hi) {
     const uint64_t span =
         static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
@@ -287,7 +289,9 @@ class Int64KeyIndex {
 /// cell's variant and order, and MIN/MAX keep the first of equal cells
 /// (a strict <), so both engines feed it the same cells in the same order
 /// and finalize to bit-identical results: the columnar engine through
-/// the typed updates (Sum, Min, Max, and `++count` for COUNT), the row
+/// the typed updates (Sum, Min, Max, and `++count` for COUNT), or, over a
+/// hash join, through dense accumulators that make the same transitions
+/// and are stored into these fields when the groups are emitted; the row
 /// oracle through Update.
 struct AggState {
   size_t count = 0;        // non-null inputs (or all rows for COUNT(*))

@@ -260,6 +260,99 @@ void ColumnData::AppendGather(const std::vector<ColumnSlice>& srcs,
   }
 }
 
+void ColumnData::AppendScattered(const ColumnarTable& src, size_t column,
+                                 const uint32_t* to, size_t n) {
+  const std::vector<ColumnChunk>& chunks = src.chunks();
+  if (type_ == DataType::kString) {
+    const StringDictPtr* one = nullptr;
+    bool one_dict = true;
+    for (const ColumnChunk& chunk : chunks) {
+      if (chunk.length == 0) continue;
+      const StringDictPtr& d = chunk.columns[column].col->dict_;
+      if (one == nullptr) one = &d;
+      one_dict = one_dict && d == *one;
+    }
+    if (one != nullptr && one_dict) AdoptDict(*one);
+    if (one != nullptr && (!one_dict || dict_ != *one)) {
+      // Codes of several dictionaries: cell by cell through the gather.
+      std::vector<ColumnSlice> srcs;
+      std::vector<RowRef> refs(n);
+      const uint32_t* t = to;
+      for (const ColumnChunk& chunk : chunks) {
+        if (chunk.length == 0) continue;
+        const auto c = static_cast<uint32_t>(srcs.size());
+        for (size_t i = 0; i < chunk.length; ++i) {
+          if (t[i] < n) refs[t[i]] = RowRef{c, static_cast<uint32_t>(i)};
+        }
+        srcs.push_back(chunk.columns[column]);
+        t += chunk.length;
+      }
+      AppendGather(srcs, refs.data(), n);
+      return;
+    }
+  }
+  // Null cells hold the default value AppendNull writes, so values copy
+  // as they are; the bitmap is made only once a null arrives.
+  auto scatter = [&](auto store) {
+    auto& dst = this->*store;
+    const size_t old = dst.size();
+    dst.resize(old + n);
+    auto* out = dst.data() + old;
+    const uint32_t* t = to;
+    for (const ColumnChunk& chunk : chunks) {
+      if (chunk.length == 0) continue;
+      const ColumnSlice& s = chunk.columns[column];
+      const auto* in = (s.col.get()->*store).data() + s.offset;
+      for (size_t i = 0; i < chunk.length; ++i) {
+        if (t[i] < n) out[t[i]] = in[i];
+      }
+      t += chunk.length;
+    }
+  };
+  switch (type_) {
+    case DataType::kInt64:
+      scatter(&ColumnData::ints_);
+      break;
+    case DataType::kDouble:
+      scatter(&ColumnData::dbls_);
+      break;
+    case DataType::kString:
+      scatter(&ColumnData::codes_);
+      break;
+  }
+  bool nulls = false;
+  const uint32_t* t = to;
+  for (const ColumnChunk& chunk : chunks) {
+    const ColumnData* col = chunk.columns[column].col.get();
+    if (chunk.length > 0 && col->has_nulls()) {
+      const uint8_t* in = col->nulls_.data() + chunk.columns[column].offset;
+      for (size_t i = 0; i < chunk.length && !nulls; ++i) {
+        nulls = t[i] < n && in[i] != 0;
+      }
+    }
+    t += chunk.length;
+  }
+  if (nulls || !nulls_.empty()) {
+    if (nulls_.empty()) nulls_.assign(size_, 0);
+    nulls_.resize(size_ + n, 0);
+  }
+  if (nulls) {
+    uint8_t* out = nulls_.data() + size_;
+    t = to;
+    for (const ColumnChunk& chunk : chunks) {
+      const ColumnData* col = chunk.columns[column].col.get();
+      if (chunk.length > 0 && col->has_nulls()) {
+        const uint8_t* in = col->nulls_.data() + chunk.columns[column].offset;
+        for (size_t i = 0; i < chunk.length; ++i) {
+          if (t[i] < n) out[t[i]] = in[i];
+        }
+      }
+      t += chunk.length;
+    }
+  }
+  size_ += n;
+}
+
 Value ColumnData::GetValue(size_t i) const {
   if (IsNull(i)) return Value::Null_();
   switch (type_) {

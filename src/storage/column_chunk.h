@@ -14,6 +14,7 @@
 namespace fedcal {
 
 struct ColumnSlice;
+class ColumnarTable;
 
 /// \brief The distinct strings behind one or more kString columns, each
 /// stored once and named by a dense uint32 code.
@@ -156,6 +157,16 @@ class ColumnData {
   /// cannot take; the rest go through AppendFrom.
   void AppendGather(const std::vector<ColumnSlice>& srcs, const RowRef* refs,
                     size_t n);
+  /// The scatter form, reading the sources in order: appends `n` cells,
+  /// the cell at position to[r] being row r of column `column` of `src`
+  /// (its chunks' rows counted in order); rows with to[r] >= n are
+  /// skipped, and every position must be some row's. The result equals
+  /// the multi-chunk AppendGather of each position's row, whose reads jump
+  /// between chunks where these are sequential. A string column copies
+  /// codes, taking over the sources' dictionary as AppendGather does,
+  /// when every chunk codes in it; otherwise it runs that AppendGather.
+  void AppendScattered(const ColumnarTable& src, size_t column,
+                       const uint32_t* to, size_t n);
 
   /// Cell `i` as a Value of this column's type (or null).
   Value GetValue(size_t i) const;

@@ -4,11 +4,13 @@
 // byte-identical and ExecStats bit-identical.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <map>
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -627,16 +629,28 @@ Schema CaseSchema() {
                  {"s", DataType::kString}});
 }
 
-/// `n` seeded rows of CaseSchema: nullable columns, int64 cells for the
-/// DOUBLE column (stored as doubles at ingest), doubles whose sums depend
-/// on their order, and strings from `pool`.
-std::vector<Row> CaseRows(Rng* rng, size_t n, int64_t key_lo, int64_t key_hi,
+/// The int64 join keys of a seeded case: `count` values from `lo` on,
+/// `step` apart. A step of 1 keeps them dense enough for the join's dense
+/// layout; a wide step spreads a few values over more than 4 × rows + 64,
+/// which takes the numbered layout.
+struct KeyDomain {
+  int64_t lo = 0;
+  int64_t count = 10;
+  int64_t step = 1;
+};
+
+/// `n` seeded rows of CaseSchema: nullable columns, keys from `keys`,
+/// int64 cells for the DOUBLE column (stored as doubles at ingest),
+/// doubles whose sums depend on their order, and strings from `pool`.
+std::vector<Row> CaseRows(Rng* rng, size_t n, const KeyDomain& keys,
                           const std::vector<std::string>& pool) {
   const std::vector<double> scales = {1.0, 0.1, 1e16, -1e16, 1.0 / 3.0};
   std::vector<Row> rows;
   for (size_t r = 0; r < n; ++r) {
     auto null = [&] { return rng->Bernoulli(0.1); };
-    Value k = null() ? N() : I(rng->UniformInt(key_lo, key_hi));
+    Value k = null() ? N()
+                     : I(keys.lo +
+                         keys.step * rng->UniformInt(0, keys.count - 1));
     Value i = null() ? N() : I(rng->UniformInt(-1'000'000, 1'000'000));
     Value d = null() ? N()
               : rng->Bernoulli(0.15)
@@ -649,6 +663,31 @@ std::vector<Row> CaseRows(Rng* rng, size_t n, int64_t key_lo, int64_t key_hi,
   return rows;
 }
 
+/// Adds the seeded tables `lname` and `rname` to every database: rows
+/// plus an append of a third as many again, whose new string ("new")
+/// codes the later chunks in a second dictionary.
+template <typename Dbs>
+void AddCaseTables(Dbs* dbs, const std::string& lname,
+                   const std::string& rname, Rng* rng, size_t ln, size_t rn,
+                   const KeyDomain& lkeys, const KeyDomain& rkeys) {
+  const std::vector<std::string> pool = {"a", "b", "c", "d"};
+  const std::vector<std::string> wider = {"a", "b", "c", "d", "new"};
+  const std::vector<Row> lbase = CaseRows(rng, ln, lkeys, pool);
+  const std::vector<Row> lmore = CaseRows(rng, ln / 3, lkeys, wider);
+  const std::vector<Row> rbase = CaseRows(rng, rn, rkeys, pool);
+  const std::vector<Row> rmore = CaseRows(rng, rn / 3, rkeys, wider);
+  for (auto& [batch, db] : *dbs) {
+    for (const auto& [name, base, more] :
+         {std::tuple{lname, &lbase, &lmore},
+          std::tuple{rname, &rbase, &rmore}}) {
+      ASSERT_OK_AND_ASSIGN(TablePtr t,
+                           Table::FromRows(name, CaseSchema(), *base, batch));
+      ASSERT_TRUE(t->AppendRows(*more).ok());
+      db.AddTable(t);
+    }
+  }
+}
+
 TEST_F(ColumnarDifferentialTest, SeededAggregatesOverJoins) {
   // Each case joins two seeded tables, built from rows plus an append
   // whose new string codes the later chunks in a second dictionary, and
@@ -657,8 +696,6 @@ TEST_F(ColumnarDifferentialTest, SeededAggregatesOverJoins) {
   // with arguments from either side, the edge cases (an empty side, no
   // matches) and the two shapes that keep the materializing join (a
   // residual, an expression argument).
-  const std::vector<std::string> pool = {"a", "b", "c", "d"};
-  const std::vector<std::string> wider = {"a", "b", "c", "d", "new"};
   for (uint64_t seed = 0; seed < 300; ++seed) {
     Rng rng(seed);
     const std::string label = "case " + std::to_string(seed);
@@ -667,20 +704,13 @@ TEST_F(ColumnarDifferentialTest, SeededAggregatesOverJoins) {
     const bool no_matches = seed % 10 == 1;
     const size_t ln = seed % 20 == 0 ? 0 : rng.UniformInt(1, 150);
     const size_t rn = seed % 20 == 10 ? 0 : rng.UniformInt(1, 150);
-    const std::vector<Row> lbase = CaseRows(&rng, ln, 0, 9, pool);
-    const std::vector<Row> lmore = CaseRows(&rng, ln / 3, 0, 9, wider);
-    const int64_t r_lo = no_matches ? 100 : 0;
-    const std::vector<Row> rbase = CaseRows(&rng, rn, r_lo, r_lo + 9, pool);
-    const std::vector<Row> rmore = CaseRows(&rng, rn / 3, r_lo, r_lo + 9, wider);
-    for (auto& [batch, db] : dbs_) {
-      for (const auto& [name, base, more] :
-           {std::tuple{lname, &lbase, &lmore}, std::tuple{rname, &rbase, &rmore}}) {
-        ASSERT_OK_AND_ASSIGN(TablePtr t,
-                             Table::FromRows(name, CaseSchema(), *base, batch));
-        ASSERT_TRUE(t->AppendRows(*more).ok());
-        db.AddTable(t);
-      }
-    }
+    // Keys 0..9, dense; in every fourth case ten keys a million apart,
+    // which the join numbers.
+    KeyDomain lkeys;
+    if (seed % 4 == 3) lkeys.step = 1'000'003;
+    KeyDomain rkeys = lkeys;
+    if (no_matches) rkeys.lo = 100 * lkeys.step;
+    AddCaseTables(&dbs_, lname, rname, &rng, ln, rn, lkeys, rkeys);
 
     const bool left_first = seed % 2 == 0;
     const PlanNodePtr build = ScanOf(left_first ? lname : rname);
@@ -777,6 +807,114 @@ TEST_F(ColumnarDifferentialTest, SeededAggregatesOverJoins) {
       if (residual == nullptr) {
         EXPECT_EQ(col_joins[0]->batches, (pairs + batch - 1) / batch)
             << batch_label;
+      }
+    }
+  }
+}
+
+TEST_F(ColumnarDifferentialTest, SeededMaterializingJoins) {
+  // Each case joins two seeded tables (CaseSchema, built as in
+  // SeededAggregatesOverJoins) at the root, and again under a Project
+  // that reads a seeded subset of the join's columns. The seed picks the
+  // sides, the join keys (int64, string or both), the int64 key domain
+  // (dense ones, ones the join numbers through a window or a hash map, and
+  // one of about as many keys as rows, so runs of one pair per probe row
+  // and of many both occur), the
+  // edge cases (an empty side, no matches, NULL keys) and a residual.
+  // Both batch sizes cut runs across batches.
+  for (uint64_t seed = 0; seed < 200; ++seed) {
+    Rng rng(seed + 1'000);
+    const std::string label = "join case " + std::to_string(seed);
+    const std::string lname = "ml" + std::to_string(seed);
+    const std::string rname = "mr" + std::to_string(seed);
+    const size_t ln = seed % 20 == 0 ? 0 : rng.UniformInt(1, 300);
+    const size_t rn = seed % 20 == 10 ? 0 : rng.UniformInt(1, 300);
+    KeyDomain lkeys;
+    switch (seed % 4) {
+      case 0:  // a few keys: long runs
+        lkeys.count = rng.UniformInt(1, 4);
+        break;
+      case 1:  // about a key per row: runs of one
+        lkeys.count = static_cast<int64_t>(std::max(ln, rn)) + 1;
+        break;
+      case 2:  // numbered: a few keys spread wide, or very wide (hashed)
+        lkeys.count = rng.UniformInt(2, 40);
+        lkeys.step = seed % 8 == 2 ? 1'000 : 998'244'353;
+        lkeys.lo = -lkeys.step * 20;
+        break;
+      default:  // dense, with negative keys
+        lkeys.lo = -rng.UniformInt(0, 50);
+        lkeys.count = rng.UniformInt(5, 60);
+        break;
+    }
+    KeyDomain rkeys = lkeys;
+    if (seed % 10 == 7) rkeys.lo = lkeys.lo + lkeys.step * lkeys.count;
+    AddCaseTables(&dbs_, lname, rname, &rng, ln, rn, lkeys, rkeys);
+
+    const bool left_first = seed % 2 == 0;
+    std::vector<size_t> keys = {0};
+    if (seed % 6 == 4) keys = {3};
+    if (seed % 6 == 5) keys = {0, 3};
+    BoundExprPtr residual;
+    if (seed % 5 == 2) {
+      residual = Cmp(BinaryOp::kLt, BoundExpr::Column(1, "i", DataType::kInt64),
+                     BoundExpr::Column(5, "i", DataType::kInt64));
+    }
+    const PlanNodePtr join =
+        PlanNode::HashJoin(ScanOf(left_first ? lname : rname),
+                           ScanOf(left_first ? rname : lname), keys, keys,
+                           residual);
+    std::vector<size_t> slots;
+    for (size_t s = 0; s < 8; ++s) {
+      if (rng.Bernoulli(0.4)) slots.push_back(s);
+    }
+    if (slots.empty()) slots.push_back(rng.UniformInt(0, 7));
+
+    for (const auto& [plan, name] :
+         {std::pair{join, label}, std::pair{ProjectSlots(join, slots),
+                                            label + " under a Project"}}) {
+      ExecConfig profiled;
+      profiled.profile = true;
+      ExecStats row_stats;
+      std::shared_ptr<obs::OperatorProfile> row_prof;
+      auto row_res = oracle::RowExecutor(
+                         oracle::RowExecutor::Caching(
+                             [this](const std::string& n) {
+                               return db().Resolve(n);
+                             }),
+                         profiled)
+                         .Execute(plan, &row_stats, &row_prof);
+      ASSERT_TRUE(row_res.ok()) << name << ": " << row_res.status().ToString();
+      std::vector<const obs::OperatorProfile*> row_joins;
+      HashJoinNodes(*row_prof, &row_joins);
+      ASSERT_EQ(row_joins.size(), 1u) << name;
+      const uint64_t pairs = row_joins[0]->rows_out;
+
+      for (auto& [batch, db] : dbs_) {
+        ExecConfig cfg = profiled;
+        cfg.batch_rows = batch;
+        ExecStats col_stats;
+        std::shared_ptr<obs::OperatorProfile> col_prof;
+        auto col_res =
+            Executor([&db](const std::string& n) { return db.Resolve(n); },
+                     cfg)
+                .Execute(plan, &col_stats, &col_prof);
+        const std::string batch_label =
+            name + " [batch=" + std::to_string(batch) + "]";
+        ASSERT_TRUE(col_res.ok())
+            << batch_label << ": " << col_res.status().ToString();
+        EXPECT_EQ(
+            oracle::FirstDifference(*row_res.value(), *col_res.value()), "")
+            << batch_label;
+        ExpectIdenticalStats(row_stats, col_stats, batch_label);
+        std::vector<const obs::OperatorProfile*> col_joins;
+        HashJoinNodes(*col_prof, &col_joins);
+        ASSERT_EQ(col_joins.size(), 1u) << batch_label;
+        EXPECT_EQ(col_joins[0]->rows_out, pairs) << batch_label;
+        if (residual == nullptr) {
+          EXPECT_EQ(col_joins[0]->batches, (pairs + batch - 1) / batch)
+              << batch_label;
+        }
       }
     }
   }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -260,6 +261,77 @@ TEST(StringDictTest, GathersWithinAndAcrossDictionariesEqualAppendFrom) {
     for (uint32_t r : rows) want.AppendFrom(*SliceOf(b, 0).col, r);
     got.AppendGather(SliceOf(b, 0), rows.data(), rows.size());
     ExpectSameColumn(want, got, prefilled ? "prefilled" : "empty");
+  }
+}
+
+TEST(ColumnDataTest, ScatterEqualsGatherOfEachPositionsRow) {
+  // Three chunks of int64, double and string columns with NULLs, one
+  // dictionary per string column; and a merge of two tables whose string
+  // columns code in two dictionaries. Every fourth row is skipped, the
+  // rest land in a shuffled order, into an empty column and into one
+  // that already holds a NULL.
+  const Schema schema({{"i", DataType::kInt64},
+                       {"d", DataType::kDouble},
+                       {"s", DataType::kString}});
+  std::vector<Row> rows;
+  for (int64_t r = 0; r < 10; ++r) {
+    rows.push_back({r % 5 == 3 ? N() : I(r * 7 - 20),
+                    r % 4 == 1 ? N() : D(0.5 * static_cast<double>(r)),
+                    r % 6 == 2 ? N() : S(r % 2 == 0 ? "even" : "odd")});
+  }
+  const ColumnarTablePtr one = ColumnarFromRows(schema, rows, 4);
+  auto two = std::make_shared<ColumnarTable>(schema);
+  two->AppendTableZeroCopy(*ColumnarFromRows(schema, rows, 4));
+  two->AppendTableZeroCopy(*ColumnarFromRows(
+      schema, {{I(1), D(2), S("third")}, {N(), N(), S("odd")}}, 4));
+  for (const auto& [label, t] : {std::pair{"one dictionary", one},
+                                 std::pair{"two dictionaries",
+                                           ColumnarTablePtr(two)}}) {
+    const size_t total = t->num_rows();
+    std::vector<uint32_t> to(total, UINT32_MAX);
+    std::vector<RowRef> refs;
+    for (size_t r = 0; r < total; ++r) {
+      if (r % 4 == 2) continue;
+      refs.push_back(t->Locate(r));
+    }
+    // Position p takes the row listed at (5p + 1) mod n (5 is prime to
+    // both tables' n).
+    const size_t n = refs.size();
+    std::vector<RowRef> by_position(n);
+    size_t listed = 0;
+    for (size_t r = 0; r < total; ++r) {
+      if (r % 4 == 2) continue;
+      for (size_t p = 0; p < n; ++p) {
+        if ((5 * p + 1) % n == listed) {
+          to[r] = static_cast<uint32_t>(p);
+          by_position[p] = refs[listed];
+        }
+      }
+      ++listed;
+    }
+    ASSERT_EQ(static_cast<size_t>(std::count_if(
+                  to.begin(), to.end(), [n](uint32_t p) { return p < n; })),
+              n)
+        << label;
+    for (size_t c = 0; c < schema.num_columns(); ++c) {
+      std::vector<ColumnSlice> srcs;
+      for (const ColumnChunk& chunk : t->chunks()) {
+        srcs.push_back(chunk.columns[c]);
+      }
+      for (bool prefilled : {false, true}) {
+        ColumnData want(schema.column(c).type);
+        ColumnData got(schema.column(c).type);
+        if (prefilled) {
+          want.AppendNull();
+          got.AppendNull();
+        }
+        want.AppendGather(srcs, by_position.data(), n);
+        got.AppendScattered(*t, c, to.data(), n);
+        ExpectSameColumn(want, got,
+                         std::string(label) + " column " + std::to_string(c) +
+                             (prefilled ? " prefilled" : ""));
+      }
+    }
   }
 }
 
